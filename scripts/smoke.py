@@ -5,9 +5,10 @@
 
 Each step is a bash command written as if run from the repository root.
 The steps of one smoke run in a fresh temporary directory that links the
-repository's ``src``, ``tests``, ``benchmarks`` and ``examples``, so the
-traces, caches and reports a step writes start cold and vanish with the
-run; bench tables still land in ``benchmarks/results/``.  A smoke stops
+repository's ``src``, ``tests``, ``benchmarks``, ``examples`` and
+``perfbench``, so the traces, caches and reports a step writes start
+cold and vanish with the run; bench tables still land in
+``benchmarks/results/``.  A smoke stops
 at its first failing step and exits non-zero; its ``finally`` steps
 (stopping a server) always run.  The CI ``smoke`` job runs every name in
 a matrix, and ``tests/test_ci_smoke.py`` keeps that matrix equal to
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-LINKED = ("src", "tests", "benchmarks", "examples")
+LINKED = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 Step = Tuple[str, str]
 
@@ -262,18 +263,29 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     ]},
     # QoR net for the incremental place/route/STA kernels: the kernel
     # property tests (incremental HPWL == scratch recompute, route-tree
-    # invariants, per-seed bit-identity, kernel-version cache salt),
-    # then the QoR gates against the pinned results of the replaced
-    # kernels on a ~10k-cell design and the three Fig. 3 designs.  Their
-    # wall-clock net is the repository benchmark (compile_cold,
-    # eco_edits).
+    # invariants, per-seed bit-identity, kernel-version cache salt), the
+    # placement identity golden (cold and ECO placements pinned by
+    # digest), then the QoR gates against the pinned results of the
+    # replaced kernels on a ~10k-cell design and the three Fig. 3
+    # designs.  Their wall-clock net is the repository benchmark: a
+    # short smoke run of compile_cold and eco_edits checks every output
+    # and exits 1 on a wrong result.
     "perf-kernel": {"steps": [
         ("Kernel property tests",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/fabric/test_kernels_property.py"),
+        ("Placement identity golden",
+         "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
+         "tests/fabric/test_place_identity.py"),
         ("Kernel QoR gates against the pinned old-kernel results",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_flow_kernels.py"),
+        ("Benchmark output checks: compile_cold",
+         "python3 perfbench/run_bench.py --workload compile_cold --smoke "
+         "--seconds 2"),
+        ("Benchmark output checks: eco_edits",
+         "python3 perfbench/run_bench.py --workload eco_edits --smoke "
+         "--seconds 2"),
     ]},
 }
 

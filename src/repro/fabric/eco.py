@@ -39,7 +39,6 @@ Telemetry counters: ``eco.cells.moved``, ``eco.nets.ripped``,
 
 from __future__ import annotations
 
-import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -51,8 +50,8 @@ from ..telemetry import Tracer
 from .device import Device
 from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
-from .placement import PlacementResult, _Grid, _IncrementalHpwl, \
-    _SiteManager, total_hpwl
+from .placement import PlacementResult, _Grid, _SiteManager, _anneal, \
+    _bbox, _connectivity, total_hpwl
 from .routing import RoutingResult, route
 from .timing import StaState, TimingReport, analyze_timing_cone, \
     analyze_timing_state
@@ -60,7 +59,9 @@ from .timing import StaState, TimingReport, analyze_timing_cone, \
 #: Bumped whenever the ECO kernels (warm-start placement, delta routing
 #: orchestration, cone merge) change their results; folded into every
 #: delta-chained stage key so stale ECO artifacts are never served.
-ECO_KERNEL_VERSION = 1
+#: Version 2: the warm start reports its final HPWL (version 1 reported
+#: the warm-start HPWL) and counts ``rescans`` over tracked nets only.
+ECO_KERNEL_VERSION = 2
 
 #: Constraint names a delta may change.
 _CONSTRAINT_NAMES = ("target_clock_ns",)
@@ -425,7 +426,9 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     with them (the range-limit neighborhood); everything else keeps its
     base tile *bit-identically*.  The anneal runs at a fraction of the
     cold starting temperature inside a reduced range limit, on the base
-    placement's grid (so frozen tiles stay legal).
+    placement's grid (so frozen tiles stay legal).  The move loop is
+    the cold placer's (``placement._anneal``), with a disturbance
+    penalty on the first move of a pre-existing cell.
     """
     rng = random.Random(seed)
     grid = _Grid(device, netlist, dims=base.grid)
@@ -528,129 +531,54 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     frozen = ncells - len(movable_indices)
 
     # Anneal only the nets with at least one movable pin.
-    net_pins: List[List[int]] = []
-    nets_of_cell: Dict[int, List[Tuple[int, int]]] = {
-        index: [] for index in movable_indices}
-    movable_set = set(movable_indices)
-    for net in netlist.nets.values():
-        pins: List[int] = []
-        if net.driver is not None and net.driver in cell_index:
-            pins.append(cell_index[net.driver])
-        for sink in net.sinks:
-            index = cell_index.get(sink)
-            if index is not None:
-                pins.append(index)
-        if not pins or not any(pin in movable_set for pin in pins):
-            continue
-        net_id = len(net_pins)
-        net_pins.append(pins)
-        counts: Dict[int, int] = {}
-        for pin in pins:
-            counts[pin] = counts.get(pin, 0) + 1
-        for pin, pin_count in counts.items():
-            if pin in movable_set:
-                nets_of_cell[pin].append((net_id, pin_count))
-
-    iterations = 0
-    accepted = 0
-    window_fallbacks = 0
-    rescans = 0
+    net_pins, nets_of_cell = _connectivity(netlist, cell_index,
+                                           set(movable_indices))
+    stats = {"moves": 0, "accepted": 0, "rescans": 0,
+             "window_fallbacks": 0}
     final_hpwl = initial
-    if movable_indices and net_pins:
-        tracker = _IncrementalHpwl(net_pins, xs, ys)
-        local_cost = tracker.cost
+    # A movable cell on any net anneals, even when each of its nets has
+    # no other placed cell (such moves change no span).
+    if any(netlist.cells[cell_names[index]].inputs
+           or netlist.cells[cell_names[index]].output is not None
+           for index in movable_indices):
+        boxes = [_bbox(pins, xs, ys) for pins in net_pins]
+        local_cost = sum(box[1] - box[0] + box[3] - box[2]
+                         for box in boxes)
         moves = max(100, int(100 * effort * len(movable_indices)))
+        span = max(cols, rows)
         # Low-temperature restart: a quarter of the local cost per
         # movable cell — enough hill-climbing to legalize the edit's
         # neighborhood, cold enough not to disturb converged structure.
-        temperature = max(0.5, local_cost / max(1, len(movable_indices))
-                          * 0.25)
-        initial_temperature = temperature
-        cooling = 0.95 ** (1.0 / max(1, moves // 100))
-        span = max(cols, rows)
-        radius = float(max(3, span // 4))
-        block = max(25, moves // 100)
-        block_moves = 0
-        block_accepted = 0
-        move_pin = tracker.move_pin
-        window_tries = 8
-        added_set = set(added)
-        for _ in range(moves):
-            iterations += 1
-            index = movable_indices[rng.randrange(len(movable_indices))]
-            cls = classes[index]
-            ox, oy = xs[index], ys[index]
-            new_tile: Optional[Tuple[int, int]] = None
-            if cls in ("lut", "ff"):
-                r = int(radius)
-                cmin, cmax = max(0, ox - r), min(cols - 1, ox + r)
-                rmin, rmax = max(0, oy - r), min(rows - 1, oy + r)
-                for _try in range(window_tries):
-                    candidate = (rng.randint(cmin, cmax),
-                                 rng.randint(rmin, rmax))
-                    if sites.has_room(cls, candidate):
-                        new_tile = candidate
-                        break
-                if new_tile is None:
-                    window_fallbacks += 1
-                    new_tile = sites.free[cls].sample(rng)
-            else:
-                new_tile = sites.free[cls].sample(rng)
-            if new_tile is None:
-                continue
-            nx, ny = new_tile
-            xs[index], ys[index] = nx, ny
-            delta = 0
-            affected = nets_of_cell[index]
-            saved = [(net_id, tracker.snapshot(net_id))
-                     for net_id, _count in affected]
-            for net_id, pin_count in affected:
-                delta += move_pin(net_id, ox, oy, nx, ny, pin_count)
-            block_moves += 1
-            # A first move of a pre-existing cell rips its nets and
-            # re-opens their STA cones downstream; charge for that.
-            cost = delta if (index in added_set
-                             or base.locations.get(cell_names[index])
-                             != (ox, oy)) \
-                else delta + _DISTURB_PENALTY
-            if cost <= 0 or rng.random() < math.exp(-cost / temperature):
-                accepted += 1
-                block_accepted += 1
-                sites.release(cls, (ox, oy))
-                sites.occupy(cls, new_tile)
-            else:
-                xs[index], ys[index] = ox, oy
-                for net_id, state in saved:
-                    tracker.restore(net_id, state)
-            if block_moves >= block:
-                rate = block_accepted / block_moves
-                floor = max(2.0, span * 0.25
-                            * (temperature / initial_temperature) ** 0.5)
-                radius = min(float(span),
-                             max(floor, radius * (0.56 + rate)))
-                block_moves = 0
-                block_accepted = 0
-            temperature = max(0.01, temperature * cooling)
-        rescans = tracker.rescans
+        # A first move of a pre-existing cell rips its nets and
+        # re-opens their STA cones downstream; charge for that.
+        gain, stats = _anneal(
+            rng, sites, xs, ys, classes, movable_indices, net_pins,
+            nets_of_cell, boxes, moves=moves,
+            temperature=max(0.5, local_cost / max(1, len(movable_indices))
+                            * 0.25),
+            radius=float(max(3, span // 4)), block=max(25, moves // 100),
+            floor_span=span * 0.25,
+            home={index: base.locations.get(cell_names[index])
+                  for index in movable_indices},
+            penalty=_DISTURB_PENALTY)
         # Frozen nets cannot change, so the final HPWL is the warm-start
-        # total shifted by the tracked local delta — exactly equal to a
+        # total shifted by the accepted local delta — exactly equal to a
         # full rescan (integer spans), without the O(nets) pass.
-        final_hpwl = initial + (tracker.cost - local_cost)
+        final_hpwl = initial + gain
 
     locations = {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
     moved = sum(1 for name, tile in locations.items()
                 if base.locations.get(name) != tile)
-    stats = {"moves": iterations, "accepted": accepted,
-             "rescans": rescans, "window_fallbacks": window_fallbacks,
-             "annealed": len(movable_indices), "frozen": frozen,
-             "moved": moved, "added": len(added)}
+    stats.update(annealed=len(movable_indices), frozen=frozen, moved=moved,
+                 added=len(added))
     if tracer is not None:
-        tracer.counter("place.moves.total", "fabric").add(iterations)
-        tracer.counter("place.moves.accepted", "fabric").add(accepted)
+        tracer.counter("place.moves.total", "fabric").add(stats["moves"])
+        tracer.counter("place.moves.accepted", "fabric").add(
+            stats["accepted"])
     return PlacementResult(locations=locations,
                            hpwl=final_hpwl,
                            initial_hpwl=initial,
-                           iterations=iterations,
+                           iterations=stats["moves"],
                            grid=(cols, rows), stats=stats)
 
 

@@ -6,12 +6,18 @@ columns (every 8th / 12th column), mirroring a column-based FPGA
 floorplan.  The cost function is the half-perimeter wirelength (HPWL)
 summed over nets, the classic VPR-style objective.
 
-The annealer is *incremental* (PR 5): per-net bounding boxes carry
-pin-count-at-extreme bookkeeping so a move is an O(1) delta in the
-common case, falling back to an O(pins) rescan only when the last pin at
-an extreme moves inward; free sites come from per-site-class free-lists
-(no rejection sampling); and moves are VPR-style range-limited, with a
-window that shrinks as the temperature drops.  Results stay
+The annealer is *incremental*: every tracked net keeps one bbox record
+(the four extremes plus the number of pins at each), and a move updates
+the records of the moved cell's nets from the old and new tile alone.
+When the last pin at an extreme leaves it, the net is rescanned from its
+pins, O(pins); ``place.bbox.rescans`` counts those fallbacks.  They are
+not rare: a two-pin net loses an extreme whenever a pin moves towards
+the other, so on the HLS kernels a fifth to two fifths of the moves
+rescan a net.  Nets covering fewer than two cells always span 0 and are
+not tracked at all.  Free sites come from per-site-class free-lists (no
+rejection sampling), and moves are VPR-style range-limited, with a
+window that shrinks as the temperature drops.  The move loop
+(:func:`_anneal`) is shared with the ECO warm start.  Results stay
 deterministic per seed; ``PLACE_KERNEL_VERSION`` salts the flow-cache
 stage key so artifacts of older kernels are never served.
 """
@@ -21,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..telemetry import Tracer
 from .device import Device, LUTS_PER_TILE
@@ -31,10 +37,12 @@ _LUT_CLASS = {LUT4, CARRY, IOB}
 _DSP_COLUMN_STRIDE = 8
 _BRAM_COLUMN_STRIDE = 12
 
-#: Bumped whenever the placement algorithm changes its results; part of
-#: the flow-cache stage key (see ``NXmapProject._stage_key``), so stale
-#: cached placements from an older kernel can never be returned.
-PLACE_KERNEL_VERSION = 2
+#: Bumped whenever the placement algorithm changes its results (including
+#: the serialized ``stats``: version 3 counts ``rescans`` over tracked
+#: nets only); part of the flow-cache stage key (see
+#: ``NXmapProject._stage_key``), so stale cached placements from an older
+#: kernel can never be returned.
+PLACE_KERNEL_VERSION = 3
 
 #: Window samples attempted before falling back to the global free-list.
 _WINDOW_TRIES = 8
@@ -87,7 +95,7 @@ class PlacementResult:
 
 
 class _Grid:
-    """Tracks per-tile occupancy for each site class."""
+    """The annealing grid: its size and the macro-column rule."""
 
     def __init__(self, device: Device, netlist: Netlist,
                  min_cols: int = 4,
@@ -104,9 +112,6 @@ class _Grid:
             # ECO warm start): frozen tiles must stay legal, so the
             # edited design anneals on the base design's grid.
             self.cols, self.rows = dims
-            self.lut_used = {}
-            self.ff_used = {}
-            self.macro_used = {}
             return
         cells_needed = max(stats["luts"], stats["ffs"]) / LUTS_PER_TILE
         tiles_needed = max(4, int(cells_needed * 1.6) + 2)
@@ -120,16 +125,6 @@ class _Grid:
         if stats["brams"]:
             cols = max(cols, _BRAM_COLUMN_STRIDE // 2 + 1)
         self.cols, self.rows = cols, rows
-        self.lut_used: Dict[Tuple[int, int], int] = {}
-        self.ff_used: Dict[Tuple[int, int], int] = {}
-        self.macro_used: Dict[Tuple[int, int], int] = {}
-
-    def site_class(self, kind: str) -> str:
-        if kind in _LUT_CLASS:
-            return "lut"
-        if kind == DFF:
-            return "ff"
-        return "macro"
 
     def is_macro_column(self, kind: str, col: int) -> bool:
         if kind == DSP:
@@ -137,27 +132,6 @@ class _Grid:
         if kind == BRAM:
             return col % _BRAM_COLUMN_STRIDE == _BRAM_COLUMN_STRIDE // 2
         return True
-
-    def capacity_left(self, kind: str, tile: Tuple[int, int]) -> bool:
-        cls = self.site_class(kind)
-        if cls == "lut":
-            return self.lut_used.get(tile, 0) < LUTS_PER_TILE
-        if cls == "ff":
-            return self.ff_used.get(tile, 0) < LUTS_PER_TILE
-        return self.is_macro_column(kind, tile[0]) and \
-            self.macro_used.get(tile, 0) < 2
-
-    def occupy(self, kind: str, tile: Tuple[int, int]) -> None:
-        cls = self.site_class(kind)
-        table = {"lut": self.lut_used, "ff": self.ff_used,
-                 "macro": self.macro_used}[cls]
-        table[tile] = table.get(tile, 0) + 1
-
-    def release(self, kind: str, tile: Tuple[int, int]) -> None:
-        cls = self.site_class(kind)
-        table = {"lut": self.lut_used, "ff": self.ff_used,
-                 "macro": self.macro_used}[cls]
-        table[tile] -= 1
 
 
 class _FreeList:
@@ -261,108 +235,192 @@ def total_hpwl(netlist: Netlist,
                for name in netlist.nets)
 
 
-class _IncrementalHpwl:
-    """Per-net bounding boxes with pin-count-at-extreme bookkeeping.
+def _connectivity(netlist: Netlist, cell_index: Dict[str, int],
+                  movable: Optional[Set[int]] = None
+                  ) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
+    """The nets the annealer tracks, as pin lists (cell indices, with
+    multiplicity), and the reverse map cell → [(net, pin count)].
 
-    Moving one pin is O(1) unless it was the *only* pin at a bbox
-    extreme and moved inward — then the net is rescanned (O(pins)) and
-    the fallback counted.  The tracked total equals ``total_hpwl``
-    recomputed from scratch at all times (property-tested).
+    A net whose pins cover fewer than two distinct cells always spans 0,
+    so it is left out: its delta, and so every accept decision, is 0
+    whatever moves.  With ``movable`` given, nets without a movable pin
+    are left out too (their span cannot change).
     """
+    net_pins: List[List[int]] = []
+    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in cell_index]
+    for net in netlist.nets.values():
+        pins: List[int] = []
+        if net.driver is not None and net.driver in cell_index:
+            pins.append(cell_index[net.driver])
+        for sink in net.sinks:
+            index = cell_index.get(sink)
+            if index is not None:
+                pins.append(index)
+        if movable is not None and movable.isdisjoint(pins):
+            continue
+        counts: Dict[int, int] = {}
+        for pin in pins:
+            counts[pin] = counts.get(pin, 0) + 1
+        if len(counts) < 2:
+            continue
+        net_id = len(net_pins)
+        net_pins.append(pins)
+        for pin, count in counts.items():
+            nets_of_cell[pin].append((net_id, count))
+    return net_pins, nets_of_cell
 
-    __slots__ = ("pins", "xs", "ys", "xmin", "xmax", "ymin", "ymax",
-                 "cxmin", "cxmax", "cymin", "cymax", "rescans", "cost")
 
-    def __init__(self, net_pins: List[List[int]],
-                 xs: List[int], ys: List[int]) -> None:
-        self.pins = net_pins
-        self.xs = xs
-        self.ys = ys
-        count = len(net_pins)
-        self.xmin = [0] * count
-        self.xmax = [0] * count
-        self.ymin = [0] * count
-        self.ymax = [0] * count
-        self.cxmin = [0] * count
-        self.cxmax = [0] * count
-        self.cymin = [0] * count
-        self.cymax = [0] * count
-        self.rescans = 0
-        self.cost = 0
-        for net in range(count):
-            self._rescan(net)
-            self.cost += self.span(net)
+def _bbox(pins: List[int], xs: List[int], ys: List[int]) -> List[int]:
+    """A net's bbox record from scratch: ``[xmin, xmax, ymin, ymax]``
+    then the number of pins at each of those extremes."""
+    pin_xs = list(map(xs.__getitem__, pins))
+    pin_ys = list(map(ys.__getitem__, pins))
+    xmin, xmax = min(pin_xs), max(pin_xs)
+    ymin, ymax = min(pin_ys), max(pin_ys)
+    return [xmin, xmax, ymin, ymax, pin_xs.count(xmin), pin_xs.count(xmax),
+            pin_ys.count(ymin), pin_ys.count(ymax)]
 
-    def span(self, net: int) -> int:
-        return (self.xmax[net] - self.xmin[net]) + \
-            (self.ymax[net] - self.ymin[net])
 
-    def _rescan(self, net: int) -> None:
-        xs, ys = self.xs, self.ys
-        pins = self.pins[net]
-        pin_xs = [xs[pin] for pin in pins]
-        pin_ys = [ys[pin] for pin in pins]
-        xmin, xmax = min(pin_xs), max(pin_xs)
-        ymin, ymax = min(pin_ys), max(pin_ys)
-        self.xmin[net], self.xmax[net] = xmin, xmax
-        self.ymin[net], self.ymax[net] = ymin, ymax
-        self.cxmin[net] = pin_xs.count(xmin)
-        self.cxmax[net] = pin_xs.count(xmax)
-        self.cymin[net] = pin_ys.count(ymin)
-        self.cymax[net] = pin_ys.count(ymax)
+def _anneal(rng: random.Random, sites: _SiteManager, xs: List[int],
+            ys: List[int], classes: List[str], movable: List[int],
+            net_pins: List[List[int]],
+            nets_of_cell: List[List[Tuple[int, int]]],
+            boxes: List[List[int]], *, moves: int, temperature: float,
+            radius: float, block: int, floor_span: float,
+            home: Optional[Dict[int, Optional[Tuple[int, int]]]] = None,
+            penalty: float = 0.0) -> Tuple[int, Dict[str, int]]:
+    """The annealing move loop shared by cold and ECO placement.
 
-    def snapshot(self, net: int) -> Tuple[int, ...]:
-        return (self.xmin[net], self.xmax[net], self.ymin[net],
-                self.ymax[net], self.cxmin[net], self.cxmax[net],
-                self.cymin[net], self.cymax[net])
+    Moves a random ``movable`` cell per step; ``xs``/``ys``, ``sites``
+    and the bbox records in ``boxes`` are updated in place.  A move
+    inserts the cell's pins at the new tile and removes them from the
+    old one, keeping each bbox extreme's pin count; when the last pin at
+    an extreme leaves, the net is rescanned from its pins (counted in
+    ``rescans``).  A move writes fresh records; a rejected move puts the
+    old ones back.  With ``home`` (movable cell → home tile, or
+    ``None``) given, moving a cell off its home tile costs ``penalty``
+    on top of the HPWL delta.
 
-    def restore(self, net: int, state: Tuple[int, ...]) -> None:
-        (self.xmin[net], self.xmax[net], self.ymin[net], self.ymax[net],
-         self.cxmin[net], self.cxmax[net], self.cymin[net],
-         self.cymax[net]) = state
-
-    def move_pin(self, net: int, ox: int, oy: int, nx: int, ny: int,
-                 count: int) -> int:
-        """Apply one cell move (``count`` pins) to ``net``; return the
-        HPWL delta.  The pin coordinate arrays must already hold the new
-        location (used by the rescan fallback)."""
-        old_span = self.span(net)
-        # Insert the pin(s) at the new location.
-        if nx < self.xmin[net]:
-            self.xmin[net], self.cxmin[net] = nx, count
-        elif nx == self.xmin[net]:
-            self.cxmin[net] += count
-        if nx > self.xmax[net]:
-            self.xmax[net], self.cxmax[net] = nx, count
-        elif nx == self.xmax[net]:
-            self.cxmax[net] += count
-        if ny < self.ymin[net]:
-            self.ymin[net], self.cymin[net] = ny, count
-        elif ny == self.ymin[net]:
-            self.cymin[net] += count
-        if ny > self.ymax[net]:
-            self.ymax[net], self.cymax[net] = ny, count
-        elif ny == self.ymax[net]:
-            self.cymax[net] += count
-        # Remove the pin(s) from the old location; losing the last pin
-        # at an extreme forces the rescan fallback.
-        rescan = False
-        if ox == self.xmin[net]:
-            self.cxmin[net] -= count
-            rescan |= self.cxmin[net] <= 0
-        if ox == self.xmax[net]:
-            self.cxmax[net] -= count
-            rescan |= self.cxmax[net] <= 0
-        if oy == self.ymin[net]:
-            self.cymin[net] -= count
-            rescan |= self.cymin[net] <= 0
-        if oy == self.ymax[net]:
-            self.cymax[net] -= count
-            rescan |= self.cymax[net] <= 0
-        if rescan:
-            self.rescans += 1
-            self._rescan(net)
-        return self.span(net) - old_span
+    The range limit adapts every ``block`` moves towards the classic
+    0.44 accept rate, floored at ``floor_span`` scaled by the square
+    root of the relative temperature.  Returns the accepted HPWL change
+    and the move statistics.
+    """
+    cols, rows = sites.grid.cols, sites.grid.rows
+    span = float(max(cols, rows))
+    initial_temperature = temperature
+    cooling = 0.95 ** (1.0 / max(1, moves // 100))
+    randrange, uniform, exp = rng.randrange, rng.random, math.exp
+    used, capacity, free = sites.used, sites.capacity, sites.free
+    occupy, release = sites.occupy, sites.release
+    count = len(movable)
+    gain = accepted = rescans = window_fallbacks = 0
+    block_moves = block_accepted = 0
+    for _ in range(moves):
+        index = movable[randrange(count)]
+        cls = classes[index]
+        ox, oy = xs[index], ys[index]
+        if cls == "lut" or cls == "ff":
+            # The window [cmin, cmin + width) x [rmin, rmin + height):
+            # ``randint(lo, hi)`` draws exactly ``lo + randrange(hi -
+            # lo + 1)``, the cheaper one-argument form.
+            r = int(radius)
+            cmin = ox - r if ox > r else 0
+            rmin = oy - r if oy > r else 0
+            width = (ox + r if ox + r < cols else cols - 1) - cmin + 1
+            height = (oy + r if oy + r < rows else rows - 1) - rmin + 1
+            table, room = used[cls], capacity[cls]
+            for _try in range(_WINDOW_TRIES):
+                candidate = (cmin + randrange(width),
+                             rmin + randrange(height))
+                if table.get(candidate, 0) < room:
+                    new_tile = candidate
+                    break
+            else:
+                window_fallbacks += 1
+                new_tile = free[cls].sample(rng)
+        else:
+            new_tile = free[cls].sample(rng)
+        if new_tile is None:
+            continue
+        nx, ny = new_tile
+        xs[index], ys[index] = nx, ny
+        affected = nets_of_cell[index]
+        old_boxes = []
+        delta = 0
+        for net_id, pins in affected:
+            box = boxes[net_id]
+            old_boxes.append(box)
+            xmin, xmax, ymin, ymax, cxmin, cxmax, cymin, cymax = box
+            delta -= xmax - xmin + ymax - ymin
+            # Insert the pins at the new tile, then remove them from the
+            # old one; losing the last pin at an extreme forces a rescan.
+            if nx < xmin:
+                xmin, cxmin = nx, pins
+            elif nx == xmin:
+                cxmin += pins
+            if nx > xmax:
+                xmax, cxmax = nx, pins
+            elif nx == xmax:
+                cxmax += pins
+            if ny < ymin:
+                ymin, cymin = ny, pins
+            elif ny == ymin:
+                cymin += pins
+            if ny > ymax:
+                ymax, cymax = ny, pins
+            elif ny == ymax:
+                cymax += pins
+            rescan = False
+            if ox == xmin:
+                cxmin -= pins
+                rescan = cxmin <= 0
+            if ox == xmax:
+                cxmax -= pins
+                rescan = rescan or cxmax <= 0
+            if oy == ymin:
+                cymin -= pins
+                rescan = rescan or cymin <= 0
+            if oy == ymax:
+                cymax -= pins
+                rescan = rescan or cymax <= 0
+            if rescan:
+                rescans += 1
+                fresh = _bbox(net_pins[net_id], xs, ys)
+                boxes[net_id] = fresh
+                delta += fresh[1] - fresh[0] + fresh[3] - fresh[2]
+            else:
+                boxes[net_id] = [xmin, xmax, ymin, ymax,
+                                 cxmin, cxmax, cymin, cymax]
+                delta += xmax - xmin + ymax - ymin
+        block_moves += 1
+        cost = delta
+        if home is not None and home[index] == (ox, oy):
+            cost = delta + penalty
+        if cost <= 0 or uniform() < exp(-cost / temperature):
+            accepted += 1
+            block_accepted += 1
+            release(cls, (ox, oy))
+            occupy(cls, new_tile)
+            gain += delta
+        else:
+            xs[index], ys[index] = ox, oy
+            for (net_id, _pins), box in zip(affected, old_boxes):
+                boxes[net_id] = box
+        if block_moves >= block:
+            rate = block_accepted / block_moves
+            # Accept-rate adaptation (target 0.44) with a temperature-
+            # tied floor: the window may not collapse faster than the
+            # anneal itself cools, or structured netlists lose the
+            # coarse shuffling phase and freeze into local minima.
+            floor = max(2.0, floor_span
+                        * (temperature / initial_temperature) ** 0.5)
+            radius = min(span, max(floor, radius * (0.56 + rate)))
+            block_moves = 0
+            block_accepted = 0
+        temperature = max(0.01, temperature * cooling)
+    return gain, {"moves": moves, "accepted": accepted, "rescans": rescans,
+                  "window_fallbacks": window_fallbacks}
 
 
 def place(netlist: Netlist, device: Device, seed: int = 1,
@@ -397,8 +455,7 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
 
     # Initial placement: sequential free-list draw (keeps related cells
     # adjacent because macro elaboration emits them in connectivity
-    # order).  Every site class takes the same path — the historical
-    # macro/non-macro branch was dead (both arms identical).
+    # order).
     xs: List[int] = [0] * ncells
     ys: List[int] = [0] * ncells
     for index in range(ncells):
@@ -409,117 +466,30 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
         sites.occupy(cls, tile)
         xs[index], ys[index] = tile
 
-    def result_locations() -> Dict[str, Tuple[int, int]]:
-        return {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
-
     if ncells == 0:
         return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
 
-    # Per-net pin arrays (cell indices, with multiplicity) and the
-    # reverse map cell → [(net, pin count)], precomputed once.
-    net_pins: List[List[int]] = []
-    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in range(ncells)]
-    for net in netlist.nets.values():
-        pins: List[int] = []
-        if net.driver is not None and net.driver in cell_index:
-            pins.append(cell_index[net.driver])
-        for sink in net.sinks:
-            index = cell_index.get(sink)
-            if index is not None:
-                pins.append(index)
-        if not pins:
-            continue
-        net_id = len(net_pins)
-        net_pins.append(pins)
-        counts: Dict[int, int] = {}
-        for pin in pins:
-            counts[pin] = counts.get(pin, 0) + 1
-        for pin, count in counts.items():
-            nets_of_cell[pin].append((net_id, count))
-
-    tracker = _IncrementalHpwl(net_pins, xs, ys)
-    cost = tracker.cost
-    initial = cost
+    net_pins, nets_of_cell = _connectivity(netlist, cell_index)
+    boxes = [_bbox(pins, xs, ys) for pins in net_pins]
+    initial = sum(box[1] - box[0] + box[3] - box[2] for box in boxes)
     moves = max(200, int(100 * effort * ncells))
-    temperature = max(1.0, cost / max(1, ncells) * 2)
-    initial_temperature = temperature
-    cooling = 0.95 ** (1.0 / max(1, moves // 100))
     span = max(cols, rows)
     # VPR-style range limit: adapted every block of moves towards the
     # classic 0.44 target accept rate — the window widens while moves
     # are cheap (hot) and contracts as the anneal freezes.
-    radius = float(span)
-    block = max(50, moves // 100)
-    block_moves = 0
-    block_accepted = 0
-    iterations = 0
-    accepted = 0
-    window_fallbacks = 0
-    move_pin = tracker.move_pin
-    for _ in range(moves):
-        iterations += 1
-        index = rng.randrange(ncells)
-        cls = classes[index]
-        ox, oy = xs[index], ys[index]
-        new_tile: Optional[Tuple[int, int]] = None
-        if cls in ("lut", "ff"):
-            r = int(radius)
-            cmin, cmax = max(0, ox - r), min(cols - 1, ox + r)
-            rmin, rmax = max(0, oy - r), min(rows - 1, oy + r)
-            has_room = sites.has_room
-            for _try in range(_WINDOW_TRIES):
-                candidate = (rng.randint(cmin, cmax), rng.randint(rmin, rmax))
-                if has_room(cls, candidate):
-                    new_tile = candidate
-                    break
-            if new_tile is None:
-                window_fallbacks += 1
-                new_tile = sites.free[cls].sample(rng)
-        else:
-            new_tile = sites.free[cls].sample(rng)
-        if new_tile is None:
-            continue
-        nx, ny = new_tile
-        xs[index], ys[index] = nx, ny
-        delta = 0
-        affected = nets_of_cell[index]
-        saved = [(net_id, tracker.snapshot(net_id))
-                 for net_id, _count in affected]
-        for net_id, count in affected:
-            delta += move_pin(net_id, ox, oy, nx, ny, count)
-        block_moves += 1
-        if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-            accepted += 1
-            block_accepted += 1
-            sites.release(cls, (ox, oy))
-            sites.occupy(cls, new_tile)
-            cost += delta
-        else:
-            xs[index], ys[index] = ox, oy
-            for net_id, state in saved:
-                tracker.restore(net_id, state)
-        if block_moves >= block:
-            rate = block_accepted / block_moves
-            # Accept-rate adaptation (target 0.44) with a temperature-
-            # tied floor: the window may not collapse faster than the
-            # anneal itself cools, or structured netlists lose the
-            # coarse shuffling phase and freeze into local minima.
-            floor = max(2.0, span * (temperature / initial_temperature)
-                        ** 0.5)
-            radius = min(float(span), max(floor, radius * (0.56 + rate)))
-            block_moves = 0
-            block_accepted = 0
-        temperature = max(0.01, temperature * cooling)
-
-    stats = {"moves": iterations, "accepted": accepted,
-             "rescans": tracker.rescans,
-             "window_fallbacks": window_fallbacks}
+    gain, stats = _anneal(
+        rng, sites, xs, ys, classes, list(range(ncells)), net_pins,
+        nets_of_cell, boxes, moves=moves,
+        temperature=max(1.0, initial / max(1, ncells) * 2),
+        radius=float(span), block=max(50, moves // 100), floor_span=span)
     if tracer is not None:
-        tracer.counter("place.moves.total", "fabric").add(iterations)
-        tracer.counter("place.moves.accepted", "fabric").add(accepted)
-        tracer.counter("place.bbox.rescans", "fabric").add(tracker.rescans)
+        tracer.counter("place.moves.total", "fabric").add(stats["moves"])
+        tracer.counter("place.moves.accepted", "fabric").add(
+            stats["accepted"])
+        tracer.counter("place.bbox.rescans", "fabric").add(stats["rescans"])
         tracer.counter("place.window.fallbacks", "fabric").add(
-            window_fallbacks)
-    return PlacementResult(locations=result_locations(), hpwl=cost,
-                           initial_hpwl=initial, iterations=iterations,
+            stats["window_fallbacks"])
+    locations = {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
+    return PlacementResult(locations=locations, hpwl=initial + gain,
+                           initial_hpwl=initial, iterations=stats["moves"],
                            grid=(cols, rows), stats=stats)

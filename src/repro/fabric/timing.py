@@ -109,27 +109,26 @@ def _cell_delay(cell: Cell, device: Device) -> float:
 def _cell_tile(cell: Cell,
                locations: Optional[Dict[str, Tuple[int, int]]]
                ) -> Optional[Tuple[int, int]]:
-    """A cell's placed tile: the explicit map, else the legacy annotation.
+    """A cell's placed tile from the explicit map; ``None`` (unplaced)
+    without a map or when the map does not cover the cell.
 
-    ``cell.location`` is a deprecation shim — placement no longer writes
-    it (mutating the input netlist poisons content-addressed stage
-    reuse); callers pass ``PlacementResult.locations`` instead.
-
-    When an explicit map is given but does not cover the cell, a stale
-    ``cell.location`` annotation is an error, not a fallback: silently
-    mixing the map's tiles with annotation tiles from some *other*
-    placement produces wire delays no placement ever had.
+    Placement never writes ``cell.location`` (mutating the input netlist
+    poisons content-addressed stage reuse), so the annotation is never a
+    source of tiles.  When a map is given but does not cover the cell, a
+    stale annotation is an error: it means the netlist was placed by
+    some *other* flow, and wire delays mixing the two placements belong
+    to no placement at all.
     """
-    if locations is not None:
-        tile = locations.get(cell.name)
-        if tile is None and cell.location is not None:
-            raise TimingError(
-                f"cell {cell.name!r} is missing from the placement map "
-                f"but carries a stale location annotation "
-                f"{cell.location!r}; refusing the legacy fallback "
-                f"(see the netlist.stale-placement lint rule)")
-        return tile
-    return cell.location
+    if locations is None:
+        return None
+    tile = locations.get(cell.name)
+    if tile is None and cell.location is not None:
+        raise TimingError(
+            f"cell {cell.name!r} is missing from the placement map "
+            f"but carries a stale location annotation "
+            f"{cell.location!r}; refusing to mix it with the map "
+            f"(see the netlist.stale-placement lint rule)")
+    return tile
 
 
 def _net_route_lengths(routing: RoutingResult) -> Dict[str, int]:

@@ -351,6 +351,30 @@ class TestConeSta:
             analyze_timing(netlist, small_device(),
                            target_clock_ns=10.0, locations=locations)
 
+    def test_annotation_is_not_a_placement_without_a_map(self):
+        # Without a placement map every cell is unplaced (nominal
+        # one-tile hops); a cell.location annotation is never read.
+        def chain(annotated):
+            netlist = Netlist("chain")
+            netlist.add_input("a")
+            netlist.add_cell(Cell(name="u", kind=LUT4, inputs=["a"],
+                                  output="x"))
+            netlist.add_cell(Cell(name="v", kind=LUT4, inputs=["x"],
+                                  output="y"))
+            netlist.add_cell(Cell(name="w", kind=DFF, inputs=["y"],
+                                  output="q"))
+            netlist.add_output("q")
+            if annotated:
+                netlist.cells["u"].location = (0, 0)
+                netlist.cells["v"].location = (9, 9)
+            return netlist
+        plain = analyze_timing(chain(False), small_device(),
+                               target_clock_ns=10.0)
+        annotated = analyze_timing(chain(True), small_device(),
+                                   target_clock_ns=10.0)
+        assert json.dumps(annotated.to_json(), sort_keys=True) \
+            == json.dumps(plain.to_json(), sort_keys=True)
+
 
 class TestEcoFlowEndToEnd:
     def _run(self, cache=None, seed=3, fraction=0.1, **kwargs):

@@ -5,6 +5,8 @@ state; these tests pin down the invariants that make the trade safe:
 
 * the incrementally-tracked annealer cost equals ``total_hpwl``
   recomputed from scratch after a full anneal (no drift);
+* nets covering fewer than two cells are invisible to the annealer:
+  adding them changes no location and no HPWL;
 * every routed net forms a driver-rooted Steiner tree — connected,
   acyclic, containing the driver tile and every placed sink tile;
 * both kernels are bit-identical across two runs with the same seed;
@@ -15,10 +17,13 @@ state; these tests pin down the invariants that make the trade safe:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fabric import (
     NG_ULTRA,
     Cell,
+    Net,
     Netlist,
     NXmapProject,
     place,
@@ -94,6 +99,47 @@ class TestIncrementalHpwlExact:
         netlist = random_netlist()
         result = place(netlist, small_device(), seed=1, effort=0.5)
         assert result.hpwl < result.initial_hpwl
+
+
+class TestDegenerateNetsInvisible:
+    """A net whose pins cover fewer than two cells spans 0 wherever the
+    cells go, so the annealer must not see it: adding such nets anywhere
+    in the net order leaves every RNG draw, location and HPWL as is."""
+
+    #: One extra net: (position in the net order, cell pick, shape).
+    extra_nets = st.lists(
+        st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+                  st.sampled_from(["driver-only", "sink-only",
+                                   "self-loop", "empty"])),
+        min_size=1, max_size=12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n_cells=st.integers(12, 80), netlist_seed=st.integers(0, 999),
+           place_seed=st.integers(1, 50), extra=extra_nets)
+    def test_degenerate_nets_change_nothing(self, n_cells, netlist_seed,
+                                            place_seed, extra):
+        netlist = random_netlist(n_cells=n_cells, seed=netlist_seed)
+        before = place(netlist, small_device(), seed=place_seed,
+                       effort=0.2)
+        cells = list(netlist.cells)
+        nets = list(netlist.nets.values())
+        for number, (position, pick, shape) in enumerate(extra):
+            cell = cells[pick % len(cells)]
+            driver, sinks = {
+                "driver-only": (cell, []),
+                "sink-only": (None, [cell]),
+                "self-loop": (cell, [cell, cell]),
+                "empty": (None, []),
+            }[shape]
+            nets.insert(position % (len(nets) + 1),
+                        Net(f"degenerate{number}", driver, sinks))
+        netlist.nets = {net.name: net for net in nets}
+        after = place(netlist, small_device(), seed=place_seed, effort=0.2)
+        assert after.locations == before.locations
+        assert after.hpwl == before.hpwl
+        assert after.initial_hpwl == before.initial_hpwl
+        assert after.stats == before.stats
+        assert after.hpwl == total_hpwl(netlist, after.locations)
 
 
 class TestPlacementLegality:
