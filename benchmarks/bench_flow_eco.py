@@ -9,8 +9,9 @@ bitstream generation on the edited netlist.  Gates:
 * ≥10x ECO speedup at the 1% edit point;
 * ECO HPWL within 5% of the cold flow's at every edit size;
 * no timing violation the cold flow does not also have;
-* zero failed connections, and the frozen region of the ECO placement
-  bit-identical to the cached base.
+* zero failed connections, and no frozen cell moved: a cell whose tile
+  differs from the cached base is a changed cell or shares a net with
+  one (checked from outside the flow, not from its counters).
 """
 
 import sys
@@ -40,6 +41,31 @@ EFFORT = 1.0
 CHANNEL_WIDTH = 256
 TARGET_CLOCK_NS = 200.0
 FRACTIONS = (0.001, 0.01, 0.05)
+
+
+def drifted_frozen_cells(project, flow):
+    """Frozen cells whose tile differs from the base placement.
+
+    Checked from outside the flow, without its counters: a cell may
+    move only if it is a changed cell or shares a net with one.
+    """
+    netlist = flow.netlist
+    allowed = set(flow.impact.changed_cells)
+    for name in flow.impact.changed_cells:
+        cell = netlist.cells.get(name)
+        if cell is None:
+            continue
+        nets = list(cell.inputs) + ([cell.output] if cell.output else [])
+        for net_name in nets:
+            net = netlist.nets.get(net_name)
+            if net is None:
+                continue
+            if net.driver is not None:
+                allowed.add(net.driver)
+            allowed.update(net.sinks)
+    base = project.placement.locations
+    return sorted(name for name, tile in flow.placement.locations.items()
+                  if base.get(name) != tile and name not in allowed)
 
 
 def run_eco_race():
@@ -80,13 +106,7 @@ def run_eco_race():
         cold.run_bitstream()
         cold_s = time.perf_counter() - t0
 
-        frozen_identical = all(
-            tile == project.placement.locations[name]
-            for name, tile in flow.placement.locations.items()
-            if name in project.placement.locations
-            and project.placement.locations[name] == tile) and (
-            report.eco["cells_moved"]
-            <= report.eco["cells_annealed"])
+        drifted = drifted_frozen_cells(project, flow)
         results[fraction] = {
             "report": report, "eco_s": eco_s, "cold_s": cold_s,
             "speedup": cold_s / eco_s,
@@ -95,7 +115,7 @@ def run_eco_race():
             "eco_slack": report.flow.timing.slack_ns,
             "cold_slack": cold_timing.slack_ns,
             "cold_failed": cold.routing.failed_connections,
-            "frozen_identical": frozen_identical,
+            "drifted": drifted,
         }
         metrics = results[fraction]
         table.add_row(f"{fraction * 100:.1f}%", len(delta.ops),
@@ -132,7 +152,7 @@ def test_flow_eco(benchmark):
         assert report.flow.routing.failed_connections == 0, fraction
         assert metrics["cold_failed"] == 0, fraction
         # The frozen region never drifts from the cached base.
-        assert metrics["frozen_identical"], fraction
+        assert not metrics["drifted"], (fraction, metrics["drifted"][:5])
 
     # The headline gate: ≥10x at the 1% edit point.
     speedup = results[0.01]["speedup"]

@@ -177,16 +177,25 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     # Correctness + perf net for the block-cached simulators: the
     # randomized lockstep equivalence suite (DBT vs decode-per-step
     # oracle, including self-modifying code and SEU-flip invalidation),
-    # the latent-bugfix regressions, then the gated race — ≥5x on the
-    # boot + 4-core SVC guest workload with bit-identical state.
+    # the latent-bugfix regressions, the HLS golden model's identity
+    # digests (the decoded IR interpreter every co-simulation checks
+    # against), then the gated race — ≥5x on the boot + 4-core SVC
+    # guest workload with bit-identical state — and a short run of the
+    # co-simulation-bound hls_dse benchmark, which checks every output.
     "sim-dbt": {"steps": [
         ("Lockstep equivalence + bugfix regressions",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/soc/test_dbt.py tests/soc/test_cpu_bugfixes.py "
          "tests/hls/test_fsmd_dbt.py"),
+        ("IR interpreter identity golden",
+         "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
+         "tests/hls/test_interp_identity.py"),
         ("DBT vs interpreter race (bit-identity + ≥5x gate)",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_sim_dbt.py"),
+        ("Benchmark output checks: hls_dse",
+         "python3 perfbench/run_bench.py --workload hls_dse --smoke "
+         "--seconds 2"),
     ]},
     # Flow-as-a-service gates: the job API, scheduler and HTTP test
     # suites, then the real server through the real CLI — a cold flow

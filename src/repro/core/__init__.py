@@ -2,8 +2,9 @@
 and datapack generation (the paper's primary contribution is this
 integrated ecosystem)."""
 
+from ..exec.metrics import LatencyStats, percentile
 from .datapack import MANDATORY_DOCUMENTS, Datapack, generate_datapack
-from .metrics import LatencyStats, Table, percentile, ratio
+from .metrics import Table, ratio
 from .report import (
     SCHEMA_VERSION,
     GenericReport,

@@ -62,9 +62,3 @@ def ratio(numerator: float, denominator: float) -> float:
     if denominator == 0:
         return float("inf") if numerator > 0 else 0.0
     return numerator / denominator
-
-
-# LatencyStats/percentile are defined in repro.exec.metrics (a leaf
-# module) so the radhard/soc/boot import chain can reach them without
-# this package's init; re-exported here as the canonical reporting API.
-from ..exec.metrics import LatencyStats, percentile  # noqa: F401,E402

@@ -2,7 +2,8 @@
 
 Lives in ``repro.exec`` (a leaf package) so the campaign/boot/soc import
 chain can use it without touching ``repro.core``'s package init;
-``repro.core.metrics`` re-exports everything here for report code.
+``repro.core`` exports ``LatencyStats`` and ``percentile`` from here for
+report code.
 """
 
 from __future__ import annotations

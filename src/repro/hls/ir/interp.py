@@ -4,12 +4,37 @@ Executes a function with bit-accurate C semantics.  It is the golden model
 against which the scheduled FSMD simulation (and ultimately the generated
 RTL) is checked, mirroring the role of C/RTL co-simulation in the Bambu
 flow described in the paper.
+
+Two walks share one set of semantics (``eval_binop``/``eval_unop``,
+``_coerce_scalar``, ``_cast`` and the bounds-checked :class:`Memory`):
+
+* :meth:`Interpreter.run` decodes each function it reaches once per run:
+  every ``Var``/``Temp`` becomes a slot of a list register file, every op
+  a closure with its slots, constants and types bound, every terminator
+  a reference to its target blocks.  Then it executes that form.  This
+  is the golden model of every co-simulation, and design-space
+  exploration runs one per design point.
+* ``_exec_function`` steps through ``_exec_op``/``_value`` op by op,
+  with a ``Value``-keyed environment.  ``FsmdSimulator`` (the oracle
+  behind the FSMD DBT) drives ``_exec_op`` the same way, so the FSMD
+  reference keeps its own dispatch rather than sharing a decoder with
+  the golden model it is checked against.  A subclass that hooks
+  ``_exec_op`` to observe every op also gets this walk.
+
+Both walks keep the same contract: identical results and
+``op_count``/``mem_reads``/``mem_writes`` (also after an error), unset
+variables reading as ``0``/``0.0``, a per-invocation step limit that
+counts ops but not terminators, and malformed code (an unsupported op,
+a block without terminator, an unknown branch target) raising only when
+execution reaches it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cfg import Function, Module
 from .operations import (
@@ -107,10 +132,8 @@ class Interpreter:
             raise InterpError(
                 f"{func_name} expects {len(scalar_params)} scalar args, "
                 f"got {len(args)}")
-        env: Dict[Value, object] = {}
-        for param, value in zip(scalar_params, args):
-            var = Var(param.name, param.type)
-            env[var] = self._coerce_scalar(value, param.type)
+        values = [self._coerce_scalar(value, param.type)
+                  for param, value in zip(scalar_params, args)]
         memories: Dict[str, Memory] = {}
         mem_args = dict(mem_args or {})
         for name, mem in func.mems.items():
@@ -125,10 +148,73 @@ class Interpreter:
                                             size=len(supplied))
             else:
                 memories[name] = self._memory_for(mem)
-        result = self._exec_function(func, env, memories)
+        if type(self)._exec_op is Interpreter._exec_op:
+            code = _decode(self, func, {})
+            result = self._execute(code, code.frame(values), memories)
+        else:
+            # A subclass observes every op: step through its hook.
+            env: Dict[Value, object] = {
+                Var(param.name, param.type): value
+                for param, value in zip(scalar_params, values)}
+            result = self._exec_function(func, env, memories)
         return result, memories
 
-    # -- execution ------------------------------------------------------
+    # -- decoded execution ----------------------------------------------
+
+    def _execute(self, code: _Code, regs: list,
+                 memories: Dict[str, Memory]):
+        """Run one invocation of decoded ``code`` on register file ``regs``.
+
+        Counters are kept in locals and added to the interpreter's when
+        the invocation ends, normally or not.  If op ``k`` of a block
+        raises, the ops before it and the op itself count (as in
+        ``_exec_op``), and the memory traffic of the ops before it.
+        """
+        limit = self.max_steps
+        steps = count = reads = writes = 0
+        block = code.entry
+        fn = None
+        try:
+            while True:
+                ops = block.ops
+                steps += len(ops)
+                if steps > limit and ops:
+                    ops = ops[:max(0, limit - steps + len(ops))]
+                    for fn in ops:
+                        fn(regs, memories)
+                    fn = None
+                    count += len(ops)
+                    reads += sum(block.loads[:len(ops)])
+                    writes += sum(block.stores[:len(ops)])
+                    raise InterpError(f"{code.name}: step limit exceeded")
+                for fn in ops:
+                    fn(regs, memories)
+                fn = None
+                count += block.weight
+                reads += block.reads
+                writes += block.writes
+                kind = block.kind
+                if kind == _BRANCH:
+                    block = block.target if regs[block.slot] else block.orelse
+                elif kind == _JUMP:
+                    block = block.target
+                elif kind == _RETURN:
+                    return None if block.slot is None else regs[block.slot]
+                else:
+                    raise block.error()
+        except BaseException:
+            if fn is not None:
+                k = ops.index(fn)
+                count += k + 1
+                reads += sum(block.loads[:k])
+                writes += sum(block.stores[:k])
+            raise
+        finally:
+            self.op_count += count
+            self.mem_reads += reads
+            self.mem_writes += writes
+
+    # -- op-by-op execution ---------------------------------------------
 
     def _exec_function(self, func: Function, env: Dict[Value, object],
                        memories: Dict[str, Memory]):
@@ -197,8 +283,7 @@ class Interpreter:
     def _exec_call(self, op: Call, env: Dict[Value, object],
                    memories: Dict[str, Memory]):
         if op.callee == "sqrtf":
-            value = self._value(op.args[0], env)
-            return FloatType(32).round(math.sqrt(max(0.0, value)))
+            return self._sqrtf(self._value(op.args[0], env))
         callee = self.module[op.callee]
         sub_env: Dict[Value, object] = {}
         for param, arg in zip(callee.scalar_params(), op.args):
@@ -232,6 +317,10 @@ class Interpreter:
         raise InterpError(f"unbound value {value}")
 
     @staticmethod
+    def _sqrtf(value):
+        return FloatType(32).round(math.sqrt(max(0.0, value)))
+
+    @staticmethod
     def _coerce_scalar(value, ty):
         if isinstance(ty, IntType):
             return ty.wrap(int(value))
@@ -248,6 +337,275 @@ class Interpreter:
         if isinstance(dst_ty, IntType):
             return dst_ty.wrap(int(value))
         return value
+
+
+# -- decoding -------------------------------------------------------------
+
+#: Terminator kinds of a decoded block.
+_JUMP, _BRANCH, _RETURN, _FAIL = range(4)
+
+#: A decoded op: ``fn(regs, memories)``.
+_Op = Callable[[list, Dict[str, Memory]], None]
+
+
+class _Block:
+    """One basic block, decoded.
+
+    ``weight`` is what the block adds to ``op_count`` (its ops and its
+    terminator); ``loads``/``stores`` flag each op's memory traffic and
+    ``reads``/``writes`` are their sums.  The terminator is a ``kind``
+    with ``target``/``orelse`` blocks, the ``slot`` of a branch
+    condition or return value, or an ``error`` factory.
+    """
+
+    __slots__ = ("ops", "weight", "loads", "stores", "reads", "writes",
+                 "kind", "target", "orelse", "slot", "error")
+
+    def __init__(self, ops: Tuple[_Op, ...] = (),
+                 loads: Tuple[int, ...] = (),
+                 stores: Tuple[int, ...] = ()) -> None:
+        self.ops = ops
+        self.loads = loads
+        self.stores = stores
+        self.reads = sum(loads)
+        self.writes = sum(stores)
+        self.weight = len(ops) + 1
+        self.kind = _FAIL
+        self.target = self.orelse = self.slot = None
+        self.error: Optional[Callable[[], Exception]] = None
+
+
+def _missing_block(name: str) -> _Block:
+    """Stands for an unknown block name: entering it raises ``KeyError``
+    (what ``func.blocks[name]`` raises), and it counts nothing."""
+    block = _Block()
+    block.weight = 0
+    block.error = partial(KeyError, name)
+    return block
+
+
+@dataclass
+class _Code:
+    """One function, decoded: blocks plus the register file layout."""
+
+    name: str
+    entry: _Block
+    init: list
+    params: List[int]
+    param_types: list
+
+    def frame(self, values: Sequence) -> list:
+        """A fresh register file with the scalar parameters bound."""
+        regs = list(self.init)
+        for slot, value in zip(self.params, values):
+            regs[slot] = value
+        return regs
+
+
+class _Unbound(Exception):
+    """An operand that is no ``Const``, ``Var`` or ``Temp``."""
+
+
+def _decode(interp: Interpreter, func: Function,
+            codes: Dict[str, _Code]) -> _Code:
+    """``func`` decoded, once per entry of ``codes`` (one per run)."""
+    code = codes.get(func.name)
+    if code is None:
+        code = codes[func.name] = _Decoder(interp, func, codes).code()
+    return code
+
+
+class _Decoder:
+    """Interns values to register slots and turns ops into closures.
+
+    Decoding never raises for malformed code: an op it cannot decode
+    becomes a closure that raises when executed, like ``_exec_op``.
+    """
+
+    def __init__(self, interp: Interpreter, func: Function,
+                 codes: Dict[str, _Code]) -> None:
+        self.interp = interp
+        self.func = func
+        self.codes = codes
+        self.slots: Dict[Value, int] = {}
+        self.init: list = []
+
+    def code(self) -> _Code:
+        func = self.func
+        params = func.scalar_params()
+        param_slots = [self.slot(Var(param.name, param.type))
+                       for param in params]
+        blocks = {name: self.block(block)
+                  for name, block in func.blocks.items()}
+        missing: Dict[str, _Block] = {}
+
+        def resolve(name: str) -> _Block:
+            if name in blocks:
+                return blocks[name]
+            if name not in missing:
+                missing[name] = _missing_block(name)
+            return missing[name]
+
+        for name, block in func.blocks.items():
+            decoded = blocks[name]
+            term = block.terminator
+            if isinstance(term, Return):
+                decoded.kind = _RETURN
+                if term.value is not None:
+                    self.terminator_operand(decoded, term.value)
+            elif isinstance(term, Jump):
+                decoded.kind = _JUMP
+                decoded.target = resolve(term.target)
+            elif isinstance(term, Branch):
+                decoded.kind = _BRANCH
+                decoded.target = resolve(term.if_true)
+                decoded.orelse = resolve(term.if_false)
+                self.terminator_operand(decoded, term.cond)
+            else:
+                decoded.error = partial(
+                    InterpError, f"{func.name}: fell off block {name}")
+        return _Code(func.name, resolve(func.entry), self.init,
+                     param_slots, [param.type for param in params])
+
+    def terminator_operand(self, block: _Block, value: Value) -> None:
+        try:
+            block.slot = self.read(value)
+        except _Unbound as exc:
+            block.kind = _FAIL
+            block.error = partial(InterpError, str(exc))
+
+    def block(self, block) -> _Block:
+        ops = tuple(self.op(op) for op in block.ops)
+        return _Block(ops,
+                      tuple(int(isinstance(op, Load)) for op in block.ops),
+                      tuple(int(isinstance(op, Store)) for op in block.ops))
+
+    # -- values -----------------------------------------------------------
+
+    def slot(self, value: Value) -> int:
+        """The register of a ``Var``/``Temp`` (or any destination)."""
+        slot = self.slots.get(value)
+        if slot is None:
+            slot = self.slots[value] = len(self.init)
+            # An unset variable reads as zero of its type.
+            self.init.append(0.0 if isinstance(value.ty, FloatType) else 0)
+        return slot
+
+    def read(self, value: Value) -> int:
+        """The register an operand is read from; a ``Const`` gets its
+        own, preset to its value."""
+        if isinstance(value, Const):
+            self.init.append(value.value)
+            return len(self.init) - 1
+        if isinstance(value, (Var, Temp)):
+            return self.slot(value)
+        raise _Unbound(f"unbound value {value}")
+
+    # -- ops --------------------------------------------------------------
+
+    def op(self, op) -> _Op:
+        try:
+            return self.decode_op(op)
+        except _Unbound as exc:
+            message = str(exc)
+
+            def unbound(regs, memories):
+                raise InterpError(message)
+            return unbound
+
+    def decode_op(self, op) -> _Op:
+        coerce = self.interp._coerce_scalar
+        if isinstance(op, BinOp):
+            name, a, b = op.op, self.read(op.lhs), self.read(op.rhs)
+            # Comparisons take their semantics from the operand type
+            # (signedness); other ops from the destination type.
+            ty = op.lhs.ty if op.is_comparison else op.dst.ty
+            d = self.slot(op.dst)
+
+            def binop(regs, memories):
+                regs[d] = eval_binop(name, regs[a], regs[b], ty)
+            return binop
+        if isinstance(op, UnOp):
+            name, a, ty, d = op.op, self.read(op.src), op.dst.ty, \
+                self.slot(op.dst)
+
+            def unop(regs, memories):
+                regs[d] = eval_unop(name, regs[a], ty)
+            return unop
+        if isinstance(op, Assign):
+            a, ty, d = self.read(op.src), op.dst.ty, self.slot(op.dst)
+
+            def assign(regs, memories):
+                regs[d] = coerce(regs[a], ty)
+            return assign
+        if isinstance(op, Cast):
+            cast = self.interp._cast
+            a, src_ty, ty, d = self.read(op.src), op.src.ty, op.dst.ty, \
+                self.slot(op.dst)
+
+            def convert(regs, memories):
+                regs[d] = cast(regs[a], src_ty, ty)
+            return convert
+        if isinstance(op, Load):
+            i, mem, d = self.read(op.index), op.mem.name, self.slot(op.dst)
+
+            def load(regs, memories):
+                regs[d] = memories[mem].load(int(regs[i]))
+            return load
+        if isinstance(op, Store):
+            i, mem, a = self.read(op.index), op.mem.name, self.read(op.src)
+
+            def store(regs, memories):
+                memories[mem].store(int(regs[i]), regs[a])
+            return store
+        if isinstance(op, Select):
+            c, t, f = (self.read(op.cond), self.read(op.if_true),
+                       self.read(op.if_false))
+            ty, d = op.dst.ty, self.slot(op.dst)
+
+            def select(regs, memories):
+                regs[d] = coerce(regs[t] if regs[c] else regs[f], ty)
+            return select
+        if isinstance(op, Call):
+            return self.call(op)
+
+        def unsupported(regs, memories):
+            raise InterpError(f"cannot interpret {op}")
+        return unsupported
+
+    def call(self, op: Call) -> _Op:
+        interp, codes = self.interp, self.codes
+        coerce = interp._coerce_scalar
+        name = op.callee
+        args = [self.read(arg) for arg in op.args]
+        d = None if op.dst is None else self.slot(op.dst)
+        if name == "sqrtf":
+            sqrtf = interp._sqrtf
+
+            def intrinsic(regs, memories):
+                value = sqrtf(regs[args[0]])
+                if d is not None:
+                    regs[d] = value
+            return intrinsic
+        mem_args = [mem.name for mem in op.mem_args]
+
+        def invoke(regs, memories):
+            callee = interp.module[name]
+            code = _decode(interp, callee, codes)
+            sub = code.frame([coerce(regs[arg], ty)
+                              for arg, ty in zip(args, code.param_types)])
+            mem_params = callee.memory_params()
+            if len(mem_params) != len(mem_args):
+                raise InterpError(f"call {name}: memory arity mismatch")
+            sub_mems = {param.name: memories[mem]
+                        for param, mem in zip(mem_params, mem_args)}
+            for mem_name, mem in callee.mems.items():
+                if not mem.is_param and mem_name not in sub_mems:
+                    sub_mems[mem_name] = interp._memory_for(mem)
+            value = interp._execute(code, sub, sub_mems)
+            if d is not None:
+                regs[d] = value
+        return invoke
 
 
 def run_function(module: Module, name: str, args: Sequence = (),

@@ -189,31 +189,49 @@ class TestRandomExpressions:
         assert result == expected
 
 
+#: Size of the output memory of a loop program (its longest trip).
+MAX_TRIP = 12
+
+
 @st.composite
 def loop_programs(draw):
-    """Accumulation loops with a random body expression over (a, i)."""
-    trip = draw(st.integers(1, 12))
+    """Accumulation loops with a random body expression over (a, i).
+
+    Every iteration stores the running sum to ``out``; the result reads
+    ``out`` back, so loads, stores and the return value all carry it.
+    """
+    trip = draw(st.integers(1, MAX_TRIP))
     body = draw(expressions(depth=2))
     source = (
-        "int f(int a, int b, int c) {\n"
+        "int f(int a, int b, int c, int *out) {\n"
         "  int acc = 0;\n"
         f"  for (int i = 0; i < {trip}; i++) {{\n"
         f"    int c2 = c + i;\n"
         f"    acc += {body.text.replace('c', 'c2')};\n"
+        "    out[i] = acc;\n"
         "  }\n"
-        "  return acc;\n"
+        "  return acc ^ out[0];\n"
         "}"
     )
 
     def evaluate(args):
+        """The model's (return value, final ``out``)."""
         a, b, c = args
         acc = 0
+        out = [0] * MAX_TRIP
         for i in range(trip):
             env = {"a": a, "b": b, "c": wrap32(c + i)}
             acc = wrap32(acc + body.evaluate(env))
-        return acc
+            out[i] = acc
+        return acc ^ out[0], out
 
     return source, evaluate
+
+
+def run_loop(module, args):
+    result, memories = run_function(module, "f", args,
+                                    {"out": [0] * MAX_TRIP})
+    return result, memories["out"].data
 
 
 class TestRandomLoops:
@@ -222,9 +240,7 @@ class TestRandomLoops:
     def test_loops_match_model(self, program, args):
         source, evaluate = program
         module = compile_to_ir(source)
-        expected = evaluate(args)
-        actual, _ = run_function(module, "f", args)
-        assert actual == expected
+        assert run_loop(module, args) == evaluate(args)
 
     @given(program=loop_programs(), args=inputs_strategy)
     @settings(max_examples=15, deadline=None)
@@ -232,5 +248,25 @@ class TestRandomLoops:
         source, evaluate = program
         module = compile_to_ir(source)
         optimize(module, level=2)
-        actual, _ = run_function(module, "f", args)
-        assert actual == evaluate(args)
+        assert run_loop(module, args) == evaluate(args)
+
+    @given(program=loop_programs(), args=inputs_strategy,
+           opt_level=st.sampled_from([0, 1, 2]),
+           clock=st.sampled_from([3.0, 8.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_three_engines_agree(self, program, args, opt_level, clock):
+        """IR interpreter, FSMD reference walker and FSMD DBT agree on
+        the return value and every output memory (and both FSMD
+        engines on the cycle count)."""
+        source, evaluate = program
+        project = synthesize(source, "f", clock_ns=clock,
+                             opt_level=opt_level)
+        expected = run_loop(project.module, args)
+        assert expected == evaluate(args)
+        cycles = set()
+        for engine in ("interp", "dbt"):
+            result, trace, memories = project.simulate(
+                args, {"out": [0] * MAX_TRIP}, engine=engine)
+            assert (result, memories["out"].data) == expected, engine
+            cycles.add(trace.cycles)
+        assert len(cycles) == 1
