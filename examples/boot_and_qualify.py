@@ -89,7 +89,7 @@ def main() -> None:
                         protected_evaluate)
     seu_report = campaign.run(runs=300, seed=9)
     print("\nSEU campaign (300 upsets into ECC-protected SRAM):")
-    print(" ", seu_report.summary_row())
+    print(" ", seu_report.summary())
 
     # --- ECSS qualification campaign ---------------------------------------
     qual = QualificationCampaign("HERMES-BL1")

@@ -123,6 +123,22 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "assert layers['characterize']['hits'] > 0, layers; "
          "assert layers['radhard']['hits'] > 0, layers; "
          "assert d['entries'] > 0 and d['bytes'] > 0\""),
+        ("Concurrent writers on one cache directory",
+         "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
+         "tests/cache/test_store_concurrency.py"),
+        ("Two SEU campaigns at once share one cache directory",
+         "PYTHONPATH=src python -m repro.cli seu --runs 200 --seed 1 "
+         "--cache-dir .shared-cache >/dev/null &\n"
+         "first=$!\n"
+         "PYTHONPATH=src python -m repro.cli seu --runs 200 --seed 2 "
+         "--cache-dir .shared-cache >/dev/null &\n"
+         "second=$!\n"
+         "wait $first\n"
+         "wait $second\n"
+         "PYTHONPATH=src python -m repro.cli cache stats "
+         "--cache-dir .shared-cache "
+         "| python -c \"import json,sys; d=json.load(sys.stdin); "
+         "assert d['layers']['radhard']['stores'] >= 2, d['layers']\"\n"),
         ("Cold-vs-warm speedup benchmark",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_cache_warm.py"),

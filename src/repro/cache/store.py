@@ -5,12 +5,11 @@ Two tiers with one contract (``get``/``put`` keyed by content hash):
 * :class:`MemoryLRU` — in-process store of *live* Python objects, LRU
   over a bounded entry count.  Holds anything, including artifacts with
   no JSON codec (whole HLS projects).
-* :class:`DiskStore` — durable store of JSON payloads under a cache
-  directory (``objects/<key>.json`` plus an ``index.json`` of entry
-  metadata, LRU clocks and lifetime hit/miss counters).  Loads are
-  corruption-tolerant: a damaged index is rebuilt from the object files,
-  a damaged object is treated as a miss and dropped.  Eviction is
-  size-bounded (least-recently-used payloads leave first).
+* :class:`DiskStore` — durable store of JSON payloads, one file
+  ``objects/<key>.json`` per entry and no other record of them: the
+  file's size is the entry's, its mtime the LRU clock.  Processes may
+  share a directory; a damaged object is a miss and is dropped.
+  Eviction is size-bounded (least-recently-used payloads leave first).
 
 :class:`FlowCache` is the facade the flow layers use: layered lookup
 (memory, then disk), per-layer statistics and telemetry counters
@@ -19,20 +18,25 @@ Two tiers with one contract (``get``/``put`` keyed by content hash):
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import tempfile
 import threading
+import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..telemetry import Tracer
 
 DEFAULT_MAX_ENTRIES = 1024
 DEFAULT_MAX_BYTES = 256 * 1024 * 1024
-INDEX_NAME = "index.json"
 OBJECTS_DIR = "objects"
+STATS_NAME = "stats.json"
+STATS_LOCK_NAME = "stats.lock"
 
 Decoder = Callable[[Dict[str, Any]], Any]
 Encoder = Callable[[Any], Dict[str, Any]]
@@ -52,15 +56,12 @@ class LayerStats:
     evictions: int = 0
 
     def to_json(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "LayerStats":
-        return cls(hits=int(payload.get("hits", 0)),
-                   misses=int(payload.get("misses", 0)),
-                   stores=int(payload.get("stores", 0)),
-                   evictions=int(payload.get("evictions", 0)))
+        return cls(**{counter.name: int(payload.get(counter.name, 0))
+                      for counter in fields(cls)})
 
 
 class MemoryLRU:
@@ -102,9 +103,12 @@ class MemoryLRU:
 
 
 class DiskStore:
-    """Durable JSON object store with an LRU index and size bound."""
+    """Durable JSON object store; the object files are its only index.
 
-    INDEX_VERSION = 1
+    Puts and hits stamp the object's mtime with ``time.time_ns()``.  Writes
+    go through a unique temp file and an atomic rename.  Lifetime counters
+    live in ``stats.json``, under an exclusive ``flock`` on ``stats.lock``.
+    """
 
     def __init__(self, root: Path,
                  max_bytes: int = DEFAULT_MAX_BYTES) -> None:
@@ -113,55 +117,96 @@ class DiskStore:
         self.root = Path(root)
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / OBJECTS_DIR).mkdir(exist_ok=True)
-        self._index = self._load_index()
+        self._objects = self.root / OBJECTS_DIR
+        self._objects.mkdir(parents=True, exist_ok=True)
+        self._bytes = self.total_bytes()
 
-    # -- index persistence -------------------------------------------------
-
-    def _index_path(self) -> Path:
-        return self.root / INDEX_NAME
+    # -- files -------------------------------------------------------------
 
     def _object_path(self, key: str) -> Path:
-        return self.root / OBJECTS_DIR / f"{key}.json"
+        return self._objects / f"{key}.json"
 
-    def _fresh_index(self) -> Dict[str, Any]:
-        return {"version": self.INDEX_VERSION, "seq": 0,
-                "entries": {}, "stats": {}}
+    def _scan(self) -> List[Tuple[int, str, int]]:
+        """``(mtime_ns, key, bytes)`` of every entry, oldest first."""
+        entries = []
+        with os.scandir(self._objects) as found:
+            for item in found:
+                if item.name.endswith(".json"):
+                    with suppress(OSError):     # removed meanwhile
+                        info = item.stat()
+                        entries.append((info.st_mtime_ns, item.name[:-5],
+                                        info.st_size))
+        entries.sort()
+        return entries
 
-    def _load_index(self) -> Dict[str, Any]:
-        """Load the index; rebuild from object files when damaged."""
+    def _write(self, path: Path, text: str) -> None:
+        """Replace ``path`` atomically through a unique temp file."""
+        fd, tmp = tempfile.mkstemp(dir=self._objects, suffix=".tmp")
         try:
-            raw = json.loads(self._index_path().read_text())
-            if (not isinstance(raw, dict)
-                    or raw.get("version") != self.INDEX_VERSION
-                    or not isinstance(raw.get("entries"), dict)):
-                raise ValueError("malformed index")
-            raw.setdefault("seq", 0)
-            raw.setdefault("stats", {})
-            return raw
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
+
+    @staticmethod
+    def _touch(path: Path) -> None:
+        """Stamp ``path``'s LRU clock (another process may evict it)."""
+        with suppress(OSError):
+            os.utime(path, ns=(time.time_ns(),) * 2)
+
+    def _load(self, key: str) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """``(payload, dropped)``: an unreadable object is unlinked."""
+        path = self._object_path(key)
+        try:
+            loaded = json.loads(path.read_text())
+        except FileNotFoundError:
+            return None, False
         except (OSError, ValueError):
-            index = self._fresh_index()
-            for path in sorted((self.root / OBJECTS_DIR).glob("*.json")):
+            loaded = None
+        if isinstance(loaded, dict):
+            return loaded, False
+        path.unlink(missing_ok=True)
+        return None, True
+
+    # -- lifetime counters -------------------------------------------------
+
+    @contextmanager
+    def _stats(self, operation: int
+               ) -> Iterator[Tuple[Any, Dict[str, LayerStats]]]:
+        """``stats.json`` open and parsed (unreadable: no counters) under
+        ``flock(operation)`` on ``stats.lock``.  Created by a rename, then
+        rewritten in place (a rename over it makes ext4 flush every call):
+        counters only grow, and one write under a page lands whole."""
+        lock = os.open(self.root / STATS_LOCK_NAME, os.O_RDWR | os.O_CREAT,
+                       0o666)
+        try:
+            fcntl.flock(lock, operation)
+            path = self.root / STATS_NAME
+            if not path.exists():
+                self._write(path, "{}")
+            with open(path, "r+b", buffering=0) as handle:
                 try:
-                    size = path.stat().st_size
-                except OSError:
-                    continue
-                index["seq"] += 1
-                index["entries"][path.stem] = {
-                    "layer": "unknown", "bytes": size,
-                    "seq": index["seq"]}
-            return index
+                    raw = json.loads(handle.read())
+                    stats = {layer: LayerStats.from_json(counters)
+                             for layer, counters in raw.items()}
+                except (ValueError, TypeError, AttributeError):
+                    stats = {}
+                yield handle, stats
+        finally:
+            os.close(lock)
 
-    def _save_index(self) -> None:
-        tmp = self._index_path().with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._index, sort_keys=True))
-        os.replace(tmp, self._index_path())
-
-    def _layer_stats(self, layer: str) -> Dict[str, int]:
-        stats = self._index["stats"].setdefault(
-            layer, {"hits": 0, "misses": 0, "stores": 0, "evictions": 0})
-        return stats
+    def _count(self, layer: str, **amounts: int) -> None:
+        """Add to ``layer``'s lifetime counters, across processes."""
+        with self._stats(fcntl.LOCK_EX) as (handle, stats):
+            counters = stats.setdefault(layer, LayerStats())
+            for event, amount in amounts.items():
+                setattr(counters, event, getattr(counters, event) + amount)
+            handle.seek(0)
+            handle.write(json.dumps(stats, default=asdict,
+                                    sort_keys=True).encode())
+            handle.truncate()
 
     # -- store API ---------------------------------------------------------
 
@@ -169,122 +214,80 @@ class DiskStore:
             ) -> Optional[Dict[str, Any]]:
         """Payload for ``key``, or None.  Corrupt objects become misses."""
         with self._lock:
-            stats = self._layer_stats(layer)
-            entry = self._index["entries"].get(key)
-            payload: Optional[Dict[str, Any]] = None
-            if entry is not None:
-                try:
-                    loaded = json.loads(self._object_path(key).read_text())
-                    if isinstance(loaded, dict):
-                        payload = loaded
-                except (OSError, ValueError):
-                    payload = None
-                if payload is None:
-                    # Corrupt or vanished object: drop it and miss.
-                    self._index["entries"].pop(key, None)
-                    self._object_path(key).unlink(missing_ok=True)
-            if payload is None:
-                stats["misses"] += 1
-                self._save_index()
-                return None
-            self._index["seq"] += 1
-            entry["seq"] = self._index["seq"]
-            stats["hits"] += 1
-            self._save_index()
-            return payload
+            payload, _ = self._load(key)
+            if payload is not None:
+                self._touch(self._object_path(key))
+        hit = payload is not None
+        self._count(layer, hits=hit, misses=not hit)
+        return payload
 
     def put(self, key: str, payload: Dict[str, Any],
             layer: str = "default") -> int:
         """Persist ``payload``; returns number of entries evicted."""
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        path = self._object_path(key)
         with self._lock:
-            path = self._object_path(key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(text)
-            os.replace(tmp, path)
-            self._index["seq"] += 1
-            self._index["entries"][key] = {
-                "layer": layer, "bytes": len(text),
-                "seq": self._index["seq"]}
-            stats = self._layer_stats(layer)
-            stats["stores"] += 1
-            evicted = self._evict_locked()
-            stats["evictions"] += evicted
-            self._save_index()
-            return evicted
+            self._write(path, text)
+            self._touch(path)
+            # Overwrites and drops make this total an overestimate,
+            # which only brings the resyncing rescan forward.
+            self._bytes += len(text)
+            evicted = (self._evict_locked(keep=key)
+                       if self._bytes > self.max_bytes else 0)
+        self._count(layer, stores=1, evictions=evicted)
+        return evicted
 
-    def _evict_locked(self) -> int:
-        """Drop least-recently-used entries until under the size bound."""
+    def _evict_locked(self, keep: Optional[str] = None) -> int:
+        """Unlink least-recently-used entries until under the size bound,
+        in one scan; ``keep`` (default: the newest entry) stays."""
+        entries = self._scan()
+        self._bytes = sum(size for _, _, size in entries)
+        if keep is None and entries:
+            keep = entries[-1][1]
         evicted = 0
-        while self.total_bytes() > self.max_bytes \
-                and len(self._index["entries"]) > 1:
-            victim = min(self._index["entries"],
-                         key=lambda k: self._index["entries"][k]["seq"])
-            self._index["entries"].pop(victim)
-            self._object_path(victim).unlink(missing_ok=True)
-            evicted += 1
+        for _, key, size in entries:
+            if self._bytes <= self.max_bytes:
+                break
+            if key != keep:
+                self._object_path(key).unlink(missing_ok=True)
+                self._bytes -= size
+                evicted += 1
         return evicted
 
     # -- maintenance -------------------------------------------------------
 
     def total_bytes(self) -> int:
-        return sum(entry["bytes"]
-                   for entry in self._index["entries"].values())
+        return sum(size for _, _, size in self._scan())
 
     def entry_count(self) -> int:
-        return len(self._index["entries"])
+        return len(self._scan())
 
     def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-layer lifetime counters plus entry/byte totals."""
-        layers: Dict[str, Dict[str, int]] = {}
-        for layer, counters in sorted(self._index["stats"].items()):
-            layers[layer] = dict(counters)
-            layers[layer].setdefault("entries", 0)
-            layers[layer].setdefault("bytes", 0)
-        for entry in self._index["entries"].values():
-            layer = layers.setdefault(
-                entry["layer"], {"hits": 0, "misses": 0, "stores": 0,
-                                 "evictions": 0, "entries": 0, "bytes": 0})
-            layer["entries"] = layer.get("entries", 0) + 1
-            layer["bytes"] = layer.get("bytes", 0) + entry["bytes"]
-        return layers
+        """Per-layer lifetime hit/miss/store/eviction counters."""
+        with self._stats(fcntl.LOCK_SH) as (_, stats):
+            return {layer: counters.to_json()
+                    for layer, counters in sorted(stats.items())}
 
     def clear(self) -> int:
         """Delete every entry (counters reset too); returns count."""
         with self._lock:
-            count = len(self._index["entries"])
-            for key in list(self._index["entries"]):
+            entries = self._scan()
+            for _, key, _ in entries:
                 self._object_path(key).unlink(missing_ok=True)
-            self._index = self._fresh_index()
-            self._save_index()
-            return count
+            with self._stats(fcntl.LOCK_EX) as (handle, _):
+                handle.truncate(0)
+            self._bytes = 0
+            return len(entries)
 
     def gc(self, max_bytes: Optional[int] = None) -> int:
-        """Re-validate objects and enforce the size bound.
-
-        Drops index entries whose object file is missing or unreadable,
-        deletes orphan object files, then evicts down to ``max_bytes``
-        (default: the store's configured bound).  Returns the number of
-        entries removed.
-        """
+        """Remove unreadable or non-object entries, then evict down to
+        ``max_bytes`` (default: the configured bound); returns the number
+        of entries removed."""
         with self._lock:
-            removed = 0
-            for key in list(self._index["entries"]):
-                try:
-                    json.loads(self._object_path(key).read_text())
-                except (OSError, ValueError):
-                    self._index["entries"].pop(key)
-                    self._object_path(key).unlink(missing_ok=True)
-                    removed += 1
-            known = set(self._index["entries"])
-            for path in (self.root / OBJECTS_DIR).glob("*.json"):
-                if path.stem not in known:
-                    path.unlink(missing_ok=True)
+            removed = sum(self._load(key)[1] for _, key, _ in self._scan())
             if max_bytes is not None:
                 self.max_bytes = max_bytes
-            removed += self._evict_locked()
-            self._save_index()
-            return removed
+            return removed + self._evict_locked()
 
 
 class FlowCache:

@@ -13,8 +13,7 @@ surface every report now conforms to:
 Conforming types: :class:`~repro.fabric.nxmap.FlowReport`,
 :class:`~repro.radhard.campaign.CampaignReport`,
 :class:`~repro.hls.characterization.eucalyptus.CharacterizationRun` and
-:class:`~repro.boot.report.BootReport`.  Old attribute/method names used
-by existing callers remain as thin deprecation shims on each class.
+:class:`~repro.boot.report.BootReport`.
 
 Wire format versioning
 ----------------------

@@ -92,11 +92,6 @@ class CampaignReport:
         visible = self.runs - self.counts.get("masked", 0)
         return effective / visible if visible else 1.0
 
-    def summary_row(self) -> str:
-        cells = "  ".join(f"{o}={self.counts.get(o, 0)}" for o in OUTCOMES)
-        return (f"{self.name:<28} runs={self.runs:<6} {cells}  "
-                f"fail={self.failure_rate:.4f}")
-
     def timing_row(self) -> str:
         return (f"{self.name:<28} backend={self.backend:<8} "
                 f"jobs={self.jobs:<3} wall={self.wall_s:.3f}s  "
@@ -104,8 +99,10 @@ class CampaignReport:
 
     def summary(self) -> str:
         """One-line report summary (the :class:`~repro.core.Report`
-        protocol method; same text as the legacy ``summary_row``)."""
-        return self.summary_row()
+        protocol method)."""
+        cells = "  ".join(f"{o}={self.counts.get(o, 0)}" for o in OUTCOMES)
+        return (f"{self.name:<28} runs={self.runs:<6} {cells}  "
+                f"fail={self.failure_rate:.4f}")
 
     def deterministic_json(self) -> Dict[str, Any]:
         """The execution-independent payload: the scientific evidence.

@@ -79,6 +79,28 @@ class TestDiskStore:
         assert stats["radhard"]["misses"] == 1
         assert stats["radhard"]["stores"] == 1
 
+    def test_unreadable_stats_read_as_zero(self, tmp_path):
+        store = DiskStore(tmp_path / "cache")
+        store.put("k1", {"x": 1}, layer="radhard")
+        (tmp_path / "cache" / "stats.json").write_text("[garbage")
+        assert store.stats() == {}
+        assert store.get("k1", "radhard") == {"x": 1}
+        assert DiskStore(tmp_path / "cache").stats()["radhard"] == {
+            "hits": 1, "misses": 0, "stores": 0, "evictions": 0}
+
+    def test_counters_rewrite_stats_in_place(self, tmp_path):
+        store = DiskStore(tmp_path / "cache")
+        store.put("k1", {"x": 1}, layer="radhard")
+        stats_path = tmp_path / "cache" / "stats.json"
+        inode = stats_path.stat().st_ino
+        stats_path.write_text("x" * 1000)      # longer than the new text
+        store.get("k1", "radhard")
+        store.put("k2", {"x": 2}, layer="hls")
+        assert stats_path.stat().st_ino == inode
+        assert json.loads(stats_path.read_text()) == {
+            "hls": {"hits": 0, "misses": 0, "stores": 1, "evictions": 0},
+            "radhard": {"hits": 1, "misses": 0, "stores": 0, "evictions": 0}}
+
     def test_clear_removes_everything(self, tmp_path):
         store = DiskStore(tmp_path / "cache")
         store.put("k1", {"x": 1})
@@ -87,16 +109,33 @@ class TestDiskStore:
         assert store.entry_count() == 0
         assert store.get("k1") is None
 
-    def test_gc_drops_orphans_and_missing(self, tmp_path):
+    def test_gc_removes_unreadable_objects(self, tmp_path):
         store = DiskStore(tmp_path / "cache")
-        store.put("k1", {"x": 1})
-        store.put("k2", {"x": 2})
-        (tmp_path / "cache" / "objects" / "k1.json").unlink()
-        (tmp_path / "cache" / "objects" / "orphan.json").write_text("{}")
-        removed = store.gc()
-        assert removed == 1
-        assert store.get("k2") is not None
-        assert not (tmp_path / "cache" / "objects" / "orphan.json").exists()
+        for key in ("broken", "listed", "gone", "intact"):
+            store.put(key, {"key": key})
+        objects = tmp_path / "cache" / "objects"
+        (objects / "broken.json").write_text("{not json")
+        (objects / "listed.json").write_text("[1, 2]")
+        (objects / "gone.json").unlink()
+        assert store.gc() == 2
+        assert sorted(path.name for path in objects.glob("*.json")) \
+            == ["intact.json"]
+        assert store.get("gone") is None
+        assert store.get("intact") == {"key": "intact"}
+        assert store.entry_count() == 1
+
+    def test_lookup_metadata_is_flat_in_entry_count(self, tmp_path):
+        def root_bytes(entries):
+            root = tmp_path / f"cache-{entries}"
+            store = DiskStore(root)
+            for index in range(entries):
+                store.put(f"k{index:04d}", {"index": index})
+            assert store.get("k0000") == {"index": 0}
+            return sum(path.stat().st_size for path in root.iterdir()
+                       if path.is_file())
+
+        # Only the digits of the lifetime counters may differ.
+        assert root_bytes(300) - root_bytes(10) < 10
 
 
 class TestFlowCache:
