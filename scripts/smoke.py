@@ -145,6 +145,8 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     ]},
     # Sharded/resumable mega-campaign gates: the shard-merge,
     # streaming-statistics and kill/resume (real SIGKILL) test suites,
+    # the pinned scenario payload digests, the exhaustive SECDED decode
+    # patterns and the touched-word vs full evaluate differential test,
     # then the same contracts through the real CLI — sharded runs
     # byte-identical to serial, a runs-extension resumed from the
     # checkpoint store byte-identical to a from-scratch run, the
@@ -155,7 +157,10 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/exec/test_sharding.py tests/exec/test_streaming_stats.py "
          "tests/radhard/test_mega_shards.py "
-         "tests/radhard/test_mega_kill_resume.py"),
+         "tests/radhard/test_mega_kill_resume.py "
+         "tests/radhard/test_payload_digests.py "
+         "tests/radhard/test_ecc_decode.py "
+         "tests/radhard/test_touched_evaluate.py"),
         ("Sharded run is byte-identical to serial",
          "PYTHONPATH=src python -m repro.cli seu --runs 600 --jobs 1 "
          "--json-deterministic serial.json "

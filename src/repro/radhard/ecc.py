@@ -8,6 +8,7 @@ memories, plus an ECC-protected memory model with scrubbing support.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -71,7 +72,15 @@ class DecodeResult:
 
 
 def decode(code: int, data_bits: int = 32) -> DecodeResult:
-    """Decode a SECDED codeword, correcting single-bit errors."""
+    """Decode a SECDED codeword, correcting single-bit errors.
+
+    An odd number of flips sets the overall parity; a single flip then
+    leaves a syndrome naming its Hamming position (1..n), or none when
+    the overall parity bit itself flipped.  A syndrome past ``n`` points
+    outside the codeword, so no single flip can have produced it: three
+    or more flips did, and the word is reported uncorrectable
+    (``double_error``) rather than "corrected" to wrong data.
+    """
     p = _parity_bit_count(data_bits)
     n = data_bits + p
     word = [(code >> pos) & 1 for pos in range(n + 1)]
@@ -90,15 +99,14 @@ def decode(code: int, data_bits: int = 32) -> DecodeResult:
     corrected = False
     double_error = False
     corrected_position: Optional[int] = None
-    if syndrome and overall:
+    if syndrome and overall and syndrome <= n:
         # Single error at `syndrome` (could be a parity bit itself).
-        if syndrome <= n:
-            word[syndrome] ^= 1
+        word[syndrome] ^= 1
         corrected = True
         corrected_position = syndrome
-    elif syndrome and not overall:
+    elif syndrome:
         double_error = True
-    elif not syndrome and overall:
+    elif overall:
         # The overall parity bit itself flipped.
         corrected = True
         corrected_position = 0
@@ -157,6 +165,20 @@ class EccMemory:
             self.stats.corrected += 1
             self._codes[address] = encode(result.value, self.data_bits)
         return result.value
+
+    def copy(self) -> "EccMemory":
+        """An independent copy of the stored codewords, with fresh stats."""
+        clone = copy.copy(self)
+        clone._codes = list(self._codes)
+        clone.stats = EccStats()
+        return clone
+
+    def changed_addresses(self, other: "EccMemory") -> List[int]:
+        """Addresses whose stored codeword differs from ``other``'s, in
+        address order (both memories must have the same size)."""
+        return [address for address, (mine, theirs)
+                in enumerate(zip(self._codes, other._codes))
+                if mine != theirs]
 
     def inject_bit_flip(self, address: int, bit: int) -> None:
         """SEU injection into the raw codeword (data or parity bit)."""

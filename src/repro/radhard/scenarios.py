@@ -5,6 +5,12 @@ qualification benchmark, the CLI ``seu`` subcommand and the determinism
 tests; defining them once here keeps their outcome classification (and
 therefore the golden tables) in a single place.
 
+Each protected-memory factory builds its golden memory once; a run's
+``setup`` copies it and ``evaluate`` reads back only the words whose
+stored state the upsets changed.  An untouched word decodes (or votes)
+to its golden value with no correction, so reading it cannot change
+the outcome: a run costs what its upset touches, not the memory size.
+
 ``beam_campaign`` additionally models the *fixture* side of a physical
 test: every evaluation includes a dwell delay standing in for beam/tester
 equipment latency, which is what makes real campaigns throughput-bound
@@ -52,12 +58,12 @@ def raw_sram_campaign(words: int = DEFAULT_WORDS) -> Campaign:
 def ecc_campaign(words: int = DEFAULT_WORDS, upsets: int = 1) -> Campaign:
     """SECDED-protected memory: corrects singles, detects doubles."""
     golden = golden_pattern(words)
+    golden_memory = EccMemory(words)
+    for address, value in enumerate(golden):
+        golden_memory.write(address, value)
 
     def setup():
-        memory = EccMemory(words)
-        for address, value in enumerate(golden):
-            memory.write(address, value)
-        return memory
+        return golden_memory.copy()
 
     def inject(memory, rng):
         injector = SeuInjector(EccMemoryTarget(memory),
@@ -65,11 +71,14 @@ def ecc_campaign(words: int = DEFAULT_WORDS, upsets: int = 1) -> Campaign:
         return injector.inject_burst(upsets)[-1].description
 
     def evaluate(memory):
+        # Untouched words decode to golden with no correction, so only
+        # the words the upsets changed are read.
+        touched = memory.changed_addresses(golden_memory)
         try:
-            values = [memory.read(a) for a in range(words)]
+            values = [memory.read(a) for a in touched]
         except EccError:
             return "detected"
-        if values != golden:
+        if values != [golden[a] for a in touched]:
             return "sdc"
         return "corrected" if memory.stats.corrected else "masked"
 
@@ -81,11 +90,11 @@ def ecc_campaign(words: int = DEFAULT_WORDS, upsets: int = 1) -> Campaign:
 def tmr_campaign(words: int = DEFAULT_WORDS) -> Campaign:
     """Triplicated memory: single upsets always outvoted."""
     golden = golden_pattern(words)
+    golden_memory = TmrMemory(words)
+    golden_memory.load(golden)
 
     def setup():
-        memory = TmrMemory(words)
-        memory.load(golden)
-        return memory
+        return golden_memory.copy()
 
     def inject(memory, rng):
         injector = SeuInjector(TmrMemoryTarget(memory),
@@ -93,8 +102,11 @@ def tmr_campaign(words: int = DEFAULT_WORDS) -> Campaign:
         return injector.inject_random().description
 
     def evaluate(memory):
-        values = [memory.read(a) for a in range(words)]
-        if values != golden:
+        # Untouched words vote unanimously to golden: only the words the
+        # upsets changed are read.
+        touched = memory.changed_addresses(golden_memory)
+        values = [memory.read(a) for a in touched]
+        if values != [golden[a] for a in touched]:
             return "sdc"
         return "corrected" if memory.stats.corrected_votes else "masked"
 

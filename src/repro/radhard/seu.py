@@ -12,6 +12,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Protocol
 
+from .ecc import codeword_bits
+
 
 class SeuTarget(Protocol):
     """Anything the injector can flip bits in."""
@@ -70,7 +72,6 @@ class EccMemoryTarget:
     """Adapter: SECDED-protected memory (flips raw codeword bits)."""
 
     def __init__(self, memory) -> None:
-        from .ecc import codeword_bits
         self.memory = memory
         self._code_bits = codeword_bits(memory.data_bits)
 

@@ -14,6 +14,7 @@ provides both granularities:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -131,6 +132,23 @@ class TmrMemory:
             raise TmrError("data larger than memory")
         for address, value in enumerate(data):
             self.write(address, value)
+
+    def copy(self) -> "TmrMemory":
+        """An independent copy of the three banks, with fresh stats."""
+        clone = copy.copy(self)
+        clone._banks = [list(bank) for bank in self._banks]
+        clone.stats = TmrStats()
+        return clone
+
+    def changed_addresses(self, other: "TmrMemory") -> List[int]:
+        """Addresses where any bank differs from ``other``'s, in address
+        order (both memories must have the same size)."""
+        changed = set()
+        for mine, theirs in zip(self._banks, other._banks):
+            if mine != theirs:
+                changed.update(address for address, (a, b)
+                               in enumerate(zip(mine, theirs)) if a != b)
+        return sorted(changed)
 
     def inject(self, bank: int, address: int, bit: int) -> None:
         self._check(address)
