@@ -307,6 +307,9 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
         ("Placement identity golden",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/fabric/test_place_identity.py"),
+        ("Route identity golden",
+         "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
+         "tests/fabric/test_route_identity.py"),
         ("Kernel QoR gates against the pinned old-kernel results",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_flow_kernels.py"),

@@ -415,12 +415,13 @@ def _project_from(spec: JobSpec, ctx: JobContext, netlist):
 def _run_flow(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     """params: component/width/stages + device (name or asdict) +
     [grid_luts, target_clock_ns, effort, channel_width]."""
+    from .fabric.routing import DEFAULT_CHANNEL_WIDTH
     params = spec.params
     project = _project_from(spec, ctx, _component_netlist(params))
     report = project.run_all(
         target_clock_ns=params.get("target_clock_ns", 10.0),
         effort=params.get("effort", 1.0),
-        channel_width=params.get("channel_width", 16))
+        channel_width=params.get("channel_width", DEFAULT_CHANNEL_WIDTH))
     return JobOutcome(report=report, artifact=project)
 
 
@@ -438,6 +439,7 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     from .fabric.eco import DeltaError, EcoFlow, NetlistDelta
     from .fabric.netlist import NetlistError
     from .fabric.nxmap import FlowError
+    from .fabric.routing import DEFAULT_CHANNEL_WIDTH
     params = spec.params
     _require(params, "delta")
     try:
@@ -456,7 +458,8 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         report = flow.run(
             target_clock_ns=params.get("target_clock_ns", 10.0),
             effort=params.get("effort", 1.0),
-            channel_width=params.get("channel_width", 16))
+            channel_width=params.get("channel_width",
+                                     DEFAULT_CHANNEL_WIDTH))
     except (DeltaError, NetlistError, FlowError) as error:
         raise JobSpecError(f"eco delta not applicable: {error}")
     routing = report.flow.routing

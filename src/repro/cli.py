@@ -195,9 +195,12 @@ def _cmd_eco(args) -> int:
         random_delta
     from .fabric.netlist import NetlistError
     from .fabric.nxmap import FlowError, NXmapProject
+    from .fabric.routing import DEFAULT_CHANNEL_WIDTH
     from .fabric.synthesis import SynthesisError, synthesize_component, \
         synthesize_random
 
+    channel_width = (DEFAULT_CHANNEL_WIDTH if args.channel_width is None
+                     else args.channel_width)
     options = CommonOptions.from_args(args)
     tracer = options.build_tracer()
     cache = options.build_cache(tracer)
@@ -226,11 +229,11 @@ def _cmd_eco(args) -> int:
     # when the edit arrives, so the base flow (and its full-STA state)
     # is built outside the timed edit loop.
     flow = EcoFlow(project, delta, tracer=tracer)
-    flow.prepare_base(effort=args.effort, channel_width=args.channel_width)
+    flow.prepare_base(effort=args.effort, channel_width=channel_width)
     start = time.perf_counter()
     try:
         report = flow.run(target_clock_ns=args.clock, effort=args.effort,
-                          channel_width=args.channel_width)
+                          channel_width=channel_width)
     except (DeltaError, NetlistError, FlowError) as error:
         print(f"error: {error}", file=sys.stderr)
         return ExitCode.USAGE
@@ -250,7 +253,7 @@ def _cmd_eco(args) -> int:
             if report.flow.timing is not None else args.clock
         start = time.perf_counter()
         cold.run_place(effort=args.effort)
-        cold.run_route(channel_width=args.channel_width)
+        cold.run_route(channel_width=channel_width)
         cold_timing = cold.run_sta(target_clock_ns=target)
         cold.run_bitstream()
         cold_s = time.perf_counter() - start
@@ -798,7 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
     eco.add_argument("--clock", type=float, default=10.0,
                      help="target clock (ns)")
     eco.add_argument("--effort", type=float, default=1.0)
-    eco.add_argument("--channel-width", type=int, default=16)
+    eco.add_argument("--channel-width", type=int, default=None,
+                     help="routing tracks per channel (default: the "
+                          "router's default width)")
     eco.add_argument("--delta", metavar="FILE",
                      help="JSON edit script (list of delta ops)")
     eco.add_argument("--edit-fraction", type=float, default=0.01,

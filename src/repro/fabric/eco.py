@@ -52,7 +52,7 @@ from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
 from .placement import PlacementResult, _Grid, _SiteManager, _anneal, \
     _bbox, _connectivity, total_hpwl
-from .routing import RoutingResult, route
+from .routing import DEFAULT_CHANNEL_WIDTH, RoutingResult, route
 from .timing import StaState, TimingReport, analyze_timing_cone, \
     analyze_timing_state
 
@@ -702,7 +702,8 @@ class EcoFlow:
     # -- the incremental flow ----------------------------------------------
 
     def prepare_base(self, effort: float = 1.0,
-                     channel_width: int = 16) -> StaState:
+                     channel_width: int = DEFAULT_CHANNEL_WIDTH
+                     ) -> StaState:
         """Ensure the base implementation this flow increments from.
 
         Base placement/routing warm from the cache when present and are
@@ -733,7 +734,7 @@ class EcoFlow:
         return self._base_state
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,
-            channel_width: int = 16) -> EcoReport:
+            channel_width: int = DEFAULT_CHANNEL_WIDTH) -> EcoReport:
         project = self.project
         device = project.device
         tracer = self.tracer

@@ -23,7 +23,8 @@ from .bitstream import Bitstream, generate_bitstream
 from .device import Device, get_device
 from .netlist import Netlist
 from .placement import PLACE_KERNEL_VERSION, PlacementResult, place
-from .routing import ROUTE_KERNEL_VERSION, RoutingResult, route
+from .routing import DEFAULT_CHANNEL_WIDTH, ROUTE_KERNEL_VERSION, \
+    RoutingResult, route
 from .timing import STA_KERNEL_VERSION, TimingReport, analyze_timing
 
 #: Per-stage kernel versions folded into the stage cache keys.  When a
@@ -230,7 +231,8 @@ class NXmapProject:
         self._place_key = key
         return self.placement
 
-    def run_route(self, channel_width: int = 16) -> RoutingResult:
+    def run_route(self, channel_width: int = DEFAULT_CHANNEL_WIDTH
+                  ) -> RoutingResult:
         if self.placement is None:
             self.run_place()
         key = (self._stage_key("route", self._place_key,
@@ -320,7 +322,8 @@ class NXmapProject:
         return PowerReport(dynamic_mw=dynamic_mw, static_mw=static_mw)
 
     def run_all(self, target_clock_ns: float = 10.0,
-                effort: float = 1.0, channel_width: int = 16) -> FlowReport:
+                effort: float = 1.0,
+                channel_width: int = DEFAULT_CHANNEL_WIDTH) -> FlowReport:
         """Complete flow: place → route → STA → bitstream → report.
 
         Each stage keeps its own cache lookups; a cancelled job

@@ -22,7 +22,8 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..telemetry import Tracer
 from .netlist import Netlist
@@ -40,9 +41,10 @@ ROUTE_KERNEL_VERSION = 3
 _BASE_MARGIN = 3
 _MARGIN_PER_PASS = 4
 
-
-class RoutingError(Exception):
-    pass
+#: Tracks per channel between neighbouring tiles when a caller names no
+#: channel width: the one default every flow entry point (``route``,
+#: ``NXmapProject``, ``EcoFlow``, the job API and the CLI) reads.
+DEFAULT_CHANNEL_WIDTH = 16
 
 
 @dataclass
@@ -137,39 +139,84 @@ def _usage_of_paths(paths: Iterable[List[Tile]]) -> Dict[Edge, int]:
     return usage
 
 
-class _AstarStats:
-    __slots__ = ("expanded",)
+class _Grid(NamedTuple):
+    """Lookup tables of one grid's integer tile and edge ids.
 
-    def __init__(self) -> None:
-        self.expanded = 0
+    A tile's id is ``col * rows + row``, which orders tiles exactly as
+    their ``(col, row)`` tuples.  An edge's id is ``2 * lo`` for the
+    horizontal edge from tile ``lo`` to its +col neighbour and
+    ``2 * lo + 1`` for the vertical edge to its +row neighbour.
+    """
+
+    #: id -> (col, row), and back.
+    tiles: List[Tile]
+    ids: Dict[Tile, int]
+    #: id -> in-grid neighbours as ``(neighbour id, edge id, neighbour
+    #: col, neighbour row)``, in the order +col, -col, +row, -row.
+    neighbours: List[Tuple[Tuple[int, int, int, int], ...]]
 
 
-def _astar_tree(sources: Iterable[Tile], goal: Tile,
-                bounds: Tuple[int, int, int, int],
-                usage: Dict[Edge, int], channel_width: int,
-                congestion_penalty: float,
-                stats: _AstarStats) -> Optional[List[Tile]]:
+@lru_cache(maxsize=8)
+def _grid(cols: int, rows: int) -> _Grid:
+    tiles = [(col, row) for col in range(cols) for row in range(rows)]
+    neighbours = []
+    for tile, (col, row) in enumerate(tiles):
+        steps = []
+        if col + 1 < cols:
+            steps.append((tile + rows, 2 * tile, col + 1, row))
+        if col > 0:
+            steps.append((tile - rows, 2 * (tile - rows), col - 1, row))
+        if row + 1 < rows:
+            steps.append((tile + 1, 2 * tile + 1, col, row + 1))
+        if row > 0:
+            steps.append((tile - 1, 2 * tile - 1, col, row - 1))
+        neighbours.append(tuple(steps))
+    return _Grid(tiles, {tile: index for index, tile in enumerate(tiles)},
+                 neighbours)
+
+
+def _path_edges(path: List[int], rows: int) -> List[int]:
+    """Edge ids along a path of tile ids."""
+    return [2 * a if b - a == rows else
+            2 * b if a - b == rows else
+            2 * min(a, b) + 1
+            for a, b in zip(path, path[1:])]
+
+
+def _astar_tree(nodes: Set[int], seeds: List[Tuple[int, int, int]],
+                goal: int, bounds: Tuple[int, int, int, int],
+                tables: _Grid, usage: List[int], channel_width: int,
+                congestion_penalty: float
+                ) -> Tuple[Optional[List[int]], int]:
     """Multi-source A* from a net's route tree to one sink.
 
-    Every tree node starts at cost zero, so the search naturally grows
-    the path from the *nearest* point of the existing tree.  Expansion
-    is restricted to ``bounds`` (cmin, cmax, rmin, rmax inclusive).
+    Every tree node (``nodes``; ``seeds`` lists each as ``(tile, col,
+    row)``) starts at cost zero, so the search naturally grows the path
+    from the *nearest* point of the existing tree.  Expansion is
+    restricted to ``bounds`` (cmin, cmax, rmin, rmax inclusive), which
+    must contain every node.  Returns the path (tile ids) and the
+    number of heap pops.
+
+    Heap entries are ``(f = g + heuristic, g, tiebreak, tile)``.  A
+    source's tiebreak is its tile id and a pushed entry's is a push
+    counter.  Sources (g = 0) never tie with pushed entries (g >= 1) on
+    ``(f, g)``, so the pop order is exactly that of pushing the sources
+    one by one in sorted ``(col, row)`` order under one counter.
     """
-    gcol, grow = goal
+    gcol, grow = tables.tiles[goal]
     cmin, cmax, rmin, rmax = bounds
-    # Heap entries: (f = g + heuristic, g, tiebreak, tile).
-    frontier: List[Tuple[float, float, int, Tile]] = []
-    best: Dict[Tile, float] = {}
-    came: Dict[Tile, Tile] = {}
+    neighbours = tables.neighbours
+    frontier = [(float(abs(col - gcol) + abs(row - grow)), 0.0, tile, tile)
+                for tile, col, row in seeds]
+    heapq.heapify(frontier)
+    best: Dict[int, float] = dict.fromkeys(nodes, 0.0)
+    came: Dict[int, int] = {}
+    pop, push, best_of = heapq.heappop, heapq.heappush, best.get
+    inf = float("inf")
     counter = 0
-    for source in sorted(sources):
-        best[source] = 0.0
-        counter += 1
-        heuristic = abs(source[0] - gcol) + abs(source[1] - grow)
-        heapq.heappush(frontier, (float(heuristic), 0.0, counter, source))
     expanded = 0
     while frontier:
-        _f, g, _, tile = heapq.heappop(frontier)
+        _f, g, _, tile = pop(frontier)
         expanded += 1
         if tile == goal:
             path = [tile]
@@ -177,66 +224,121 @@ def _astar_tree(sources: Iterable[Tile], goal: Tile,
                 tile = came[tile]
                 path.append(tile)
             path.reverse()
-            stats.expanded += expanded
-            return path
-        if g > best.get(tile, float("inf")):
+            return path, expanded
+        if g > best[tile]:
             continue  # stale entry
-        col, row = tile
-        for neighbour in ((col + 1, row), (col - 1, row),
-                          (col, row + 1), (col, row - 1)):
-            ncol, nrow = neighbour
-            if not (cmin <= ncol <= cmax and rmin <= nrow <= rmax):
+        for neighbour, edge, ncol, nrow in neighbours[tile]:
+            if ncol < cmin or ncol > cmax or nrow < rmin or nrow > rmax:
                 continue
-            used = usage.get(_edge(tile, neighbour), 0)
-            step = 1.0
+            used = usage[edge]
             if used >= channel_width:
-                step += congestion_penalty * (used - channel_width + 1)
-            new_cost = g + step
-            if new_cost < best.get(neighbour, float("inf")):
+                new_cost = g + (1.0 + congestion_penalty
+                                * (used - channel_width + 1))
+            else:
+                new_cost = g + 1.0
+            if new_cost < best_of(neighbour, inf):
                 best[neighbour] = new_cost
                 came[neighbour] = tile
                 counter += 1
-                heuristic = abs(ncol - gcol) + abs(nrow - grow)
-                heapq.heappush(frontier,
-                               (new_cost + heuristic, new_cost, counter,
-                                neighbour))
-    stats.expanded += expanded
-    return None
+                push(frontier,
+                     (new_cost + (abs(ncol - gcol) + abs(nrow - grow)),
+                      new_cost, counter, neighbour))
+    return None, expanded
 
 
 class _NetTree:
-    """One net's growing route tree: nodes, and per-sink path segments.
+    """One net's growing route tree: per-sink path segments (tile ids),
+    plus the node set, its ``(tile, col, row)`` seed list and its bbox,
+    kept up to date as segments grow.
 
-    The node set is materialized lazily: a warm-preserved tree that is
-    never re-routed (the overwhelming majority in an ECO pass) never
-    pays the O(wirelength) set construction.
+    A warm-preserved tree keeps its ``(col, row)`` paths as given and
+    converts them to tile ids on first use; the node set is likewise
+    materialized lazily.  A preserved tree that is never re-routed or
+    scanned (the overwhelming majority in an ECO pass) pays for
+    neither and is returned as it came.
     """
 
-    __slots__ = ("source", "_nodes", "paths")
+    __slots__ = ("source", "tables", "_paths", "_warm", "_nodes", "seeds",
+                 "bbox")
 
-    def __init__(self, source: Tile) -> None:
+    def __init__(self, source: int, tables: _Grid) -> None:
         self.source = source
-        self._nodes: Optional[Set[Tile]] = None
+        self.tables = tables
         # (sink ordinal, path segment) — segment edges are disjoint
         # between segments; their union is the net's route tree.
-        self.paths: List[Tuple[int, List[Tile]]] = []
+        self._paths: List[Tuple[int, List[int]]] = []
+        # Preserved warm paths in ordinal order, until first use.
+        self._warm: Optional[List[List[Tile]]] = None
+        self._nodes: Optional[Set[int]] = None
+        # Once the node set is materialized: every node with its
+        # coordinates, and [cmin, cmax, rmin, rmax] over them.
+        self.seeds: List[Tuple[int, int, int]] = []
+        self.bbox: List[int] = []
+
+    def preserve(self, paths: List[List[Tile]]) -> None:
+        self._warm = paths
 
     @property
-    def nodes(self) -> Set[Tile]:
+    def paths(self) -> List[Tuple[int, List[int]]]:
+        if self._warm is not None:
+            to_id = self.tables.ids.__getitem__
+            self._paths = [(ordinal, list(map(to_id, path)))
+                           for ordinal, path in enumerate(self._warm)]
+            self._warm = None
+        return self._paths
+
+    def tile_paths(self) -> List[List[Tile]]:
+        """The segments as ``(col, row)`` lists, in ordinal order."""
+        if self._warm is not None:
+            return self._warm
+        to_tile = self.tables.tiles.__getitem__
+        return [list(map(to_tile, path))
+                for _ordinal, path in sorted(self._paths)]
+
+    @property
+    def nodes(self) -> Set[int]:
         if self._nodes is None:
+            col, row = self.tables.tiles[self.source]
             self._nodes = {self.source}
+            self.seeds = [(self.source, col, row)]
+            self.bbox = [col, col, row, row]
             for _ordinal, path in self.paths:
-                self._nodes.update(path)
+                self._grow(path)
         return self._nodes
 
-    def add(self, ordinal: int, path: List[Tile]) -> None:
+    def reset(self, paths: List[Tuple[int, List[int]]]) -> None:
+        """Keep only ``paths`` (segments that still hang together from
+        the source); the node set and bbox follow on next use."""
+        self._paths = paths
+        self._warm = None
+        self._nodes = None
+
+    def add(self, ordinal: int, path: List[int]) -> None:
         self.paths.append((ordinal, path))
         if self._nodes is not None:
-            self._nodes.update(path)
+            self._grow(path)
+
+    def _grow(self, path: List[int]) -> None:
+        nodes, seeds, bbox, tiles = \
+            self._nodes, self.seeds, self.bbox, self.tables.tiles
+        for tile in path:
+            if tile in nodes:
+                continue
+            nodes.add(tile)
+            col, row = tiles[tile]
+            seeds.append((tile, col, row))
+            if col < bbox[0]:
+                bbox[0] = col
+            elif col > bbox[1]:
+                bbox[1] = col
+            if row < bbox[2]:
+                bbox[2] = row
+            elif row > bbox[3]:
+                bbox[3] = row
 
 
 def route(netlist: Netlist, locations: Dict[str, Tile],
-          grid: Tuple[int, int], channel_width: int = 16,
+          grid: Tuple[int, int], channel_width: int = DEFAULT_CHANNEL_WIDTH,
           max_iterations: int = 3,
           tracer: Optional[Tracer] = None,
           warm: Optional[RoutingResult] = None,
@@ -255,34 +357,40 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     whose preserved paths no longer match the current connection list
     (a pin moved, a sink appeared) is detected and re-routed as well, so
     an over-approximate ``reroute_nets`` is a performance choice, never
-    a correctness one.
+    a correctness one.  ``warm`` must have been routed on this ``grid``.
+
+    Internally tiles are integer ids and channel usage is a flat list
+    indexed by edge id (see ``_Grid``); ``(col, row)`` tuples appear
+    only in the warm input and the returned result.
     """
     cols, rows = grid
+    tables = _grid(cols, rows)
+    tiles, ids = tables.tiles, tables.ids
     # Deterministic connection order: nets sorted by name, then sinks in
     # sorted order — independent of netlist dict insertion order.
-    Conn = Tuple[str, int, Tile]  # (net name, sink ordinal, sink tile)
+    Conn = Tuple[str, int, int]  # (net name, sink ordinal, sink tile id)
     trees: Dict[str, _NetTree] = {}
-    sink_tiles: Dict[Tuple[str, int], Tile] = {}
+    sink_tiles: Dict[Tuple[str, int], int] = {}
     connections: List[Conn] = []
     for net_name in sorted(netlist.nets):
         net = netlist.nets[net_name]
         if net.driver is None or net.driver not in locations:
             continue
-        source = locations[net.driver]
+        source = ids[locations[net.driver]]
         ordinal = 0
         for sink in sorted(net.sinks):
             if sink not in locations:
                 continue
-            target = locations[sink]
+            target = ids[locations[sink]]
             if target == source:
                 continue
             connections.append((net_name, ordinal, target))
             sink_tiles[(net_name, ordinal)] = target
             ordinal += 1
         if ordinal:
-            trees[net_name] = _NetTree(source)
+            trees[net_name] = _NetTree(source, tables)
 
-    usage: Dict[Edge, int] = {}
+    usage = [0] * (2 * cols * rows)
     preloaded: Set[str] = set()
     if warm is not None:
         reroute = set(reroute_nets) if reroute_nets is not None else set()
@@ -303,37 +411,35 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
             # stored artifact — the base run grew the segments on the
             # tree in ordinal order — so endpoint checks alone detect
             # every pin move without materializing the node set.
+            source_tile = tiles[tree.source]
             valid = True
             for ordinal, path in enumerate(paths):
                 if not path \
-                        or path[-1] != sink_tiles[(net_name, ordinal)] \
-                        or (ordinal == 0 and path[0] != tree.source):
+                        or path[-1] != tiles[sink_tiles[net_name, ordinal]] \
+                        or (ordinal == 0 and path[0] != source_tile):
                     valid = False
                     break
             if not valid:
                 continue
-            for ordinal, path in enumerate(paths):
-                tree.add(ordinal, path)
+            tree.preserve(paths)
             preloaded.add(net_name)
         # Seed the congestion state from the persisted occupancy map,
         # then subtract every warm path that was *not* preserved (ripped
         # nets, vanished nets, stale nets) so usage stays exactly the
         # sum of the live trees.
-        usage = dict(warm.edge_usage)
+        for (a, b), used in warm.edge_usage.items():
+            lo = ids[a]
+            usage[2 * lo if b[0] != a[0] else 2 * lo + 1] = used
         for net_name, paths in warm.routes.items():
             if net_name in preloaded:
                 continue
             for path in paths:
-                for a, b in zip(path, path[1:]):
-                    edge = _edge(a, b)
-                    remaining = usage.get(edge, 0) - 1
-                    if remaining > 0:
-                        usage[edge] = remaining
-                    else:
-                        usage.pop(edge, None)
-    stats = _AstarStats()
+                for edge in _path_edges([ids[tile] for tile in path], rows):
+                    if usage[edge] > 0:
+                        usage[edge] -= 1
     failed: Set[Tuple[str, int]] = set()
     iterations = 0
+    expanded_total = 0
     ripped_total = 0
     penalty = 0.5
     overflow = 0
@@ -345,34 +451,36 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         return tracer.span(name, "fabric", **attributes)
 
     def route_connection(conn: Conn, margin: int) -> bool:
+        nonlocal expanded_total
         net_name, ordinal, target = conn
         tree = trees[net_name]
-        if target in tree.nodes:
+        nodes = tree.nodes
+        if target in nodes:
             tree.add(ordinal, [target])  # zero-length tap on the tree
             return True
-        bxmin = min(node[0] for node in tree.nodes)
-        bxmax = max(node[0] for node in tree.nodes)
-        bymin = min(node[1] for node in tree.nodes)
-        bymax = max(node[1] for node in tree.nodes)
-        bounds = (max(0, min(bxmin, target[0]) - margin),
-                  min(cols - 1, max(bxmax, target[0]) + margin),
-                  max(0, min(bymin, target[1]) - margin),
-                  min(rows - 1, max(bymax, target[1]) + margin))
-        path = _astar_tree(tree.nodes, target, bounds, usage,
-                           channel_width, penalty, stats)
+        tcol, trow = tiles[target]
+        bxmin, bxmax, bymin, bymax = tree.bbox
+        bounds = (max(0, min(bxmin, tcol) - margin),
+                  min(cols - 1, max(bxmax, tcol) + margin),
+                  max(0, min(bymin, trow) - margin),
+                  min(rows - 1, max(bymax, trow) + margin))
+        path, expanded = _astar_tree(nodes, tree.seeds, target, bounds,
+                                     tables, usage, channel_width, penalty)
+        expanded_total += expanded
         if path is None and bounds != full_bounds:
             # Safety net: the bounded window can starve a legal detour.
-            path = _astar_tree(tree.nodes, target, full_bounds, usage,
-                               channel_width, penalty, stats)
+            path, expanded = _astar_tree(nodes, tree.seeds, target,
+                                         full_bounds, tables, usage,
+                                         channel_width, penalty)
+            expanded_total += expanded
         if path is None:
             return False
-        for a, b in zip(path, path[1:]):
-            edge = _edge(a, b)
-            usage[edge] = usage.get(edge, 0) + 1
+        for edge in _path_edges(path, rows):
+            usage[edge] += 1
         tree.add(ordinal, path)
         return True
 
-    def rip_targeted(over_edges: Set[Edge]) -> List[Conn]:
+    def rip_targeted(over_edges: Set[int]) -> List[Conn]:
         """Tear up only the path segments crossing overflowed edges (and
         segments stranded by such a rip); keep all other usage."""
         ripped: List[Conn] = []
@@ -380,27 +488,20 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
             tree = trees[net_name]
             if not tree.paths:
                 continue
-            kept: List[Tuple[int, List[Tile]]] = []
-            rebuilt: Set[Tile] = {tree.source}
+            kept: List[Tuple[int, List[int]]] = []
+            reached: Set[int] = {tree.source}
             for ordinal, path in tree.paths:
-                crosses = any(_edge(a, b) in over_edges
-                              for a, b in zip(path, path[1:]))
-                stranded = path[0] not in rebuilt
-                if crosses or stranded:
-                    for a, b in zip(path, path[1:]):
-                        edge = _edge(a, b)
-                        remaining = usage[edge] - 1
-                        if remaining:
-                            usage[edge] = remaining
-                        else:
-                            del usage[edge]
+                edges = _path_edges(path, rows)
+                if path[0] not in reached \
+                        or not over_edges.isdisjoint(edges):
+                    for edge in edges:
+                        usage[edge] -= 1
                     ripped.append((net_name, ordinal,
                                    sink_tiles[(net_name, ordinal)]))
                 else:
                     kept.append((ordinal, path))
-                    rebuilt.update(path)
-            tree.paths = kept
-            tree._nodes = rebuilt
+                    reached.update(path)
+            tree.reset(kept)
         return sorted(ripped)
 
     pending: List[Conn] = [conn for conn in connections
@@ -408,7 +509,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     for iteration in range(max_iterations):
         if iteration > 0:
             penalty *= 4  # negotiate harder next pass
-            over_edges = {edge for edge, used in usage.items()
+            over_edges = {edge for edge, used in enumerate(usage)
                           if used > channel_width}
             ripped = rip_targeted(over_edges)
             ripped_total += len(ripped)
@@ -430,8 +531,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                     failed.add((conn[0], conn[1]))
             # Single overflow computation per pass, reused by the exit
             # check and (on the final pass) the report.
-            overflow = sum(1 for used in usage.values()
-                           if used > channel_width)
+            overflow = sum(1 for used in usage if used > channel_width)
             if pass_span is not None:
                 pass_span.attributes["routed"] = routed_now
                 pass_span.attributes["failed"] = len(failed)
@@ -441,20 +541,23 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
 
     routes: Dict[str, List[List[Tile]]] = {}
     for net_name in sorted(trees):
-        tree = trees[net_name]
-        if tree.paths:
-            routes[net_name] = [path for _ordinal, path
-                                in sorted(tree.paths)]
-    wirelength = sum(usage.values())
-    max_congestion = max(usage.values(), default=0)
+        paths = trees[net_name].tile_paths()
+        if paths:
+            routes[net_name] = paths
+    edge_usage: Dict[Edge, int] = {}
+    for edge, used in enumerate(usage):
+        if used:
+            lo = edge >> 1
+            edge_usage[tiles[lo], tiles[lo + (1 if edge & 1 else rows)]] \
+                = used
     if tracer is not None:
-        tracer.counter("route.astar.expanded", "fabric").add(stats.expanded)
+        tracer.counter("route.astar.expanded", "fabric").add(expanded_total)
         tracer.counter("route.ripup.connections", "fabric").add(ripped_total)
     return RoutingResult(
-        wirelength=wirelength, max_congestion=max_congestion,
+        wirelength=sum(usage), max_congestion=max(usage, default=0),
         overflow_edges=overflow,
         routed_connections=len(connections) - len(failed),
         failed_connections=len(failed), iterations=iterations,
         channel_width=channel_width, routes=routes,
-        expanded_nodes=stats.expanded, ripped_connections=ripped_total,
-        edge_usage=dict(usage))
+        expanded_nodes=expanded_total, ripped_connections=ripped_total,
+        edge_usage=edge_usage)
