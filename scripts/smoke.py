@@ -219,14 +219,16 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "--seconds 2"),
     ]},
     # Flow-as-a-service gates: the job API, scheduler and HTTP test
-    # suites, then the real server through the real CLI — a cold flow
-    # computed once, the same spec resubmitted by another tenant served
-    # warm with a byte-identical wire report, the dedup counters visible
-    # through the stats endpoint — and finally the Zipf load bench.
+    # suites and the CLI's output digests (its job commands submit
+    # through the same API), then the real server through the real
+    # CLI — a cold flow computed once, the same spec resubmitted by
+    # another tenant served warm with a byte-identical wire report, the
+    # dedup counters visible through the stats endpoint — and finally
+    # the Zipf load bench.
     "service": {"steps": [
         ("Job API, scheduler and HTTP test suites",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/service"),
+         "tests/service tests/test_cli_identity.py"),
         ("Start the job server",
          "PYTHONPATH=src python -m repro.cli serve --port 8321 "
          "--workers 2 &\n"

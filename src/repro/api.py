@@ -15,7 +15,7 @@ description and one way to run it:
 * :func:`submit` — runs a spec through the registered *runner* for its
   kind and returns a :class:`JobResult` (itself Report-conforming),
   carrying the producer's report, a consolidated :class:`ExitCode` and
-  the live artifact (HLS project, flow report, run list...).
+  the live artifact (HLS project, ECO flow, Eucalyptus tool...).
 * :class:`ExitCode` — the one documented exit-code enum.  The CLI
   returns these values; the service maps them onto HTTP statuses via
   :func:`http_status`.
@@ -26,7 +26,10 @@ point — ``repro.hls.synthesize``, ``NXmapProject.run_all``,
 ``EcoFlow.run``, ``Eucalyptus.sweep``, ``Campaign.run``,
 ``MegaCampaign.run`` — so a job computes exactly what its content key
 names.  Library callers call those entry points directly; the job
-service runs every job through this facade.
+service and the CLI (``repro hls``/``eco``/``characterize``/``seu``)
+run every job through this facade.  Each kind's exit rule therefore
+lives once, in its runner, and both front doors map a runner's
+:class:`JobSpecError` (an input it cannot build from) to ``USAGE``.
 
 Runners for new job kinds can be registered with :func:`register_kind`
 (the service's test suite registers synthetic slow/failing kinds this
@@ -191,8 +194,8 @@ class JobResult:
     """Outcome of one submitted job (conforms to the Report protocol).
 
     ``report`` is the producer's own Report object; ``artifact`` is the
-    richer live object its entry point returns (the HLS project, the
-    runs list...).  ``exit_code`` is the consolidated verdict.
+    richer live object behind it (the HLS project, the Eucalyptus
+    tool...).  ``exit_code`` is the consolidated verdict.
     """
 
     spec: JobSpec
@@ -392,23 +395,43 @@ def _run_hls(spec: JobSpec, ctx: JobContext) -> JobOutcome:
                       artifact=project)
 
 
+def _check_components(names) -> None:
+    from .fabric.synthesis import supported_components
+    unknown = sorted(set(names) - set(supported_components()))
+    if unknown:
+        raise JobSpecError(f"unknown component(s): {', '.join(unknown)}")
+
+
 def _component_netlist(params: Mapping[str, Any]):
     """The ``component``/``width``/``stages`` design of a fabric job."""
     from .fabric.synthesis import synthesize_component
     _require(params, "component")
+    _check_components([params["component"]])
     return synthesize_component(params["component"],
                                 params.get("width", 16),
                                 params.get("stages", 0))
 
 
+def eco_base_netlist(params: Mapping[str, Any]):
+    """The base design of an ``eco`` job, which the CLI draws edits on."""
+    if "synth_cells" in params:
+        from .fabric.synthesis import synthesize_random
+        return synthesize_random(int(params["synth_cells"]),
+                                 seed=params.get("synth_seed", 7))
+    return _component_netlist(params)
+
+
 def _project_from(spec: JobSpec, ctx: JobContext, netlist):
     """An NXmap project for ``netlist`` on the job's ``device`` (name or
     asdict) scaled to ``grid_luts``."""
-    from .fabric.nxmap import NXmapProject
+    from .fabric.nxmap import FlowError, NXmapProject
     device = _device_from(spec.params.get("device", "NG-ULTRA"),
                           spec.params.get("grid_luts"))
-    return NXmapProject(netlist, device, seed=spec.seed,
-                        tracer=ctx.tracer, cache=ctx.cache)
+    try:
+        return NXmapProject(netlist, device, seed=spec.seed,
+                            tracer=ctx.tracer, cache=ctx.cache)
+    except FlowError as error:
+        raise JobSpecError(str(error))
 
 
 @register_kind("flow")
@@ -434,7 +457,8 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     The base flow's cached stages are reused when the cache holds them
     and recomputed cold otherwise; either way the ECO stage keys chain
     off the (re)computed base keys, so a repeated identical submission
-    is a warm cache hit with a byte-identical report.
+    is a warm cache hit with a byte-identical report.  Progress
+    ``(1, 2)`` marks the prepared base and ``(2, 2)`` the finished edit.
     """
     from .fabric.eco import DeltaError, EcoFlow, NetlistDelta
     from .fabric.netlist import NetlistError
@@ -446,22 +470,20 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         delta = NetlistDelta.from_json(params["delta"])
     except DeltaError as error:
         raise JobSpecError(f"bad eco delta: {error}")
-    if "synth_cells" in params:
-        from .fabric.synthesis import synthesize_random
-        netlist = synthesize_random(int(params["synth_cells"]),
-                                    seed=params.get("synth_seed", 7))
-    else:
-        netlist = _component_netlist(params)
-    flow = EcoFlow(_project_from(spec, ctx, netlist), delta,
-                   tracer=ctx.tracer)
+    flow = EcoFlow(_project_from(spec, ctx, eco_base_netlist(params)),
+                   delta, tracer=ctx.tracer)
+    effort = params.get("effort", 1.0)
+    channel_width = params.get("channel_width", DEFAULT_CHANNEL_WIDTH)
+    progress = ctx.progress or (lambda completed, total: None)
+    flow.prepare_base(effort=effort, channel_width=channel_width)
+    progress(1, 2)
     try:
         report = flow.run(
             target_clock_ns=params.get("target_clock_ns", 10.0),
-            effort=params.get("effort", 1.0),
-            channel_width=params.get("channel_width",
-                                     DEFAULT_CHANNEL_WIDTH))
+            effort=effort, channel_width=channel_width)
     except (DeltaError, NetlistError, FlowError) as error:
         raise JobSpecError(f"eco delta not applicable: {error}")
+    progress(2, 2)
     routing = report.flow.routing
     code = ExitCode.FAILURE if routing is not None \
         and routing.failed_connections else ExitCode.OK
@@ -471,7 +493,7 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
 @register_kind("characterize")
 def _run_characterize(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     """params: device (name or asdict) + [grid_luts, effort, components,
-    widths, stages]."""
+    widths, stages]; the artifact is the :class:`Eucalyptus` tool."""
     from .hls.characterization.eucalyptus import (
         DEFAULT_STAGES,
         DEFAULT_WIDTHS,
@@ -479,6 +501,7 @@ def _run_characterize(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         SweepReport,
     )
     params = spec.params
+    _check_components(params.get("components") or ())
     device = _device_from(params.get("device", "NG-ULTRA"),
                           params.get("grid_luts"))
     tool = Eucalyptus(device=device, seed=spec.seed,
@@ -492,7 +515,7 @@ def _run_characterize(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         retries=ctx.retries, progress=ctx.progress)
     report = SweepReport(device=tool.device.name, effort=tool.effort,
                          runs=list(runs))
-    return JobOutcome(report=report, artifact=runs)
+    return JobOutcome(report=report, artifact=tool)
 
 
 def _campaign_from(spec: JobSpec):
@@ -549,10 +572,11 @@ def _run_mega(spec: JobSpec, ctx: JobContext) -> JobOutcome:
                             or FAILURE_OUTCOMES),
         min_stop_shards=params.get("min_stop_shards", 2),
         progress=ctx.progress)
-    if not result.reached_target:
-        code = ExitCode.INSUFFICIENT_EVIDENCE
-    elif result.report.counts.get("crash", 0):
+    # A crash outranks a missed CI target.
+    if result.report.counts.get("crash", 0):
         code = ExitCode.FAILURE
+    elif not result.reached_target:
+        code = ExitCode.INSUFFICIENT_EVIDENCE
     else:
         code = ExitCode.OK
     return JobOutcome(report=result, exit_code=code, artifact=result)
@@ -561,6 +585,6 @@ def _run_mega(spec: JobSpec, ctx: JobContext) -> JobOutcome:
 __all__ = [
     "ApiError", "ExitCode", "HTTP_STATUS_BY_EXIT", "HlsJobReport",
     "JobContext", "JobOutcome", "JobResult", "JobSpec", "JobSpecError",
-    "Runner", "http_status", "job_kinds", "register_kind", "submit",
-    "unregister_kind",
+    "Runner", "eco_base_netlist", "http_status", "job_kinds",
+    "register_kind", "submit", "unregister_kind",
 ]

@@ -3,6 +3,8 @@
 Subcommands mirror the tool surface a user of the paper's ecosystem gets:
 
 * ``hls``          — synthesize a HermesC file; print reports, write RTL;
+* ``eco``          — implement a base design, then re-implement one
+  netlist edit incrementally (optionally against a cold re-run);
 * ``characterize`` — run Eucalyptus and export the XML library;
 * ``boot``         — run the BL0→BL1→BL2 chain and print the boot report;
 * ``mission``      — run the virtualized mission under XtratuM;
@@ -16,26 +18,16 @@ Subcommands mirror the tool surface a user of the paper's ecosystem gets:
 * ``cache``        — inspect or maintain an on-disk flow cache
   (``stats`` / ``clear`` / ``gc``).
 
-``characterize`` and ``seu`` accept ``--jobs N`` to fan work out over the
-parallel execution engine (``--jobs 0`` uses every core); results are
-bit-identical to a serial run by the engine's seed-derivation contract.
-``characterize``, ``seu``, ``boot`` and ``mission`` also accept
-``--trace PATH`` (with ``--trace-format json|chrome``) to export the
-telemetry collected during the run.  ``hls``, ``characterize``, ``seu``
-and ``qualify`` accept ``--cache`` (and ``--cache-dir DIR`` for a
-persistent store) to reuse content-addressed flow artifacts; warm
-results are byte-identical to cold ones.
-
-``seu`` additionally scales to mega-campaigns: ``--shards N`` or
-``--shard-size RUNS`` split the run range into seed-range shards
-(merged byte-identical to serial at any worker count), each shard is
-checkpointed through the cache so ``--resume`` replays only missing
-shards after a kill or a ``--runs`` extension (hold ``--shard-size``
-fixed for stable checkpoint keys), ``--stop-ci X`` halts each scenario
-once the Wilson 95% CI half-width on its sdc+crash rate drops below X
-(exit code 4 when a campaign ends before reaching the target —
-statistically insufficient evidence), and ``--json-deterministic PATH``
-writes the execution-independent payloads CI jobs diff byte-for-byte.
+``characterize`` and ``seu`` take ``--jobs N`` (``0`` = every core;
+results are bit-identical to a serial run); most commands take
+``--trace PATH`` to export their telemetry and ``--cache`` or
+``--cache-dir DIR`` to reuse content-addressed flow artifacts (warm
+results are byte-identical to cold ones).  ``seu`` scales to sharded,
+checkpointed mega-campaigns (``--shards``/``--shard-size``, ``--resume``
+after a kill or a ``--runs`` extension), stops each scenario early at a
+Wilson-CI target (``--stop-ci``; exit 4 when a campaign misses it) and
+writes the execution-independent payloads CI diffs with
+``--json-deterministic``.
 
 The flow-as-a-service surface rides on the same tools:
 
@@ -44,6 +36,13 @@ The flow-as-a-service surface rides on the same tools:
 * ``submit``       — POST one JobSpec to a running server (optionally
   wait for and print the final report);
 * ``jobs``         — list/inspect/cancel jobs on a running server.
+
+``hls``, ``eco``, ``characterize`` and ``seu`` are clients of the job
+API: each builds job specs from its arguments, runs them in-process with
+:func:`repro.api.submit` under a :class:`~repro.api.JobContext` built
+from :class:`CommonOptions`, and renders the returned report and
+artifact.  A command and the same spec sent to ``repro serve`` compute
+the same result and reach the same verdict.
 
 Every subcommand exits with a :class:`repro.api.ExitCode` value —
 ``0`` OK, ``1`` workload failure, ``2`` usage error, ``4`` statistically
@@ -68,7 +67,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
-from .api import ExitCode
+from .api import ExitCode, JobContext, JobSpecError, job_kinds
 from .telemetry import TRACE_FORMATS, Tracer, render_trace, write_trace
 
 
@@ -101,23 +100,35 @@ class CommonOptions:
     def cache_enabled(self) -> bool:
         return self.cache or self.cache_dir is not None
 
-    def build_tracer(self) -> Optional[Tracer]:
-        return Tracer() if self.trace else None
+    def job_context(self, **knobs) -> JobContext:
+        """The execution context this invocation asked for: its jobs and
+        backend, a tracer with ``--trace``, a FlowCache with ``--cache``
+        or ``--cache-dir``, plus per-command ``knobs``."""
+        tracer = Tracer() if self.trace else None
+        cache = None
+        if self.cache_enabled:
+            from .cache import FlowCache
+            cache = FlowCache(directory=Path(self.cache_dir)
+                              if self.cache_dir else None, tracer=tracer)
+        return JobContext(jobs=self.jobs, backend=self.backend,
+                          tracer=tracer, cache=cache, **knobs)
 
-    def build_cache(self, tracer: Optional[Tracer] = None):
-        """The FlowCache this invocation asked for, or None."""
-        if not self.cache_enabled:
-            return None
-        from .cache import FlowCache
-        directory = Path(self.cache_dir) if self.cache_dir else None
-        return FlowCache(directory=directory, tracer=tracer)
+    def finish(self, context: JobContext) -> None:
+        """Print the cache summary and export the trace of a run."""
+        if context.cache is not None:
+            print(f"cache: {context.cache.summary()}", file=sys.stderr)
+        if context.tracer is not None:
+            write_trace(context.tracer, self.trace, self.trace_format)
+            print(f"trace ({self.trace_format}, "
+                  f"{len(context.tracer.spans)} spans) written to "
+                  f"{self.trace}", file=sys.stderr)
 
-    def finish_trace(self, tracer: Optional[Tracer]) -> None:
-        if tracer is None or not self.trace:
-            return
-        write_trace(tracer, self.trace, self.trace_format)
-        print(f"trace ({self.trace_format}, {len(tracer.spans)} spans) "
-              f"written to {self.trace}", file=sys.stderr)
+
+def _write_json(path: str, payload, what: str) -> None:
+    import json
+    Path(path).write_text(json.dumps(payload, sort_keys=True,
+                                     separators=(",", ":")))
+    print(f"{what} written to {path}", file=sys.stderr)
 
 
 def _parent(*specs) -> argparse.ArgumentParser:
@@ -163,14 +174,20 @@ def _cache_parent() -> argparse.ArgumentParser:
 
 
 def _cmd_hls(args) -> int:
-    from .hls import synthesize
+    from .api import JobSpec, submit
 
     options = CommonOptions.from_args(args)
-    source = Path(args.source).read_text()
-    project = synthesize(source, top=args.top, clock_ns=args.clock,
-                         opt_level=args.opt,
-                         cache=options.build_cache())
-    design = project[args.top]
+    try:
+        source = Path(args.source).read_text()
+    except OSError as error:
+        raise JobSpecError(str(error))
+    context = options.job_context()
+    result = submit(JobSpec(kind="hls", params={
+        "source": source, "top": args.top, "clock_ns": args.clock,
+        "opt_level": args.opt}), context)
+    options.finish(context)
+    project = result.artifact
+    design = project.top_design
     print(f"function {args.top}: {design.report.summary()}")
     print(f"  states: {design.state_count}  "
           f"static latency: {design.static_latency()}")
@@ -180,235 +197,187 @@ def _cmd_hls(args) -> int:
         for name, text in project.verilog_files().items():
             (out / name).write_text(text)
         print(f"  RTL written to {out}/")
-    if args.cosim:
-        print("  (cosim requires memory stimuli; use the Python API)")
-    return ExitCode.OK
+    return result.exit_code
 
 
 def _cmd_eco(args) -> int:
     import json
     import time
 
-    from .api import JobSpecError, _device_from
+    from .api import JobSpec, eco_base_netlist, submit
     from .core.report import report_json_text
-    from .fabric.eco import DeltaError, EcoFlow, NetlistDelta, \
-        random_delta
-    from .fabric.netlist import NetlistError
-    from .fabric.nxmap import FlowError, NXmapProject
-    from .fabric.routing import DEFAULT_CHANNEL_WIDTH
-    from .fabric.synthesis import SynthesisError, synthesize_component, \
-        synthesize_random
+    from .fabric.eco import DeltaError, random_delta
 
-    channel_width = (DEFAULT_CHANNEL_WIDTH if args.channel_width is None
-                     else args.channel_width)
     options = CommonOptions.from_args(args)
-    tracer = options.build_tracer()
-    cache = options.build_cache(tracer)
+    params = {"device": args.device, "grid_luts": args.grid_luts,
+              "target_clock_ns": args.clock, "effort": args.effort}
+    if args.channel_width is not None:
+        params["channel_width"] = args.channel_width
+    if args.synth_cells:
+        params.update(synth_cells=args.synth_cells,
+                      synth_seed=args.synth_seed)
+    else:
+        params.update(component=args.component, width=args.width,
+                      stages=args.stages)
     try:
-        if args.synth_cells:
-            netlist = synthesize_random(args.synth_cells,
-                                        seed=args.synth_seed)
-        else:
-            netlist = synthesize_component(args.component, args.width,
-                                           args.stages)
-        device = _device_from(args.device, args.grid_luts)
         if args.delta:
-            delta = NetlistDelta.from_json(
-                json.loads(Path(args.delta).read_text()))
+            params["delta"] = json.loads(Path(args.delta).read_text())
         else:
-            delta = random_delta(netlist, args.edit_fraction,
-                                 seed=args.edit_seed)
-        project = NXmapProject(netlist, device, seed=options.seed,
-                               tracer=tracer, cache=cache)
-    except (SynthesisError, DeltaError, JobSpecError, FlowError,
-            ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return ExitCode.USAGE
+            params["delta"] = random_delta(
+                eco_base_netlist(params), args.edit_fraction,
+                seed=args.edit_seed).to_json()
+    except (DeltaError, OSError, ValueError) as error:
+        raise JobSpecError(str(error))
 
-    # The interactive scenario: the base design is already implemented
-    # when the edit arrives, so the base flow (and its full-STA state)
-    # is built outside the timed edit loop.
-    flow = EcoFlow(project, delta, tracer=tracer)
-    flow.prepare_base(effort=args.effort, channel_width=channel_width)
-    start = time.perf_counter()
-    try:
-        report = flow.run(target_clock_ns=args.clock, effort=args.effort,
-                          channel_width=channel_width)
-    except (DeltaError, NetlistError, FlowError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return ExitCode.USAGE
-    eco_s = time.perf_counter() - start
+    # The runner reports progress once the base is implemented and again
+    # after the edit: the edit alone is timed between the two.
+    marks: List[float] = []
+    context = options.job_context(
+        progress=lambda done, total: marks.append(time.perf_counter()))
+    result = submit(JobSpec(kind="eco", params=params, seed=options.seed),
+                    context)
+    report, flow = result.report, result.artifact
+    eco_s = marks[1] - marks[0]
     print(f"eco: {report.summary()}", file=sys.stderr)
     print(f"eco wall time {eco_s:.3f} s", file=sys.stderr)
 
-    metrics = {"eco_s": eco_s, "delta_ops": len(delta.ops),
+    metrics = {"eco_s": eco_s, "delta_ops": len(flow.delta.ops),
                "hpwl_eco": report.flow.placement.hpwl,
                "hpwl_base": report.base_hpwl,
                **{f"eco_{key}": value
                   for key, value in sorted(report.eco.items())}}
     if args.compare_cold:
-        edited, _impact = delta.apply(netlist)
-        cold = NXmapProject(edited, device, seed=options.seed)
-        target = report.flow.timing.target_clock_ns \
-            if report.flow.timing is not None else args.clock
+        from .fabric.nxmap import NXmapProject
+
+        # The cold reference: the edited netlist through the full flow,
+        # at the edit's own clock target and channel width.
+        cold = NXmapProject(flow.netlist, flow.project.device,
+                            seed=options.seed)
+        eco_slack = report.flow.timing.slack_ns
         start = time.perf_counter()
-        cold.run_place(effort=args.effort)
-        cold.run_route(channel_width=channel_width)
-        cold_timing = cold.run_sta(target_clock_ns=target)
-        cold.run_bitstream()
+        cold_slack = cold.run_all(
+            target_clock_ns=report.flow.timing.target_clock_ns,
+            effort=args.effort,
+            channel_width=report.flow.routing.channel_width
+        ).timing.slack_ns
         cold_s = time.perf_counter() - start
-        eco_slack = report.flow.timing.slack_ns \
-            if report.flow.timing is not None else None
         metrics.update(
             cold_s=cold_s, speedup=cold_s / eco_s,
             hpwl_cold=cold.placement.hpwl,
-            hpwl_ratio=report.flow.placement.hpwl
-            / cold.placement.hpwl,
-            slack_eco_ns=eco_slack, slack_cold_ns=cold_timing.slack_ns,
+            hpwl_ratio=report.flow.placement.hpwl / cold.placement.hpwl,
+            slack_eco_ns=eco_slack, slack_cold_ns=cold_slack,
             new_timing_violation=bool(
                 eco_slack is not None and eco_slack < 0
-                and (cold_timing.slack_ns is None
-                     or cold_timing.slack_ns >= 0)))
+                and (cold_slack is None or cold_slack >= 0)))
         print(f"cold wall time {cold_s:.3f} s "
               f"(speedup {metrics['speedup']:.1f}x, "
               f"hpwl ratio {metrics['hpwl_ratio']:.4f})",
               file=sys.stderr)
-    options.finish_trace(tracer)
-    if cache is not None:
-        print(f"cache: {cache.summary()}", file=sys.stderr)
+    options.finish(context)
     if args.json:
-        Path(args.json).write_text(json.dumps(
-            metrics, sort_keys=True, separators=(",", ":")))
-        print(f"metrics written to {args.json}", file=sys.stderr)
+        _write_json(args.json, metrics, "metrics")
     wire = report_json_text(report)
     if args.report:
         Path(args.report).write_text(wire)
         print(f"report written to {args.report}", file=sys.stderr)
     else:
         print(wire)
-    routing = report.flow.routing
-    return ExitCode.FAILURE if routing is not None \
-        and routing.failed_connections else ExitCode.OK
+    return result.exit_code
+
+
+def _characterize_spec(args):
+    """The ``characterize`` job of ``repro characterize``: the sweep on
+    ``--device`` scaled to ``--grid-luts``, as an asdict payload."""
+    from .api import JobSpec, _device_from
+    from .fabric import scaled_device
+    from .hls.characterization.eucalyptus import DEFAULT_SEED
+
+    base = _device_from(args.device)
+    device = scaled_device(base, f"{base.name}-char", args.grid_luts)
+    return JobSpec(kind="characterize", seed=DEFAULT_SEED, params={
+        "device": device, "effort": args.effort,
+        "components": args.components.split(",")
+        if args.components else None,
+        "widths": [int(width) for width in args.widths.split(",")]})
 
 
 def _cmd_characterize(args) -> int:
-    import json
-
-    from .fabric import get_device, scaled_device
-    from .hls.characterization.eucalyptus import Eucalyptus
+    from .api import submit
 
     options = CommonOptions.from_args(args)
-    base = get_device(args.device)
-    device = scaled_device(base, f"{base.name}-char", args.grid_luts)
-    tracer = options.build_tracer()
-    cache = options.build_cache(tracer)
-    tool = Eucalyptus(device=device, effort=args.effort, tracer=tracer,
-                      cache=cache)
-    components = args.components.split(",") if args.components else None
-    runs = tool.sweep(components=components,
-                      widths=tuple(int(w) for w in args.widths.split(",")),
-                      jobs=options.jobs, backend=options.backend)
-    options.finish_trace(tracer)
+    context = options.job_context()
+    result = submit(_characterize_spec(args), context)
+    tool = result.artifact
     if options.jobs != 1 and tool.last_sweep_report is not None:
         print(f"sweep: {tool.last_sweep_report.summary()}")
-    if cache is not None:
-        print(f"cache: {cache.summary()}", file=sys.stderr)
+    options.finish(context)
     library = tool.build_library()
     xml_text = library.to_xml()
     if args.json:
-        Path(args.json).write_text(json.dumps(
-            [run.to_json() for run in runs],
-            sort_keys=True, separators=(",", ":")))
-        print(f"runs written to {args.json} ({len(runs)} records)",
-              file=sys.stderr)
+        runs = result.report.runs
+        _write_json(args.json, [run.to_json() for run in runs],
+                    f"{len(runs)} runs")
     if args.out:
         Path(args.out).write_text(xml_text)
         print(f"library written to {args.out} "
               f"({len(library.records())} records)")
     elif not args.json:
         print(xml_text)
-    return ExitCode.OK
+    return result.exit_code
 
 
 def _cmd_seu(args) -> int:
-    import json
-
+    from .api import JobSpec, submit
     from .core import Table
-    from .radhard import MegaCampaign, memory_scenarios
+    from .radhard.campaign import OUTCOMES
+    from .radhard.scenarios import MEMORY_SCENARIOS
 
     options = CommonOptions.from_args(args)
+    if args.resume and not options.cache_enabled:
+        raise JobSpecError("--resume needs --cache-dir (or --cache) to "
+                           "resume from")
     sharded = bool(args.shards) or args.shard_size is not None \
         or args.stop_ci is not None
-    if args.resume and not options.cache_enabled:
-        print("error: --resume needs --cache-dir (or --cache) to "
-              "resume from", file=sys.stderr)
-        return ExitCode.USAGE
+    params = {"scenario_params": {"words": args.words}, "runs": args.runs}
+    if sharded:
+        params.update(shards=args.shards or None,
+                      shard_size=args.shard_size, stop_ci=args.stop_ci)
+    context = options.job_context(timeout_s=args.timeout,
+                                  retries=args.retries)
     table = Table(
         f"SEU campaigns ({args.runs} runs each, seed {options.seed}, "
         f"jobs {options.jobs})",
-        ["target", "masked", "corrected", "detected", "sdc", "crash",
-         "fail_rate", "wall_s", "mean_ms", "p95_ms"])
-    failures = 0.0
-    target_missed = False
-    tracer = options.build_tracer()
-    cache = options.build_cache(tracer)
+        ["target", *OUTCOMES, "fail_rate", "wall_s", "mean_ms", "p95_ms"])
+    codes = set()
     reports = []
-    for campaign in memory_scenarios(words=args.words):
+    for scenario in MEMORY_SCENARIOS:
+        result = submit(JobSpec(kind="mega" if sharded else "seu",
+                                params=dict(params, scenario=scenario),
+                                seed=options.seed), context)
+        codes.add(result.exit_code)
+        report = result.report
         if sharded:
-            mega = MegaCampaign(campaign, cache=cache, tracer=tracer)
-            result = mega.run(args.runs, seed=options.seed,
-                              jobs=options.jobs,
-                              backend=options.backend,
-                              shards=args.shards or None,
-                              shard_size=args.shard_size,
-                              timeout_s=args.timeout,
-                              retries=args.retries,
-                              stop_ci=args.stop_ci)
-            report = result.report
-            print(f"mega: {result.summary()}", file=sys.stderr)
-            target_missed |= not result.reached_target
-        else:
-            report = campaign.run(args.runs, seed=options.seed,
-                                  jobs=options.jobs,
-                                  backend=options.backend,
-                                  timeout_s=args.timeout,
-                                  retries=args.retries, tracer=tracer,
-                                  cache=cache)
+            print(f"mega: {report.summary()}", file=sys.stderr)
+            report = report.report
         reports.append(report)
-        table.add_row(campaign.name,
-                      report.counts.get("masked", 0),
-                      report.counts.get("corrected", 0),
-                      report.counts.get("detected", 0),
-                      report.counts.get("sdc", 0),
-                      report.counts.get("crash", 0),
+        table.add_row(report.name,
+                      *(report.counts.get(name, 0) for name in OUTCOMES),
                       round(report.failure_rate, 4),
                       round(report.wall_s, 3),
                       round(report.latency.mean_s * 1e3, 3),
                       round(report.latency.p95_s * 1e3, 3))
-        failures += report.counts.get("crash", 0)
     print(table.render())
     if args.json:
-        Path(args.json).write_text(json.dumps(
-            [report.to_json() for report in reports],
-            sort_keys=True, separators=(",", ":")))
-        print(f"reports written to {args.json}", file=sys.stderr)
+        _write_json(args.json, [report.to_json() for report in reports],
+                    "reports")
     if args.json_deterministic:
-        Path(args.json_deterministic).write_text(json.dumps(
-            [report.deterministic_json() for report in reports],
-            sort_keys=True, separators=(",", ":")))
-        print(f"deterministic payloads written to "
-              f"{args.json_deterministic}", file=sys.stderr)
-    if cache is not None:
-        print(f"cache: {cache.summary()}", file=sys.stderr)
-    options.finish_trace(tracer)
-    if failures != 0:
-        return ExitCode.FAILURE
-    # With --stop-ci, a campaign that ran out of shards before its CI
-    # half-width reached the target is insufficient statistical
-    # evidence — a distinct exit code so CI can gate on it.
-    if args.stop_ci is not None and target_missed:
-        return ExitCode.INSUFFICIENT_EVIDENCE
-    return ExitCode.OK
+        _write_json(args.json_deterministic,
+                    [report.deterministic_json() for report in reports],
+                    "deterministic payloads")
+    options.finish(context)
+    # The worst runner verdict wins: a crash, then a missed CI target.
+    return max(codes, key=(ExitCode.OK, ExitCode.INSUFFICIENT_EVIDENCE,
+                           ExitCode.FAILURE).index)
 
 
 def _cmd_boot(args) -> int:
@@ -423,7 +392,8 @@ def _cmd_boot(args) -> int:
     provision_flash(soc, [app], copies=args.copies)
     options = CommonOptions.from_args(args)
     config = Bl1Config(redundancy=RedundancyMode(args.redundancy))
-    tracer = options.build_tracer()
+    context = options.job_context()
+    tracer = context.tracer
     result = run_boot_chain(soc, config=config, run_application=True,
                             tracer=tracer)
     print(result.render())
@@ -436,7 +406,7 @@ def _cmd_boot(args) -> int:
               f"{stats['invalidations']} invalidations")
         if tracer is not None:
             soc.dbt_cache.publish(tracer)
-    options.finish_trace(tracer)
+    options.finish(context)
     return ExitCode.OK if result.bl1.report.success \
         else ExitCode.FAILURE
 
@@ -445,12 +415,12 @@ def _cmd_mission(args) -> int:
     from .apps import mission
 
     options = CommonOptions.from_args(args)
-    tracer = options.build_tracer()
+    context = options.job_context()
     run = mission.run_mission(frames=args.frames,
                               faulty_vbn=args.inject_faults,
-                              tracer=tracer)
+                              tracer=context.tracer)
     print(run.hypervisor.summary(run.metrics))
-    options.finish_trace(tracer)
+    options.finish(context)
     if run.telemetry:
         last = run.telemetry[-1]
         print(f"\nfinal AOCS pointing error: "
@@ -616,12 +586,12 @@ def _cmd_qualify(args) -> int:
         print("qualification bench not found; run from the repository")
         return ExitCode.FAILURE
     options = CommonOptions.from_args(args)
-    cache = options.build_cache()
-    table, report, trl, pack = module.run_qualification(cache=cache)
+    context = options.job_context()
+    table, report, trl, pack = module.run_qualification(
+        cache=context.cache)
     print(table.render())
     print(f"\nTRL {trl.level}; datapack complete: {pack.complete}")
-    if cache is not None:
-        print(f"cache: {cache.summary()}", file=sys.stderr)
+    options.finish(context)
     return ExitCode.OK if report.all_passed else ExitCode.FAILURE
 
 
@@ -651,12 +621,11 @@ def _cmd_serve(args) -> int:
     from .service import JobScheduler, JobServer
 
     options = CommonOptions.from_args(args)
-    tracer = options.build_tracer()
-    cache = options.build_cache(tracer)
+    context = options.job_context()
     scheduler = JobScheduler(workers=args.workers,
-                             max_queue=args.max_queue, cache=cache,
-                             tracer=tracer, job_workers=options.jobs,
-                             backend=options.backend).start()
+                             max_queue=args.max_queue, cache=context.cache,
+                             tracer=context.tracer, job_workers=context.jobs,
+                             backend=context.backend).start()
     server = JobServer((args.host, args.port), scheduler,
                        verbose=args.verbose)
     host, port = server.server_address[:2]
@@ -670,33 +639,29 @@ def _cmd_serve(args) -> int:
     finally:
         server.server_close()
         scheduler.stop()
-        options.finish_trace(tracer)
+        options.finish(context)
     return ExitCode.OK
 
 
 def _cmd_submit(args) -> int:
     import json
 
-    from .api import JobSpec, JobSpecError
+    from .api import JobSpec
     from .service import ServiceClient, ServiceClientError
 
     options = CommonOptions.from_args(args)
     try:
         params = json.loads(args.params)
-        if not isinstance(params, dict):
-            raise ValueError("--params must be a JSON object")
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return ExitCode.USAGE
+        raise JobSpecError(f"--params is not JSON: {error}")
+    if not isinstance(params, dict):
+        raise JobSpecError("--params must be a JSON object")
     client = ServiceClient(args.host, args.port)
     try:
         spec = JobSpec(kind=args.kind, params=params,
                        seed=options.seed, priority=args.priority,
                        tenant=args.tenant)
         job = client.submit(spec)
-    except JobSpecError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return ExitCode.USAGE
     except ServiceClientError as error:
         print(f"error: {error}", file=sys.stderr)
         return ExitCode.USAGE if error.status == 400 \
@@ -781,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="clock period (ns)")
     hls.add_argument("--opt", type=int, default=2, choices=(0, 1, 2, 3))
     hls.add_argument("--out", help="directory for generated RTL")
-    hls.add_argument("--cosim", action="store_true")
     hls.set_defaults(func=_cmd_hls)
 
     eco = sub.add_parser(
@@ -958,8 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", parents=[seed_p, service_p],
         help="submit one JobSpec to a running job server")
     submit.add_argument("kind",
-                        help="job kind (hls, flow, characterize, seu, "
-                             "mega)")
+                        help=f"job kind ({', '.join(job_kinds())})")
     submit.add_argument("--params", default="{}", metavar="JSON",
                         help="kind-specific params as a JSON object")
     submit.add_argument("--tenant", default="default")
@@ -993,14 +956,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .exec import ExecError
+
+    # The job service's rule: a spec its runner cannot build from is a
+    # usage error, a run that failed is a failure.
     try:
         return args.func(args)
-    except Exception as error:  # noqa: BLE001 - CLI boundary
-        from .exec import ExecError
-        if isinstance(error, ExecError):
-            print(f"error: {error}", file=sys.stderr)
-            return ExitCode.USAGE
-        raise
+    except (JobSpecError, ExecError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return ExitCode.USAGE if isinstance(error, JobSpecError) \
+            else ExitCode.FAILURE
 
 
 if __name__ == "__main__":

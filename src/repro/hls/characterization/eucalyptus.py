@@ -28,6 +28,8 @@ from .library import ComponentLibrary, ComponentRecord
 
 DEFAULT_WIDTHS = (8, 16, 32)
 DEFAULT_STAGES = (0, 2)
+#: The fixed placement seed of every configuration a sweep characterizes.
+DEFAULT_SEED = 7
 
 # Components whose template ignores the stages parameter.
 _COMBINATIONAL_ONLY = {"logic", "shifter", "comparator", "mux"}
@@ -103,7 +105,8 @@ class SweepReport:
 class Eucalyptus:
     """Drives characterization sweeps over the fabric flow."""
 
-    def __init__(self, device: Device = NG_ULTRA, seed: int = 7,
+    def __init__(self, device: Device = NG_ULTRA,
+                 seed: int = DEFAULT_SEED,
                  effort: float = 0.3,
                  tracer: Optional[Tracer] = None,
                  cache: Optional[FlowCache] = None) -> None:

@@ -133,12 +133,6 @@ def beam_campaign(words: int = DEFAULT_WORDS,
                     scenario_params={"words": words, "dwell_s": dwell_s})
 
 
-def memory_scenarios(words: int = DEFAULT_WORDS) -> List[Campaign]:
-    """The §I mitigation matrix: raw vs ECC vs TMR."""
-    return [raw_sram_campaign(words), ecc_campaign(words),
-            tmr_campaign(words)]
-
-
 #: Scenario factory ids accepted by the ``seu``/``mega`` job kinds —
 #: how a service client (which cannot ship campaign closures over the
 #: wire) names a campaign in ``JobSpec.params["scenario"]``.
@@ -148,6 +142,14 @@ SCENARIO_FACTORIES = {
     "tmr": tmr_campaign,
     "beam": beam_campaign,
 }
+
+#: The §I mitigation matrix (raw vs ECC vs TMR), by factory id.
+MEMORY_SCENARIOS = ("raw-sram", "ecc", "tmr")
+
+
+def memory_scenarios(words: int = DEFAULT_WORDS) -> List[Campaign]:
+    """The §I mitigation matrix: raw vs ECC vs TMR."""
+    return [build_scenario(name, words=words) for name in MEMORY_SCENARIOS]
 
 
 def build_scenario(name: str, **params) -> Campaign:

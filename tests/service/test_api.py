@@ -165,6 +165,104 @@ class TestSubmit:
         assert "seu" in result.summary()
 
 
+# -- exit codes, one table per kind -------------------------------------------
+
+
+def verdict(spec):
+    """The exit code the job service gives ``spec``: the runner's code,
+    USAGE for a JobSpecError, FAILURE for any other exception."""
+    try:
+        return submit(spec).exit_code
+    except JobSpecError:
+        return ExitCode.USAGE
+    except Exception:  # noqa: BLE001 - the service's failed-job rule
+        return ExitCode.FAILURE
+
+
+SCENARIO = {"scenario": "raw-sram", "scenario_params": {"words": 16},
+            "runs": 40}
+MISSED_CI = {"shards": 2, "stop_ci": 0.000001}
+
+
+class TestExitCodeTables:
+    """One row per verdict of each kind; ``tests/test_cli.py`` pins the
+    same verdicts for the matching ``repro`` commands."""
+
+    @pytest.mark.parametrize("kind, params, crash, expected", [
+        ("seu", SCENARIO, False, ExitCode.OK),
+        ("seu", SCENARIO, True, ExitCode.FAILURE),
+        ("seu", dict(SCENARIO, scenario="nope"), False, ExitCode.USAGE),
+        ("mega", SCENARIO, False, ExitCode.OK),
+        ("mega", SCENARIO, True, ExitCode.FAILURE),
+        ("mega", dict(SCENARIO, scenario="nope"), False, ExitCode.USAGE),
+        ("mega", dict(SCENARIO, **MISSED_CI), False,
+         ExitCode.INSUFFICIENT_EVIDENCE),
+        # A crash outranks a missed CI target.
+        ("mega", dict(SCENARIO, **MISSED_CI), True, ExitCode.FAILURE),
+    ], ids=["seu-ok", "seu-crash", "seu-usage", "mega-ok", "mega-crash",
+            "mega-usage", "mega-missed-ci", "mega-crash-and-missed-ci"])
+    def test_campaign_kinds(self, request, kind, params, crash, expected):
+        if crash:
+            request.getfixturevalue("crashing_sram")
+        assert verdict(JobSpec(kind=kind, params=params)) is expected
+
+    def test_crash_and_missed_ci_returned_by_submit(self, crashing_sram):
+        result = submit(JobSpec(kind="mega",
+                                params=dict(SCENARIO, **MISSED_CI)))
+        assert not result.artifact.reached_target
+        assert result.exit_code is ExitCode.FAILURE
+
+    @pytest.mark.parametrize("params, expected", [
+        ({"source": SOURCE, "top": "scale"}, ExitCode.OK),
+        ({"source": SOURCE}, ExitCode.USAGE),
+        ({"source": "int scale(int x) { return x", "top": "scale"},
+         ExitCode.FAILURE),
+    ], ids=["ok", "missing-top", "parse-error"])
+    def test_hls(self, params, expected):
+        assert verdict(JobSpec(kind="hls", params=params)) is expected
+
+    ECO_BASE = {"component": "addsub", "width": 8, "stages": 0,
+                "grid_luts": 1024, "effort": 0.2}
+
+    def eco_spec(self, **params):
+        from repro.api import eco_base_netlist
+        from repro.fabric.eco import random_delta
+        merged = dict(self.ECO_BASE, **params)
+        if "delta" not in merged:
+            merged["delta"] = random_delta(eco_base_netlist(self.ECO_BASE),
+                                           0.1, seed=3).to_json()
+        return JobSpec(kind="eco", params=merged)
+
+    def test_eco_ok(self):
+        assert verdict(self.eco_spec()) is ExitCode.OK
+
+    def test_eco_usage(self):
+        assert verdict(self.eco_spec(component="nope",
+                                     delta=[])) is ExitCode.USAGE
+        assert verdict(self.eco_spec(delta=[
+            {"op": "remove_cell", "name": "no-such-cell"}])) \
+            is ExitCode.USAGE
+        # A base design too large for its device.
+        assert verdict(self.eco_spec(grid_luts=2)) is ExitCode.USAGE
+
+    def test_eco_failed_routing_is_failure(self, failed_eco_routing):
+        assert verdict(self.eco_spec()) is ExitCode.FAILURE
+
+    CHAR = {"components": ["logic"], "widths": [8], "effort": 0.1,
+            "grid_luts": 1024}
+
+    def test_characterize(self, request):
+        assert verdict(JobSpec(kind="characterize", params=self.CHAR)) \
+            is ExitCode.OK
+        for bad in ({"components": ["logic", "nope"]},
+                    {"device": "NG-NOPE"}):
+            assert verdict(JobSpec(kind="characterize", params=dict(
+                self.CHAR, **bad))) is ExitCode.USAGE
+        request.getfixturevalue("broken_characterization")
+        assert verdict(JobSpec(kind="characterize", params=self.CHAR)) \
+            is ExitCode.FAILURE
+
+
 # -- public entry points and the facade agree --------------------------------
 
 class TestShimEquivalence:

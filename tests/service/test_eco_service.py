@@ -59,3 +59,31 @@ class TestEcoService:
         assert record.done.wait(timeout=60.0)
         assert record.state is JobState.FAILED
         assert "delta" in (record.error or "")
+
+    def test_progress_brackets_the_edit(self, scheduler):
+        # The base is prepared before (1, 2) and the edit done at
+        # (2, 2): the CLI times the edit between the two.
+        record = scheduler.submit(eco_spec())
+        assert record.done.wait(timeout=60.0)
+        progress = [(event["completed"], event["total"])
+                    for event in record.events
+                    if event["event"] == "progress"]
+        assert progress == [(1, 2), (2, 2)]
+
+
+class TestUnknownComponentIsUsage:
+    """A component the synthesis library lacks is a usage error (exit 2)
+    for every kind that names one, as it is for the CLI."""
+
+    @pytest.mark.parametrize("kind, params", [
+        ("flow", {"component": "nope", "grid_luts": 1024}),
+        ("eco", {"component": "nope", "grid_luts": 1024, "delta": []}),
+        ("characterize", {"components": ["logic", "nope"],
+                          "widths": [8], "grid_luts": 1024}),
+    ], ids=["flow", "eco", "characterize"])
+    def test_service_job_exits_usage(self, scheduler, kind, params):
+        record = scheduler.submit(JobSpec(kind=kind, params=params))
+        assert record.done.wait(timeout=60.0)
+        assert record.state is JobState.FAILED
+        assert record.exit_code is ExitCode.USAGE
+        assert "unknown component" in record.error

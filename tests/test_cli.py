@@ -1,7 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.api import ExitCode
 from repro.cli import main
 
 
@@ -18,6 +26,12 @@ class TestCliHls:
         assert "function triple" in captured
         assert (out_dir / "triple.v").exists()
         assert "module triple" in (out_dir / "triple.v").read_text()
+
+    def test_cosim_flag_is_gone(self, tmp_path):
+        source = tmp_path / "kernel.c"
+        source.write_text("int f(int x) { return x; }\n")
+        with pytest.raises(SystemExit):
+            main(["hls", str(source), "--top", "f", "--cosim"])
 
     def test_hls_opt_levels(self, tmp_path, capsys):
         source = tmp_path / "kernel.c"
@@ -228,3 +242,124 @@ class TestCliLint:
         assert main(["lint", str(source), "--baseline",
                      str(baseline)]) == 0
         assert "suppressed by baseline" in capsys.readouterr().out
+
+
+def _cli_exit(argv) -> int:
+    """The exit status of ``repro ARGV`` run as a process."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          env=env, capture_output=True).returncode
+
+
+class TestCliExitCodes:
+    """One row per verdict of each job command; the same verdicts are
+    pinned for the job API in ``tests/service/test_api.py``."""
+
+    SEU = ["seu", "--runs", "40", "--words", "16"]
+    MISSED_CI = ["--shards", "2", "--stop-ci", "0.000001"]
+
+    @pytest.mark.parametrize("extra, crash, expected", [
+        ([], False, ExitCode.OK),
+        ([], True, ExitCode.FAILURE),
+        (["--resume"], False, ExitCode.USAGE),
+        (MISSED_CI, False, ExitCode.INSUFFICIENT_EVIDENCE),
+        # A crash outranks a missed CI target.
+        (MISSED_CI, True, ExitCode.FAILURE),
+        (["--shard-size", "10"], True, ExitCode.FAILURE),
+    ], ids=["ok", "crash", "resume-without-cache", "missed-ci",
+            "crash-and-missed-ci", "sharded-crash"])
+    def test_seu(self, request, extra, crash, expected, capsys):
+        if crash:
+            request.getfixturevalue("crashing_sram")
+        assert main(self.SEU + extra) == expected
+
+    HLS_OK = "int f(int x) { return x * 3; }\n"
+
+    @pytest.mark.parametrize("text, expected", [
+        (HLS_OK, ExitCode.OK),
+        (None, ExitCode.USAGE),                  # no such source file
+        ("int f(int x) { return x", ExitCode.FAILURE),
+    ], ids=["ok", "missing-source", "parse-error"])
+    def test_hls(self, tmp_path, text, expected, capsys):
+        source = tmp_path / "kernel.c"
+        if text is not None:
+            source.write_text(text)
+        argv = ["hls", str(source), "--top", "f"]
+        if expected is ExitCode.FAILURE:
+            # A producer exception ends the process with status 1,
+            # traceback and all, as the service marks the job failed.
+            assert _cli_exit(argv) == expected
+        else:
+            assert main(argv) == expected
+
+    ECO = ["eco", "--width", "8", "--stages", "0", "--grid-luts", "1024",
+           "--effort", "0.2", "--edit-fraction", "0.1"]
+
+    def test_eco_ok(self, tmp_path, capsys):
+        assert main(self.ECO + ["--report", str(tmp_path / "r.json")]) \
+            == ExitCode.OK
+
+    def test_eco_unknown_component_is_usage(self, capsys):
+        assert main(self.ECO + ["--component", "nope"]) == ExitCode.USAGE
+        assert "unknown component" in capsys.readouterr().err
+
+    def test_eco_inapplicable_delta_is_usage(self, tmp_path, capsys):
+        delta = tmp_path / "delta.json"
+        delta.write_text(json.dumps([{"op": "remove_cell",
+                                      "name": "no-such-cell"}]))
+        assert main(self.ECO + ["--delta", str(delta)]) == ExitCode.USAGE
+
+    def test_eco_failed_routing_is_failure(self, failed_eco_routing,
+                                           capsys):
+        assert main(self.ECO) == ExitCode.FAILURE
+
+    CHAR = ["characterize", "--components", "logic", "--widths", "8",
+            "--effort", "0.1"]
+
+    def test_characterize_ok(self, capsys):
+        assert main(self.CHAR) == ExitCode.OK
+
+    @pytest.mark.parametrize("extra", [
+        ["--components", "logic,nope"], ["--device", "NG-NOPE"]],
+        ids=["unknown-component", "unknown-device"])
+    def test_characterize_usage(self, extra, capsys):
+        assert main(self.CHAR + extra) == ExitCode.USAGE
+
+    def test_characterize_failed_config_is_failure(
+            self, broken_characterization, capsys):
+        assert main(self.CHAR) == ExitCode.FAILURE
+        assert "injected synthesis fault" in capsys.readouterr().err
+
+
+class TestCliSubmitCharacterize:
+    def test_submit_returns_the_sweep_the_command_computes(
+            self, tmp_path, capsys):
+        from repro.api import submit
+        from repro.cli import _characterize_spec, build_parser
+        from repro.core.report import parse_report, report_json_text
+        from repro.service import JobScheduler, serve_background, \
+            shutdown_server
+
+        argv = ["characterize", "--components", "addsub,logic",
+                "--widths", "8", "--effort", "0.1", "--grid-luts", "1024"]
+        runs = tmp_path / "runs.json"
+        assert main(argv + ["--json", str(runs)]) == 0
+        spec = _characterize_spec(build_parser().parse_args(argv))
+        server, thread = serve_background(
+            port=0, scheduler=JobScheduler(workers=1, max_queue=4))
+        try:
+            wire = tmp_path / "report.json"
+            assert main(["submit", "characterize",
+                         "--port", str(server.server_address[1]),
+                         "--params", json.dumps(spec.params),
+                         "--seed", str(spec.seed), "--wait",
+                         "--report", str(wire)]) == 0
+        finally:
+            shutdown_server(server, thread)
+        assert wire.read_text() == report_json_text(submit(spec).report)
+        served = parse_report(wire.read_text())
+        assert served.device == "NG-ULTRA-char"
+        assert json.dumps([run.to_json() for run in served.runs],
+                          sort_keys=True, separators=(",", ":")) \
+            == runs.read_text()
