@@ -72,25 +72,35 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "benchmarks/bench_eucalyptus_characterization.py "
          "--jobs 4"),
     ]},
-    # Traced example flow + schema gate: generate a Chrome trace through
-    # the real CLI, validate it against the stdlib-only trace-event
-    # schema checker, and prove --jobs invariance on a parallel producer
-    # by diffing the byte-identical JSON-lines exports.
+    # Trace + schema gates on the commands that do the work: Chrome
+    # traces of the quickstart kernel through `repro hls` and of a
+    # fabric flow through `repro eco`, validated against the stdlib-only
+    # trace-event schema checker; a traced boot; and --jobs invariance
+    # of a parallel producer, by diffing byte-identical JSON-lines
+    # exports of the same SEU campaigns.
     "telemetry-trace": {"steps": [
-        ("Traced example flow (Chrome export)",
-         "PYTHONPATH=src python -m repro.cli trace flow "
-         "--format chrome --out flow_trace.json"),
-        ("Validate trace against the trace-event schema",
-         "python tests/telemetry/chrome_schema.py flow_trace.json"),
+        ("Traced HLS and fabric flows (Chrome export)",
+         "PYTHONPATH=src python -c \"import sys; "
+         "sys.path.insert(0, 'examples'); import quickstart; "
+         "open('wavg.c', 'w').write(quickstart.SOURCE)\" "
+         "&& PYTHONPATH=src python -m repro.cli hls wavg.c --top wavg "
+         "--clock 5 --trace hls_trace.json --trace-format chrome "
+         "&& PYTHONPATH=src python -m repro.cli eco --width 16 "
+         "--stages 0 --grid-luts 4096 --effort 0.2 --clock 5 "
+         "--report eco_report.json "
+         "--trace eco_trace.json --trace-format chrome"),
+        ("Validate both traces against the trace-event schema",
+         "python tests/telemetry/chrome_schema.py hls_trace.json "
+         "&& python tests/telemetry/chrome_schema.py eco_trace.json"),
         ("Traced boot via --trace on the boot command",
          "PYTHONPATH=src python -m repro.cli boot "
          "--trace boot_trace.json --trace-format chrome "
          "&& python tests/telemetry/chrome_schema.py boot_trace.json"),
         ("Trace determinism across job counts",
-         "PYTHONPATH=src python -m repro.cli trace seu --jobs 1 "
-         "--out seu1.jsonl "
-         "&& PYTHONPATH=src python -m repro.cli trace seu --jobs 4 "
-         "--out seu4.jsonl "
+         "PYTHONPATH=src python -m repro.cli seu --runs 60 --words 32 "
+         "--jobs 1 --trace seu1.jsonl "
+         "&& PYTHONPATH=src python -m repro.cli seu --runs 60 --words 32 "
+         "--jobs 4 --trace seu4.jsonl "
          "&& cmp seu1.jsonl seu4.jsonl"),
     ]},
     # Warm-run bit-identity gate for the content-addressed flow cache: a

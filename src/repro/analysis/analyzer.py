@@ -136,7 +136,8 @@ class AnalysisReport:
 def load_baseline(text: str) -> Set[str]:
     """Parse a baseline document into a suppression fingerprint set."""
     data = json.loads(text)
-    if not isinstance(data, dict) or "suppress" not in data:
+    if not isinstance(data, dict) \
+            or not isinstance(data.get("suppress"), list):
         raise ValueError("baseline must be a JSON object with a "
                          "'suppress' list")
     return set(data["suppress"])

@@ -12,22 +12,22 @@ Subcommands mirror the tool surface a user of the paper's ecosystem gets:
 * ``seu``          — run the SEU mitigation campaigns (raw/ECC/TMR);
 * ``lint``         — static verification of HermesC sources, XM_CF
   documents and the built-in example designs (``--examples``);
-* ``trace``        — run a canned scenario of one stack layer with
-  telemetry enabled and export the trace (JSON-lines or Chrome
-  trace-event for ui.perfetto.dev);
 * ``cache``        — inspect or maintain an on-disk flow cache
   (``stats`` / ``clear`` / ``gc``).
 
 ``characterize`` and ``seu`` take ``--jobs N`` (``0`` = every core;
-results are bit-identical to a serial run); most commands take
-``--trace PATH`` to export their telemetry and ``--cache`` or
-``--cache-dir DIR`` to reuse content-addressed flow artifacts (warm
-results are byte-identical to cold ones).  ``seu`` scales to sharded,
-checkpointed mega-campaigns (``--shards``/``--shard-size``, ``--resume``
-after a kill or a ``--runs`` extension), stops each scenario early at a
-Wilson-CI target (``--stop-ci``; exit 4 when a campaign misses it) and
-writes the execution-independent payloads CI diffs with
-``--json-deterministic``.
+results are bit-identical to a serial run).  ``hls``, ``eco``,
+``characterize``, ``seu``, ``boot``, ``mission`` and ``serve`` take
+``--trace PATH`` (``--trace-format json|chrome``) to export the
+telemetry of the run they do; there is no separate tracing command, so
+a trace is always the telemetry of a real job.  Most commands take
+``--cache`` or ``--cache-dir DIR`` to reuse content-addressed flow
+artifacts (warm results are byte-identical to cold ones).  ``seu``
+scales to sharded, checkpointed mega-campaigns (``--shards``/
+``--shard-size``, ``--resume`` after a kill or a ``--runs``
+extension), stops each scenario early at a Wilson-CI target
+(``--stop-ci``; exit 4 when a campaign misses it) and writes the
+execution-independent payloads CI diffs with ``--json-deterministic``.
 
 The flow-as-a-service surface rides on the same tools:
 
@@ -47,7 +47,10 @@ the same result and reach the same verdict.
 Every subcommand exits with a :class:`repro.api.ExitCode` value —
 ``0`` OK, ``1`` workload failure, ``2`` usage error, ``4`` statistically
 insufficient evidence — and the service maps the same enum onto HTTP
-statuses, so shell pipelines and HTTP clients read one convention.
+statuses, so shell pipelines and HTTP clients read one convention.  A
+producer exception (a HermesC ``ParseError``, say) ends the command with
+``error: <Type>: <message>`` on stderr and exit ``1``: the line and code
+the service gives the same failed job.
 
 Shared flags are defined once as argparse *parent parsers*
 (``--jobs``/``--backend``, ``--seed``, ``--trace``/``--trace-format``,
@@ -68,7 +71,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .api import ExitCode, JobContext, JobSpecError, job_kinds
-from .telemetry import TRACE_FORMATS, Tracer, render_trace, write_trace
+from .telemetry import TRACE_FORMATS, Tracer, write_trace
 
 
 @dataclass
@@ -458,7 +461,12 @@ def _cmd_lint(args) -> int:
         return ExitCode.USAGE
     baseline = None
     if args.baseline:
-        baseline = load_baseline(Path(args.baseline).read_text())
+        try:
+            baseline = load_baseline(Path(args.baseline).read_text())
+        except (OSError, ValueError) as error:
+            print(f"error: baseline {args.baseline}: {error}",
+                  file=sys.stderr)
+            return ExitCode.USAGE
     rules = [p.strip() for p in args.rules.split(",") if p.strip()] \
         if args.rules else None
     try:
@@ -482,113 +490,12 @@ def _cmd_lint(args) -> int:
     return report.exit_code(fail_on)
 
 
-# Kernel for the canned ``trace flow`` scenario (the quickstart wavg).
-_TRACE_KERNEL = """
-// Weighted moving average over an 8-sample window.
-void wavg(const int *x, int *y, int n) {
-  const int w[8] = {1, 2, 4, 8, 8, 4, 2, 1};
-  for (int i = 7; i < n; i++) {
-    int acc = 0;
-    for (int t = 0; t < 8; t++) {
-      acc += x[i - t] * w[t];
-    }
-    y[i] = acc >> 5;
-  }
-}
-"""
-
-
-def _trace_scenario_flow(tracer, args) -> None:
-    """HLS pipeline + fabric backend on the quickstart kernel."""
-    from .fabric import get_device, scaled_device
-    from .fabric.nxmap import NXmapProject
-    from .fabric.synthesis import synthesize_component
-    from .hls import synthesize
-
-    synthesize(_TRACE_KERNEL, top="wavg", clock_ns=5.0, tracer=tracer)
-    device = scaled_device(get_device("NG-ULTRA"), "NG-ULTRA-trace", 4096)
-    netlist = synthesize_component("addsub", 16, 0)
-    project = NXmapProject(netlist, device, tracer=tracer)
-    project.run_all(target_clock_ns=5.0, effort=0.2)
-
-
-def _trace_scenario_boot(tracer, args) -> None:
-    """BL0→BL2 power-up with an application image."""
-    from .boot import (BootImage, ImageKind, provision_flash,
-                       run_boot_chain)
-    from .soc import DDR_BASE, NgUltraSoc, assemble
-
-    soc = NgUltraSoc()
-    program = assemble("MOVI r0, #42\nHALT", base_address=DDR_BASE)
-    app = BootImage(kind=ImageKind.APPLICATION, load_address=DDR_BASE,
-                    entry_point=DDR_BASE, payload=program, name="app")
-    provision_flash(soc, [app])
-    run_boot_chain(soc, run_application=True, tracer=tracer)
-
-
-def _trace_scenario_mission(tracer, args) -> None:
-    """Virtualized mission under the XtratuM-equivalent hypervisor."""
-    from .apps import mission
-
-    mission.run_mission(frames=20, tracer=tracer)
-
-
-def _trace_scenario_seu(tracer, args) -> None:
-    """SEU mitigation campaigns (raw/ECC/TMR memory targets)."""
-    from .radhard import memory_scenarios
-
-    for campaign in memory_scenarios(words=32):
-        campaign.run(60, seed=13, jobs=args.jobs, tracer=tracer)
-
-
-def _trace_scenario_characterize(tracer, args) -> None:
-    """A small Eucalyptus characterization sweep."""
-    from .fabric import get_device, scaled_device
-    from .hls.characterization.eucalyptus import Eucalyptus
-
-    device = scaled_device(get_device("NG-ULTRA"), "NG-ULTRA-trace", 4096)
-    tool = Eucalyptus(device=device, effort=0.2, tracer=tracer)
-    tool.sweep(components=["addsub", "logic"], widths=(8, 16),
-               jobs=args.jobs)
-
-
-_TRACE_SCENARIOS = {
-    "flow": _trace_scenario_flow,
-    "boot": _trace_scenario_boot,
-    "mission": _trace_scenario_mission,
-    "seu": _trace_scenario_seu,
-    "characterize": _trace_scenario_characterize,
-}
-
-
-def _cmd_trace(args) -> int:
-    tracer = Tracer()
-    _TRACE_SCENARIOS[args.scenario](tracer, args)
-    text = render_trace(tracer, args.format)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"{args.scenario} trace ({args.format}) written to "
-              f"{args.out}: {tracer.summary()}", file=sys.stderr)
-    else:
-        print(text)
-        print(f"{args.scenario} trace: {tracer.summary()}",
-              file=sys.stderr)
-    return ExitCode.OK
-
-
 def _cmd_qualify(args) -> int:
-    import importlib
-    sys.path.insert(0, str(Path(__file__).resolve().parents[2]
-                           / "benchmarks"))
-    try:
-        module = importlib.import_module("bench_qualification_datapack")
-    except ModuleNotFoundError:
-        print("qualification bench not found; run from the repository")
-        return ExitCode.FAILURE
+    from .core.bl1_qualification import run_qualification
+
     options = CommonOptions.from_args(args)
     context = options.job_context()
-    table, report, trl, pack = module.run_qualification(
-        cache=context.cache)
+    table, report, trl, pack = run_qualification(cache=context.cache)
     print(table.render())
     print(f"\nTRL {trl.level}; datapack complete: {pack.complete}")
     options.finish(context)
@@ -738,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = _trace_parent()
     cache_p = _cache_parent()
 
-    hls = sub.add_parser("hls", parents=[cache_p],
+    hls = sub.add_parser("hls", parents=[trace_p, cache_p],
                          help="synthesize a HermesC source file")
     hls.add_argument("source")
     hls.add_argument("--top", required=True)
@@ -849,16 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
     mission.add_argument("--inject-faults", action="store_true")
     mission.set_defaults(func=_cmd_mission)
 
-    trace = sub.add_parser(
-        "trace", parents=[jobs_p],
-        help="run a canned scenario with telemetry and export its trace")
-    trace.add_argument("scenario", choices=sorted(_TRACE_SCENARIOS))
-    trace.add_argument("--format", default="json", choices=TRACE_FORMATS,
-                       help="json = JSON-lines, chrome = trace-event "
-                            "JSON loadable in ui.perfetto.dev")
-    trace.add_argument("--out", help="output file (default: stdout)")
-    trace.set_defaults(func=_cmd_trace)
-
     qualify = sub.add_parser("qualify", parents=[cache_p],
                              help="BL1 ECSS qualification campaign")
     qualify.set_defaults(func=_cmd_qualify)
@@ -956,16 +853,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .exec import ExecError
-
-    # The job service's rule: a spec its runner cannot build from is a
-    # usage error, a run that failed is a failure.
+    # The job service's rule (``JobScheduler._execute``): a spec its
+    # runner cannot build from is a usage error; any other exception is
+    # a failed run, reported in one line as the service reports the job.
     try:
         return args.func(args)
-    except (JobSpecError, ExecError) as error:
+    except JobSpecError as error:
         print(f"error: {error}", file=sys.stderr)
-        return ExitCode.USAGE if isinstance(error, JobSpecError) \
-            else ExitCode.FAILURE
+        return ExitCode.USAGE
+    except Exception as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return ExitCode.FAILURE
 
 
 if __name__ == "__main__":

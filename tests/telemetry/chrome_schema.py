@@ -1,6 +1,7 @@
 """Stdlib-only schema validator for Chrome trace-event exports.
 
-CI runs this as a script over a trace produced by ``repro trace``; the
+CI runs this as a script over the traces that ``repro hls``, ``eco`` and
+``boot`` write with ``--trace PATH --trace-format chrome``; the
 telemetry tests import :func:`validate_chrome_trace` directly.  The rules
 encode the subset of the Trace Event Format the exporter emits ("X", "i",
 "C" and "M" phases on pid 0) plus the repo's determinism conventions

@@ -1,16 +1,14 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.api import ExitCode
 from repro.cli import main
+
+from .test_cli_identity import KERNEL as WAVG
 
 
 class TestCliHls:
@@ -81,22 +79,75 @@ class TestCliMission:
                      "--inject-faults"]) == 0
 
 
+class TestCliQualify:
+    def test_qualify_reaches_trl6_with_complete_datapack(self, capsys):
+        import sys
+
+        path = list(sys.path)
+        assert main(["qualify"]) == 0
+        out = capsys.readouterr().out
+        assert "TRL 6; datapack complete: True" in out
+        assert "note: TRL achieved: 6" in out
+        # The campaign ships in the package: nothing is put on the path.
+        assert sys.path == path
+
+
+# sha256 of the traces the removed ``repro trace boot|mission|seu --out``
+# scenarios wrote (JSON-lines, plus boot in Chrome format), taken before
+# the scenarios were removed.  The commands that do the same work must
+# reproduce them byte for byte, the SEU campaigns at any job count.
+SCENARIO_TRACES = [
+    (["seu", "--runs", "60", "--words", "32"], "json",
+     "9be61bd565ff968e22db8bf2c9b6abeda16206a0e0761dfcab558d0b1e3204d9"),
+    (["seu", "--runs", "60", "--words", "32", "--jobs", "4"], "json",
+     "9be61bd565ff968e22db8bf2c9b6abeda16206a0e0761dfcab558d0b1e3204d9"),
+    (["mission", "--frames", "20"], "json",
+     "e6f89b0577ccf38e3d1a79fac6b6a5406827563c8fb6c67e82feca8e3e3f35b3"),
+    (["boot", "--engine", "interp"], "json",
+     "6c8d1e00c317a801657e622f80885e8ec2a8c9b1fbc92426ff4df6609c0c5bac"),
+    (["boot", "--engine", "interp"], "chrome",
+     "af23d420368ae2d09388d4229fd43dbef54f28cd696e90de9c149f7753adfa34"),
+]
+
+
 class TestCliTrace:
-    def test_boot_scenario_chrome_to_file(self, tmp_path, capsys):
-        import json
+    @pytest.mark.parametrize(
+        "argv, trace_format, digest", SCENARIO_TRACES,
+        ids=["seu", "seu-jobs4", "mission", "boot", "boot-chrome"])
+    def test_command_reproduces_scenario_trace(
+            self, tmp_path, argv, trace_format, digest, capsys):
+        out = tmp_path / "trace"
+        assert main(argv + ["--trace", str(out),
+                            "--trace-format", trace_format]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_boot_chrome_trace(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        assert main(["trace", "boot", "--format", "chrome",
-                     "--out", str(out)]) == 0
+        assert main(["boot", "--trace", str(out),
+                     "--trace-format", "chrome"]) == 0
         document = json.loads(out.read_text())
         phases = {e["ph"] for e in document["traceEvents"]}
         assert "X" in phases and "M" in phases
 
-    def test_mission_scenario_jsonl_to_stdout(self, capsys):
-        import json
-        assert main(["trace", "mission"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+    def test_mission_trace_jsonl_meta(self, tmp_path, capsys):
+        out = tmp_path / "mission.jsonl"
+        assert main(["mission", "--frames", "20", "--trace", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
         meta = json.loads(lines[0])
         assert meta["type"] == "meta" and meta["spans"] > 0
+
+    def test_hls_trace_has_hls_spans(self, tmp_path, capsys):
+        source = tmp_path / "wavg.c"
+        source.write_text(WAVG)
+        out = tmp_path / "hls.jsonl"
+        assert main(["hls", str(source), "--top", "wavg", "--clock", "5",
+                     "--trace", str(out)]) == 0
+        records = [json.loads(line)
+                   for line in out.read_text().splitlines()]
+        spans = [r for r in records if r["type"] == "span"]
+        assert spans and all(r["cat"] == "hls" for r in spans)
+        assert {"frontend", "schedule", "bind"} <= \
+            {r["name"] for r in spans}
 
     def test_trace_option_on_boot_command(self, tmp_path, capsys):
         out = tmp_path / "boot.jsonl"
@@ -110,9 +161,12 @@ class TestCliTrace:
                      "--trace-format", "chrome"]) == 0
         assert '"ph": "X"' in out.read_text()
 
-    def test_unknown_scenario_rejected(self):
+    @pytest.mark.parametrize("argv", [["trace", "seu"],
+                                      ["trace", "warp-drive"]],
+                             ids=["old-scenario", "unknown-scenario"])
+    def test_trace_subcommand_is_gone(self, argv, capsys):
         with pytest.raises(SystemExit):
-            main(["trace", "warp-drive"])
+            main(argv)
 
 
 class TestCliCache:
@@ -244,14 +298,6 @@ class TestCliLint:
         assert "suppressed by baseline" in capsys.readouterr().out
 
 
-def _cli_exit(argv) -> int:
-    """The exit status of ``repro ARGV`` run as a process."""
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "repro.cli", *argv],
-                          env=env, capture_output=True).returncode
-
-
 class TestCliExitCodes:
     """One row per verdict of each job command; the same verdicts are
     pinned for the job API in ``tests/service/test_api.py``."""
@@ -285,13 +331,13 @@ class TestCliExitCodes:
         source = tmp_path / "kernel.c"
         if text is not None:
             source.write_text(text)
-        argv = ["hls", str(source), "--top", "f"]
+        assert main(["hls", str(source), "--top", "f"]) == expected
         if expected is ExitCode.FAILURE:
-            # A producer exception ends the process with status 1,
-            # traceback and all, as the service marks the job failed.
-            assert _cli_exit(argv) == expected
-        else:
-            assert main(argv) == expected
+            # A producer exception gets the line the service gives the
+            # failed job, not a traceback.
+            err = capsys.readouterr().err
+            assert err.startswith("error: ParseError: ")
+            assert len(err.strip().splitlines()) == 1
 
     ECO = ["eco", "--width", "8", "--stages", "0", "--grid-luts", "1024",
            "--effort", "0.2", "--edit-fraction", "0.1"]
@@ -313,6 +359,18 @@ class TestCliExitCodes:
     def test_eco_failed_routing_is_failure(self, failed_eco_routing,
                                            capsys):
         assert main(self.ECO) == ExitCode.FAILURE
+
+    @pytest.mark.parametrize("text", [None, "{bad"],
+                             ids=["missing", "malformed"])
+    def test_lint_bad_baseline_is_usage(self, tmp_path, text, capsys):
+        source = tmp_path / "bad.c"
+        source.write_text("int f(int x) { int y; return y; }\n")
+        baseline = tmp_path / "baseline.json"
+        if text is not None:
+            baseline.write_text(text)
+        assert main(["lint", str(source), "--baseline", str(baseline)]) \
+            == ExitCode.USAGE
+        assert capsys.readouterr().err.startswith("error: baseline ")
 
     CHAR = ["characterize", "--components", "logic", "--widths", "8",
             "--effort", "0.1"]
