@@ -1,4 +1,4 @@
-"""Block-compiled FSMD simulation (DBT-lite for the HLS backend).
+"""Block-decoded FSMD simulation (DBT-lite for the HLS backend).
 
 The reference :class:`~repro.hls.backend.simulate.FsmdSimulator` walks
 the schedule one operation at a time, re-discovering each op's kind with
@@ -7,45 +7,32 @@ an ``isinstance`` chain and re-resolving each operand through
 the value object) on every visit.  For loop-heavy kernels the same few
 blocks are decoded thousands of times.
 
-:class:`DbtFsmdSimulator` pre-resolves each scheduled function **once**:
+:class:`DbtFsmdSimulator` runs each function in the form the IR
+interpreter's decoder (``repro.hls.ir.interp._Decoder``) produces, once
+per simulator: every ``Var``/``Temp`` a slot of a list register file,
+every op a closure over the interpreter's own semantics, every
+terminator its target blocks.  It adds only what an FSMD adds:
 
-* every :class:`Var`/:class:`Temp` the function touches is interned to
-  an integer *slot* of a flat register file (a Python list), so operand
-  access is one indexed read instead of a dataclass hash + dict probe;
-* every op becomes a *thunk* — a closure with operand slots, constants,
-  result types and evaluation callables already bound;
-* every terminator becomes a resolved jump: targets are block-program
-  objects, branch conditions bound getters, returns a sentinel.
+* per-block schedule cycles and visits, and the list of blocks walked;
+* memory counters, from each decoded block's ``reads``/``writes`` sums
+  (exact, since a failed run's trace is discarded);
+* sub-calls, the one op it decodes differently: the callee runs on its
+  own decoded form, and its measured cycles plus the handshake replace
+  the latency the caller's schedule estimated;
+* the cycle-limit rules: the global budget plus the visit counter that
+  catches zero-length self-loops.
 
-Functional semantics, cycle accounting, trace bookkeeping (block lists,
-hot-block profile, memory counters, call stall replacement) and the
-cycle-limit rules (global budget + zero-length-visit guard) are
-identical to the reference simulator by construction; the testbench
-keeps the reference as the oracle.
+Results and traces are identical to the reference's, which stays the
+oracle for both decoded engines (this one and the IR interpreter).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Dict, Tuple
 
 from ..ir import Call, Function, Module
-from ..ir.operations import (
-    Assign,
-    BinOp,
-    Branch,
-    Cast,
-    Jump,
-    Load,
-    Return,
-    Select,
-    Store,
-    UnOp,
-    eval_binop,
-    eval_unop,
-)
-from ..ir.types import FloatType, IntType
-from ..ir.values import Const, Temp, Var
+from ..ir.interp import _BRANCH, _JUMP, _RETURN, _Code, _Decoder, _Op
 from .allocation import Allocation
 from .scheduling import FunctionSchedule
 from .simulate import (
@@ -55,108 +42,74 @@ from .simulate import (
     SimulationTrace,
 )
 
-_F32 = FloatType(32)
-
-# Comparisons are type-independent in ``eval_binop`` (operand signedness
-# was already folded in by the front end); resolve them to plain lambdas.
-_CMP_FNS = {
-    "eq": lambda a, b: 1 if a == b else 0,
-    "ne": lambda a, b: 1 if a != b else 0,
-    "lt": lambda a, b: 1 if a < b else 0,
-    "le": lambda a, b: 1 if a <= b else 0,
-    "gt": lambda a, b: 1 if a > b else 0,
-    "ge": lambda a, b: 1 if a >= b else 0,
-}
+#: Block name -> (``(function, block)`` profile key, schedule length).
+_Lengths = Dict[str, Tuple[tuple, int]]
 
 
-def _coercer(ty) -> Callable:
-    """Pre-resolved ``Interpreter._coerce_scalar`` for one type."""
-    if isinstance(ty, IntType):
-        wrap = ty.wrap
-        return lambda value: wrap(int(value))
-    if isinstance(ty, FloatType):
-        rnd = ty.round
-        return lambda value: rnd(float(value))
-    return lambda value: value
+class _FsmdDecoder(_Decoder):
+    """The interpreter's decoder, with cycle-accounted sub-calls and the
+    reference's error for a block without terminator."""
 
+    def __init__(self, sim: DbtFsmdSimulator, func: Function) -> None:
+        super().__init__(sim._interp, func, {})
+        self.sim = sim
 
-def _binop_fn(op: str, result_ty) -> Callable:
-    """Two-argument callable with ``eval_binop`` semantics pre-bound."""
-    if op in _CMP_FNS:
-        return _CMP_FNS[op]
-    if isinstance(result_ty, IntType):
-        wrap = result_ty.wrap
-        if op == "add":
-            return lambda a, b: wrap(int(a) + int(b))
-        if op == "sub":
-            return lambda a, b: wrap(int(a) - int(b))
-        if op == "mul":
-            return lambda a, b: wrap(int(a) * int(b))
-        if op == "and":
-            return lambda a, b: wrap(int(a) & int(b))
-        if op == "or":
-            return lambda a, b: wrap(int(a) | int(b))
-        if op == "xor":
-            return lambda a, b: wrap(int(a) ^ int(b))
-    # div/rem/shifts/float arithmetic: keep the reference evaluator.
-    return lambda a, b: eval_binop(op, a, b, result_ty)
+    def fell_off(self, name: str):
+        return partial(SimulationError, f"bad terminator in {name}")
 
+    def call(self, op: Call) -> _Op:
+        """:meth:`FsmdSimulator._run_call`, decoded."""
+        if op.callee == "sqrtf":
+            return super().call(op)
+        sim, caller, name = self.sim, self.func.name, op.callee
+        coerce = self.interp._coerce_scalar
+        memory_for = self.interp._memory_for
+        args = [self.read(arg) for arg in op.args]
+        mem_args = [mem.name for mem in op.mem_args]
+        d = None if op.dst is None else self.slot(op.dst)
 
-class _BlockProgram:
-    """One pre-resolved basic block of a scheduled function."""
-
-    __slots__ = ("name", "key", "length", "thunks", "term", "ret_getter")
-
-    def __init__(self, name: str, key: tuple, length: int) -> None:
-        self.name = name
-        self.key = key
-        self.length = length
-        self.thunks: List[Callable] = []
-        self.term: Optional[Callable] = None
-        self.ret_getter: Optional[Callable] = None
-
-
-class _FuncProgram:
-    """All block programs of one function plus its register file map."""
-
-    __slots__ = ("entry", "blocks", "slot_of", "defaults")
-
-    def __init__(self) -> None:
-        self.entry: Optional[_BlockProgram] = None
-        self.blocks: Dict[str, _BlockProgram] = {}
-        # Value -> register-file index; defaults seed uninitialized
-        # reads with the type's deterministic zero (like the reference).
-        self.slot_of: Dict[object, int] = {}
-        self.defaults: List[object] = []
-
-    def slot(self, value) -> int:
-        index = self.slot_of.get(value)
-        if index is None:
-            index = len(self.defaults)
-            self.slot_of[value] = index
-            self.defaults.append(
-                0.0 if isinstance(value.ty, FloatType) else 0)
-        return index
-
-    def getter(self, value) -> Callable:
-        """Pre-resolved ``Interpreter._value``."""
-        if isinstance(value, Const):
-            const = value.value
-            return lambda env: const
-        if not isinstance(value, (Var, Temp)):
-            raise SimulationError(f"unbound value {value}")
-        index = self.slot(value)
-        return lambda env: env[index]
+        def invoke(regs, memories):
+            trace, base = sim._frame
+            callee = sim.module[name]
+            values = [coerce(regs[arg], param.type)
+                      for arg, param in zip(args, callee.scalar_params())]
+            sub_mems = {param.name: memories[mem]
+                        for param, mem in zip(callee.memory_params(),
+                                              mem_args)}
+            for mem_name, mem in callee.mems.items():
+                if not mem.is_param and mem_name not in sub_mems:
+                    sub_mems[mem_name] = memory_for(mem)
+            # The callee's calls and profile go straight into the
+            # caller's maps, in the order the reference merges them.
+            trace.calls[name] = trace.calls.get(name, 0) + 1
+            sub = SimulationTrace(calls=trace.calls,
+                                  block_cycles=trace.block_cycles,
+                                  block_visits=trace.block_visits)
+            value = sim._invoke(callee, values, sub_mems, sub,
+                                base + trace.cycles)
+            sim._frame = trace, base
+            # The caller's schedule already budgeted the estimated
+            # latency; replace it with the measured callee cycles plus
+            # the handshake.
+            estimated = max(1, sim.allocations[caller].call_latency.get(
+                name, 1))
+            trace.cycles += max(0, sub.cycles + CALL_HANDSHAKE_CYCLES
+                                - estimated)
+            trace.mem_reads += sub.mem_reads
+            trace.mem_writes += sub.mem_writes
+            if d is not None:
+                regs[d] = value
+        return invoke
 
 
 class DbtFsmdSimulator(FsmdSimulator):
-    """FSMD simulator executing pre-resolved block programs.
+    """FSMD simulator executing decoded blocks.
 
     Produces the same ``(result, trace, memories)`` as
     :class:`FsmdSimulator` for every input — same block visit order,
     cycle totals, profiling maps, memory counters, call accounting and
-    cycle-limit errors — while skipping the per-op ``isinstance``
-    dispatch and operand re-resolution.
+    errors — while skipping the per-op ``isinstance`` dispatch and
+    operand re-resolution.
     """
 
     def __init__(self, module: Module,
@@ -164,216 +117,38 @@ class DbtFsmdSimulator(FsmdSimulator):
                  allocations: Dict[str, Allocation],
                  max_cycles: int = 50_000_000) -> None:
         super().__init__(module, schedules, allocations, max_cycles)
-        self._programs: Dict[str, _FuncProgram] = {}
+        self._decoded: Dict[str, Tuple[_Code, _Lengths]] = {}
+        # (trace, base cycles) of the invocation running; read by the
+        # decoded sub-calls.
+        self._frame: Tuple[SimulationTrace, int] = (SimulationTrace(), 0)
 
-    # -- compilation -----------------------------------------------------
+    def _decode(self, func: Function) -> Tuple[_Code, _Lengths]:
+        decoded = self._decoded.get(func.name)
+        if decoded is None:
+            lengths = {name: ((func.name, name), block.length)
+                       for name, block
+                       in self.schedules[func.name].blocks.items()}
+            decoded = self._decoded[func.name] = \
+                (_FsmdDecoder(self, func).code(), lengths)
+        return decoded
 
-    def _program_for(self, func: Function) -> _FuncProgram:
-        program = self._programs.get(func.name)
-        if program is None:
-            program = self._compile_function(func)
-            self._programs[func.name] = program
-        return program
-
-    def _compile_function(self, func: Function) -> _FuncProgram:
-        schedule = self.schedules[func.name]
-        program = _FuncProgram()
-        for name in func.blocks:
-            program.blocks[name] = _BlockProgram(
-                name, (func.name, name), schedule.blocks[name].length)
-        # Parameters get slots first so entry environments can seed them.
-        for param in func.scalar_params():
-            program.slot(Var(param.name, param.type))
-        for name, block in func.blocks.items():
-            prog = program.blocks[name]
-            prog.thunks = [self._compile_op(func, op, program)
-                           for op in block.ops]
-            self._compile_terminator(block, prog, program)
-        program.entry = program.blocks[func.entry]
-        return program
-
-    def _compile_op(self, func: Function, op,
-                    program: _FuncProgram) -> Callable:
-        getter = program.getter
-        if isinstance(op, BinOp):
-            result_ty = op.lhs.ty if op.is_comparison else op.dst.ty
-            fn = _binop_fn(op.op, result_ty)
-            get_l, get_r = getter(op.lhs), getter(op.rhs)
-            dst = program.slot(op.dst)
-
-            def binop_thunk(env, memories, trace, base):
-                env[dst] = fn(get_l(env), get_r(env))
-            return binop_thunk
-        if isinstance(op, UnOp):
-            opname, ty = op.op, op.dst.ty
-            get_s = getter(op.src)
-            dst = program.slot(op.dst)
-
-            def unop_thunk(env, memories, trace, base):
-                env[dst] = eval_unop(opname, get_s(env), ty)
-            return unop_thunk
-        if isinstance(op, Assign):
-            coerce = _coercer(op.dst.ty)
-            get_s = getter(op.src)
-            dst = program.slot(op.dst)
-
-            def assign_thunk(env, memories, trace, base):
-                env[dst] = coerce(get_s(env))
-            return assign_thunk
-        if isinstance(op, Cast):
-            get_s = getter(op.src)
-            dst = program.slot(op.dst)
-            dst_ty = op.dst.ty
-            if isinstance(dst_ty, FloatType):
-                rnd = dst_ty.round
-
-                def cast_f_thunk(env, memories, trace, base):
-                    env[dst] = rnd(float(get_s(env)))
-                return cast_f_thunk
-            if isinstance(dst_ty, IntType):
-                wrap = dst_ty.wrap
-
-                def cast_i_thunk(env, memories, trace, base):
-                    env[dst] = wrap(int(get_s(env)))
-                return cast_i_thunk
-
-            def cast_id_thunk(env, memories, trace, base):
-                env[dst] = get_s(env)
-            return cast_id_thunk
-        if isinstance(op, Load):
-            mem_name = op.mem.name
-            get_i = getter(op.index)
-            dst = program.slot(op.dst)
-
-            def load_thunk(env, memories, trace, base):
-                trace.mem_reads += 1
-                env[dst] = memories[mem_name].load(int(get_i(env)))
-            return load_thunk
-        if isinstance(op, Store):
-            mem_name = op.mem.name
-            get_i, get_s = getter(op.index), getter(op.src)
-
-            def store_thunk(env, memories, trace, base):
-                trace.mem_writes += 1
-                memories[mem_name].store(int(get_i(env)), get_s(env))
-            return store_thunk
-        if isinstance(op, Select):
-            coerce = _coercer(op.dst.ty)
-            get_c = getter(op.cond)
-            get_t, get_f = getter(op.if_true), getter(op.if_false)
-            dst = program.slot(op.dst)
-
-            def select_thunk(env, memories, trace, base):
-                env[dst] = coerce(get_t(env) if get_c(env) else get_f(env))
-            return select_thunk
-        if isinstance(op, Call):
-            if op.callee == "sqrtf":
-                get_a = getter(op.args[0])
-                dst = (program.slot(op.dst)
-                       if op.dst is not None else None)
-                rnd = _F32.round
-
-                def sqrt_thunk(env, memories, trace, base):
-                    value = rnd(math.sqrt(max(0.0, get_a(env))))
-                    if dst is not None:
-                        env[dst] = value
-                return sqrt_thunk
-            return self._compile_call(func, op, program)
-        raise SimulationError(f"cannot compile {op}")
-
-    def _compile_call(self, func: Function, op: Call,
-                      program: _FuncProgram) -> Callable:
-        """Pre-resolved :meth:`FsmdSimulator._run_call`: same accounting,
-        argument coercion and memory binding as the reference."""
-        callee = self.module[op.callee]
-        arg_binds = [(Var(param.name, param.type), _coercer(param.type),
-                      program.getter(arg))
-                     for param, arg in zip(callee.scalar_params(), op.args)]
-        mem_binds = [(param.name, mem_arg.name)
-                     for param, mem_arg in zip(callee.memory_params(),
-                                               op.mem_args)]
-        local_mems = [(name, mem) for name, mem in callee.mems.items()
-                      if not mem.is_param]
-        allocation = self.allocations[func.name]
-        estimated = max(1, allocation.call_latency.get(op.callee, 1))
-        dst = program.slot(op.dst) if op.dst is not None else None
-        callee_name = op.callee
-        memory_for = self._interp._memory_for
-
-        def call_thunk(env, memories, trace, base):
-            sub_env = {var: coerce(get(env))
-                       for var, coerce, get in arg_binds}
-            sub_mems = {pname: memories[aname]
-                        for pname, aname in mem_binds}
-            for name, mem in local_mems:
-                if name not in sub_mems:
-                    sub_mems[name] = memory_for(mem)
-            sub_trace = SimulationTrace()
-            value = self._run_function(callee, sub_env, sub_mems,
-                                       sub_trace, base + trace.cycles)
-            # The caller's schedule already budgeted the estimated
-            # latency; replace it with the measured callee cycles plus
-            # the handshake (same rule as the reference).
-            actual = sub_trace.cycles + CALL_HANDSHAKE_CYCLES
-            trace.cycles += max(0, actual - estimated)
-            trace.calls[callee_name] = trace.calls.get(callee_name, 0) + 1
-            trace.mem_reads += sub_trace.mem_reads
-            trace.mem_writes += sub_trace.mem_writes
-            for name, count in sub_trace.calls.items():
-                trace.calls[name] = trace.calls.get(name, 0) + count
-            for key, cycles in sub_trace.block_cycles.items():
-                trace.block_cycles[key] = \
-                    trace.block_cycles.get(key, 0) + cycles
-            for key, visits in sub_trace.block_visits.items():
-                trace.block_visits[key] = \
-                    trace.block_visits.get(key, 0) + visits
-            if dst is not None:
-                env[dst] = value
-        return call_thunk
-
-    def _compile_terminator(self, block, prog: _BlockProgram,
-                            program: _FuncProgram) -> None:
-        term = block.terminator
-        if isinstance(term, Return):
-            prog.term = lambda env: None
-            prog.ret_getter = (None if term.value is None
-                               else program.getter(term.value))
-        elif isinstance(term, Jump):
-            target = program.blocks[term.target]
-            prog.term = lambda env: target
-        elif isinstance(term, Branch):
-            get_c = program.getter(term.cond)
-            if_true = program.blocks[term.if_true]
-            if_false = program.blocks[term.if_false]
-            prog.term = lambda env: if_true if get_c(env) else if_false
-        else:  # pragma: no cover - verified IR always terminates
-            raise SimulationError(f"bad terminator in {block.name}")
-
-    # -- execution -------------------------------------------------------
-
-    def _run_function(self, func: Function, env, memories, trace,
-                      base_cycles: int = 0):
-        program = self._program_for(func)
-        # ``env`` arrives as the reference dict (from ``run()`` or a call
-        # thunk); spill it into the function's flat register file.
-        slots = program.defaults.copy()
-        slot_of = program.slot_of
-        for value, bound in env.items():
-            index = slot_of.get(value)
-            if index is not None:
-                slots[index] = bound
-        block = program.entry
-        visits = 0
+    def _invoke(self, func: Function, values, memories, trace,
+                base_cycles: int = 0):
+        code, lengths = self._decode(func)
+        regs = code.frame(values)
+        self._frame = trace, base_cycles
         max_cycles = self.max_cycles
-        blocks_seen = trace.blocks
+        blocks = trace.blocks
         block_cycles = trace.block_cycles
         block_visits = trace.block_visits
+        block = code.entry
+        visits = 0
         while True:
-            name = block.name
-            blocks_seen.append(name)
-            length = block.length
+            # A block without a schedule (or an unknown target) raises
+            # ``KeyError`` here, as in the reference.
+            key, length = lengths[block.name]
+            blocks.append(block.name)
             trace.cycles += length
-            key = block.key
             block_cycles[key] = block_cycles.get(key, 0) + length
             block_visits[key] = block_visits.get(key, 0) + 1
             # Same guard as the reference: global cycle budget (callers'
@@ -383,22 +158,16 @@ class DbtFsmdSimulator(FsmdSimulator):
             if (base_cycles + trace.cycles > max_cycles
                     or visits > max_cycles):
                 raise SimulationError(f"{func.name}: cycle limit exceeded")
-            for thunk in block.thunks:
-                thunk(slots, memories, trace, base_cycles)
-            nxt = block.term(slots)
-            if nxt is None:
-                getter = block.ret_getter
-                return None if getter is None else getter(slots)
-            block = nxt
-
-
-def make_simulator(engine: str, module: Module,
-                   schedules: Dict[str, FunctionSchedule],
-                   allocations: Dict[str, Allocation],
-                   max_cycles: int = 50_000_000) -> FsmdSimulator:
-    """Engine selector shared by the flow and the benchmarks."""
-    if engine == "dbt":
-        return DbtFsmdSimulator(module, schedules, allocations, max_cycles)
-    if engine == "interp":
-        return FsmdSimulator(module, schedules, allocations, max_cycles)
-    raise ValueError(f"unknown FSMD engine {engine!r}")
+            for fn in block.ops:
+                fn(regs, memories)
+            trace.mem_reads += block.reads
+            trace.mem_writes += block.writes
+            kind = block.kind
+            if kind == _BRANCH:
+                block = block.target if regs[block.slot] else block.orelse
+            elif kind == _JUMP:
+                block = block.target
+            elif kind == _RETURN:
+                return None if block.slot is None else regs[block.slot]
+            else:
+                raise block.error()

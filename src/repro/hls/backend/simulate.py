@@ -4,6 +4,12 @@ This plays the role RTL simulation plays in the Bambu flow: the generated
 design is executed state by state, producing both the functional results
 (checked against the IR interpreter by the testbench) and the dynamic
 cycle count used in the performance reports.
+
+:class:`FsmdSimulator` is the reference: it steps through the IR
+interpreter's ``_exec_op`` one op at a time and is the oracle for the
+decoded engines.  The flow runs ``DbtFsmdSimulator``
+(``repro.hls.backend.dbt``), which produces the same results and traces
+from the interpreter's decoded form.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from ..ir import Call, Function, Module
 from ..ir.interp import Interpreter, Memory
 from ..ir.operations import Branch, Jump, Load, Return, Store
+from ..ir.values import Var
 from .allocation import Allocation
 from .scheduling import FunctionSchedule
 
@@ -71,34 +78,23 @@ class FsmdSimulator:
 
     def run(self, func_name: str, args: Sequence = (),
             mem_args: Optional[Dict[str, object]] = None):
-        """Run ``func_name``; returns ``(result, trace, memories)``."""
+        """Run ``func_name``; returns ``(result, trace, memories)``.
+
+        Arguments bind as in :meth:`Interpreter.run`, which also raises
+        the errors for a wrong argument count or a missing memory.
+        """
         func = self.module[func_name]
+        values, memories = self._interp._bind(func, args, mem_args)
         trace = SimulationTrace()
-        env: Dict[object, object] = {}
-        from ..ir.values import Var
-        scalar_params = func.scalar_params()
-        if len(args) != len(scalar_params):
-            raise SimulationError(
-                f"{func_name} expects {len(scalar_params)} args")
-        for param, value in zip(scalar_params, args):
-            env[Var(param.name, param.type)] = self._interp._coerce_scalar(
-                value, param.type)
-        memories: Dict[str, Memory] = {}
-        mem_args = dict(mem_args or {})
-        for name, mem in func.mems.items():
-            if mem.is_param:
-                supplied = mem_args.get(name)
-                if supplied is None:
-                    raise SimulationError(f"missing memory argument {name!r}")
-                if isinstance(supplied, Memory):
-                    memories[name] = supplied
-                else:
-                    memories[name] = Memory(mem, data=list(supplied),
-                                            size=len(supplied))
-            else:
-                memories[name] = self._interp._memory_for(mem)
-        result = self._run_function(func, env, memories, trace)
+        result = self._invoke(func, values, memories, trace)
         return result, trace, memories
+
+    def _invoke(self, func: Function, values: Sequence, memories, trace,
+                base_cycles: int = 0):
+        """Run one invocation of ``func`` on coerced scalar ``values``."""
+        env = {Var(param.name, param.type): value
+               for param, value in zip(func.scalar_params(), values)}
+        return self._run_function(func, env, memories, trace, base_cycles)
 
     # -- internals -------------------------------------------------------
 
@@ -151,7 +147,6 @@ class FsmdSimulator:
                   base_cycles: int = 0):
         callee = self.module[op.callee]
         sub_env: Dict[object, object] = {}
-        from ..ir.values import Var
         for param, arg in zip(callee.scalar_params(), op.args):
             sub_env[Var(param.name, param.type)] = \
                 self._interp._coerce_scalar(self._interp._value(arg, env),

@@ -23,9 +23,10 @@ from .frontend import compile_to_ir
 from .backend.allocation import Allocation, allocate
 from .backend.binding import Binding, bind
 from .backend.datapath import DatapathReport, build_datapath_report
+from .backend.dbt import DbtFsmdSimulator
 from .backend.fsm import FSM, build_fsm
 from .backend.scheduling import FunctionSchedule, schedule_function
-from .backend.simulate import CALL_HANDSHAKE_CYCLES, FsmdSimulator
+from .backend.simulate import CALL_HANDSHAKE_CYCLES
 from .backend.verify import verify_schedule
 from .backend.verilog import generate_fp_support_library, generate_verilog
 from .ir import Call, Module
@@ -89,20 +90,13 @@ class HlsProject:
         return self.designs[self.top]
 
     def simulate(self, args: Sequence = (), mems: Optional[Dict] = None,
-                 func: Optional[str] = None, engine: str = "dbt"):
-        """Cycle-accurate FSMD simulation; returns (result, trace, mems).
-
-        ``engine`` selects the block-compiled simulator (``"dbt"``,
-        default) or the reference decode-per-step walker (``"interp"``),
-        kept as the bit-identity oracle.
-        """
-        from .backend.dbt import make_simulator
-        name = func or self.top
-        simulator = make_simulator(
-            engine, self.module,
+                 func: Optional[str] = None):
+        """Cycle-accurate FSMD simulation; returns (result, trace, mems)."""
+        simulator = DbtFsmdSimulator(
+            self.module,
             {k: d.schedule for k, d in self.designs.items()},
             {k: d.allocation for k, d in self.designs.items()})
-        return simulator.run(name, args, mems)
+        return simulator.run(func or self.top, args, mems)
 
     def cosimulate(self, args: Sequence = (), mems: Optional[Dict] = None,
                    func: Optional[str] = None) -> CosimResult:

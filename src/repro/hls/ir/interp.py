@@ -5,24 +5,29 @@ against which the scheduled FSMD simulation (and ultimately the generated
 RTL) is checked, mirroring the role of C/RTL co-simulation in the Bambu
 flow described in the paper.
 
-Two walks share one set of semantics (``eval_binop``/``eval_unop``,
-``_coerce_scalar``, ``_cast`` and the bounds-checked :class:`Memory`):
+Two forms of execution share one set of semantics
+(``eval_binop``/``eval_unop``, ``_coerce_scalar``, ``_cast`` and the
+bounds-checked :class:`Memory`):
 
 * :meth:`Interpreter.run` decodes each function it reaches once per run:
   every ``Var``/``Temp`` becomes a slot of a list register file, every op
-  a closure with its slots, constants and types bound, every terminator
+  a closure with its slots, constants and types bound (comparisons and
+  the wrapping integer ops bind their Python operator), every terminator
   a reference to its target blocks.  Then it executes that form.  This
   is the golden model of every co-simulation, and design-space
-  exploration runs one per design point.
+  exploration runs one per design point.  The FSMD DBT
+  (``repro.hls.backend.dbt``) runs the same decoded form, from a
+  ``_Decoder`` subclass that decodes only sub-calls differently, under
+  its own cycle-accounting walk: one decoder, two walks over what it
+  produces.
 * ``_exec_function`` steps through ``_exec_op``/``_value`` op by op,
-  with a ``Value``-keyed environment.  ``FsmdSimulator`` (the oracle
-  behind the FSMD DBT) drives ``_exec_op`` the same way, so the FSMD
-  reference keeps its own dispatch rather than sharing a decoder with
-  the golden model it is checked against.  A subclass that hooks
-  ``_exec_op`` to observe every op also gets this walk.
+  with a ``Value``-keyed environment.  ``FsmdSimulator`` drives
+  ``_exec_op`` the same way; it is the oracle for both decoded engines.
+  A subclass that hooks ``_exec_op`` to observe every op also gets this
+  walk.
 
-Both walks keep the same contract: identical results and
-``op_count``/``mem_reads``/``mem_writes`` (also after an error), unset
+The interpreter's two forms keep the same contract: identical results
+and ``op_count``/``mem_reads``/``mem_writes`` (also after an error), unset
 variables reading as ``0``/``0.0``, a per-invocation step limit that
 counts ops but not terminators, and malformed code (an unsupported op,
 a block without terminator, an unknown branch target) raising only when
@@ -32,6 +37,7 @@ execution reaches it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -127,10 +133,27 @@ class Interpreter:
         the returned ``Memory``).  Returns ``(return_value, memories)``.
         """
         func = self.module[func_name]
+        values, memories = self._bind(func, args, mem_args)
+        if type(self)._exec_op is Interpreter._exec_op:
+            code = _decode(self, func, {})
+            result = self._execute(code, code.frame(values), memories)
+        else:
+            # A subclass observes every op: step through its hook.
+            env: Dict[Value, object] = {
+                Var(param.name, param.type): value
+                for param, value in zip(func.scalar_params(), values)}
+            result = self._exec_function(func, env, memories)
+        return result, memories
+
+    def _bind(self, func: Function, args: Sequence,
+              mem_args: Optional[Dict[str, Union[Memory, Sequence]]]
+              ) -> Tuple[list, Dict[str, Memory]]:
+        """The coerced scalar ``args`` and the memories of one run of
+        ``func`` (see :meth:`run`)."""
         scalar_params = func.scalar_params()
         if len(args) != len(scalar_params):
             raise InterpError(
-                f"{func_name} expects {len(scalar_params)} scalar args, "
+                f"{func.name} expects {len(scalar_params)} scalar args, "
                 f"got {len(args)}")
         values = [self._coerce_scalar(value, param.type)
                   for param, value in zip(scalar_params, args)]
@@ -148,16 +171,7 @@ class Interpreter:
                                             size=len(supplied))
             else:
                 memories[name] = self._memory_for(mem)
-        if type(self)._exec_op is Interpreter._exec_op:
-            code = _decode(self, func, {})
-            result = self._execute(code, code.frame(values), memories)
-        else:
-            # A subclass observes every op: step through its hook.
-            env: Dict[Value, object] = {
-                Var(param.name, param.type): value
-                for param, value in zip(scalar_params, values)}
-            result = self._exec_function(func, env, memories)
-        return result, memories
+        return values, memories
 
     # -- decoded execution ----------------------------------------------
 
@@ -347,23 +361,33 @@ _JUMP, _BRANCH, _RETURN, _FAIL = range(4)
 #: A decoded op: ``fn(regs, memories)``.
 _Op = Callable[[list, Dict[str, Memory]], None]
 
+#: Binary ops a decoded op runs as one operator instead of through
+#: ``eval_binop``, with its semantics: comparisons give 1/0 whatever the
+#: type, the integer ops wrap ``op(int(a), int(b))`` to the result type.
+_COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+            "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+_WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+             "and": operator.and_, "or": operator.or_, "xor": operator.xor}
+
 
 class _Block:
     """One basic block, decoded.
 
-    ``weight`` is what the block adds to ``op_count`` (its ops and its
-    terminator); ``loads``/``stores`` flag each op's memory traffic and
-    ``reads``/``writes`` are their sums.  The terminator is a ``kind``
-    with ``target``/``orelse`` blocks, the ``slot`` of a branch
-    condition or return value, or an ``error`` factory.
+    ``name`` is the IR block's; ``weight`` is what the block adds to
+    ``op_count`` (its ops and its terminator); ``loads``/``stores`` flag
+    each op's memory traffic and ``reads``/``writes`` are their sums.
+    The terminator is a ``kind`` with ``target``/``orelse`` blocks, the
+    ``slot`` of a branch condition or return value, or an ``error``
+    factory.
     """
 
-    __slots__ = ("ops", "weight", "loads", "stores", "reads", "writes",
-                 "kind", "target", "orelse", "slot", "error")
+    __slots__ = ("name", "ops", "weight", "loads", "stores", "reads",
+                 "writes", "kind", "target", "orelse", "slot", "error")
 
-    def __init__(self, ops: Tuple[_Op, ...] = (),
+    def __init__(self, name: str, ops: Tuple[_Op, ...] = (),
                  loads: Tuple[int, ...] = (),
                  stores: Tuple[int, ...] = ()) -> None:
+        self.name = name
         self.ops = ops
         self.loads = loads
         self.stores = stores
@@ -378,7 +402,7 @@ class _Block:
 def _missing_block(name: str) -> _Block:
     """Stands for an unknown block name: entering it raises ``KeyError``
     (what ``func.blocks[name]`` raises), and it counts nothing."""
-    block = _Block()
+    block = _Block(name)
     block.weight = 0
     block.error = partial(KeyError, name)
     return block
@@ -462,10 +486,14 @@ class _Decoder:
                 decoded.orelse = resolve(term.if_false)
                 self.terminator_operand(decoded, term.cond)
             else:
-                decoded.error = partial(
-                    InterpError, f"{func.name}: fell off block {name}")
+                decoded.error = self.fell_off(name)
         return _Code(func.name, resolve(func.entry), self.init,
                      param_slots, [param.type for param in params])
+
+    def fell_off(self, name: str) -> Callable[[], Exception]:
+        """What leaving block ``name``, which has no terminator, raises."""
+        return partial(InterpError,
+                       f"{self.func.name}: fell off block {name}")
 
     def terminator_operand(self, block: _Block, value: Value) -> None:
         try:
@@ -476,7 +504,7 @@ class _Decoder:
 
     def block(self, block) -> _Block:
         ops = tuple(self.op(op) for op in block.ops)
-        return _Block(ops,
+        return _Block(block.name, ops,
                       tuple(int(isinstance(op, Load)) for op in block.ops),
                       tuple(int(isinstance(op, Store)) for op in block.ops))
 
@@ -521,6 +549,18 @@ class _Decoder:
             # (signedness); other ops from the destination type.
             ty = op.lhs.ty if op.is_comparison else op.dst.ty
             d = self.slot(op.dst)
+            if name in _COMPARE:
+                compare = _COMPARE[name]
+
+                def comparison(regs, memories):
+                    regs[d] = 1 if compare(regs[a], regs[b]) else 0
+                return comparison
+            if name in _WRAPPING and isinstance(ty, IntType):
+                fn, wrap = _WRAPPING[name], ty.wrap
+
+                def arith(regs, memories):
+                    regs[d] = wrap(fn(int(regs[a]), int(regs[b])))
+                return arith
 
             def binop(regs, memories):
                 regs[d] = eval_binop(name, regs[a], regs[b], ty)

@@ -6,17 +6,21 @@ call accounting) and output memories — on real synthesized kernels.
 Two regression classes cover the latent simulator bugs fixed alongside:
 zero-length self-looping blocks used to spin forever, and sub-call
 cycles used to get a fresh budget instead of charging the global one.
+Both engines must also fail alike: on bad arguments, and on malformed
+code, which raises only when a run reaches it.
 """
 
 import pytest
+from test_fsmd_identity import ENGINES, simulator
+from test_interp_identity import _Unsupported
 
 from repro.hls import synthesize
 from repro.hls.backend.allocation import Allocation
-from repro.hls.backend.dbt import make_simulator
 from repro.hls.backend.scheduling import BlockSchedule, FunctionSchedule
 from repro.hls.backend.simulate import SimulationError
+from repro.hls.ir import Assign, Branch, Jump
 from repro.hls.ir.cfg import Function, Module
-from repro.hls.ir.operations import Jump
+from repro.hls.ir.interp import InterpError
 from repro.hls.ir.types import VOID
 
 KERNELS = {
@@ -66,8 +70,7 @@ def run_both(source, top, args, mems):
     results = []
     for engine in ("interp", "dbt"):
         run_mems = {k: list(v) for k, v in mems.items()}
-        result, trace, out = project.simulate(args, run_mems, engine=engine)
-        results.append((result, trace, out))
+        results.append(simulator(engine, project).run(top, args, run_mems))
     return results
 
 
@@ -94,13 +97,6 @@ class TestKernelEquivalence:
                                            for k, v in mems.items()})
         assert result.match
 
-    def test_engine_selector_rejects_unknown(self):
-        source, top, args, mems = KERNELS["int_loop"]
-        project = synthesize(source, top, clock_ns=8.0)
-        with pytest.raises(ValueError):
-            project.simulate(args, {k: list(v) for k, v in mems.items()},
-                             engine="verilator")
-
 
 def _hanging_design():
     """A hand-built schedule with a zero-length self-looping block —
@@ -120,13 +116,13 @@ def _hanging_design():
 
 
 class TestZeroLengthLoopRegression:
-    @pytest.mark.parametrize("engine", ["interp", "dbt"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_zero_length_self_loop_raises(self, engine):
         module, schedules, allocations = _hanging_design()
-        simulator = make_simulator(engine, module, schedules, allocations,
-                                   max_cycles=10_000)
+        hanging = ENGINES[engine](module, schedules, allocations,
+                                  max_cycles=10_000)
         with pytest.raises(SimulationError):
-            simulator.run("hang")
+            hanging.run("hang")
 
 
 class TestGlobalBudgetRegression:
@@ -147,7 +143,7 @@ class TestGlobalBudgetRegression:
         _, trace, _ = project.simulate((200,))
         return project, trace.cycles
 
-    @pytest.mark.parametrize("engine", ["interp", "dbt"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_sub_calls_charge_global_budget(self, engine):
         """Two sequential sub-calls must not each get a fresh cycle
         allowance: a budget that fits one spin but not two aborts."""
@@ -155,24 +151,100 @@ class TestGlobalBudgetRegression:
         _, spin_trace, _ = project.simulate((200,), func="spin")
         one_spin = spin_trace.cycles
         budget = int(one_spin * 1.5)
-        simulator = make_simulator(
-            engine, project.module,
-            {k: d.schedule for k, d in project.designs.items()},
-            {k: d.allocation for k, d in project.designs.items()},
-            max_cycles=budget)
         with pytest.raises(SimulationError):
-            simulator.run("twice", (200,))
+            simulator(engine, project, max_cycles=budget).run(
+                "twice", (200,))
 
-    @pytest.mark.parametrize("engine", ["interp", "dbt"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_sufficient_budget_passes(self, engine):
         project = synthesize(self.SOURCE, "twice", clock_ns=8.0)
         _, spin_trace, _ = project.simulate((200,), func="spin")
         one_spin = spin_trace.cycles
-        simulator = make_simulator(
-            engine, project.module,
-            {k: d.schedule for k, d in project.designs.items()},
-            {k: d.allocation for k, d in project.designs.items()},
-            max_cycles=one_spin * 4)
-        result, trace, _ = simulator.run("twice", (200,))
+        result, trace, _ = simulator(
+            engine, project, max_cycles=one_spin * 4).run("twice", (200,))
         assert result == 2 * sum(range(200))
         assert trace.calls.get("spin") == 2
+
+
+class TestArgumentErrors:
+    """Both engines bind arguments as the IR interpreter does."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_wrong_argument_count(self, engine):
+        source, top, _, mems = KERNELS["store_kernel"]
+        project = synthesize(source, top, clock_ns=8.0)
+        with pytest.raises(InterpError,
+                           match=r"^scale expects 1 scalar args, got 2$"):
+            simulator(engine, project).run(top, (40, 1), mems)
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_missing_memory_argument(self, engine):
+        source, top, args, mems = KERNELS["store_kernel"]
+        project = synthesize(source, top, clock_ns=8.0)
+        with pytest.raises(InterpError,
+                           match=r"^missing memory argument 'y'$"):
+            simulator(engine, project).run(top, args, {"x": mems["x"]})
+
+
+def _unsupported_op(func):
+    func.blocks["entry"].ops.insert(0, _Unsupported())
+
+
+def _unbound_operand(func):
+    entry = func.blocks["entry"]
+    x = next(op.dst for op in entry.ops if isinstance(op, Assign))
+    entry.ops.append(Assign(x, None))
+
+
+def _no_terminator(func):
+    func.blocks["entry"].terminator = None
+
+
+def _unknown_target(func):
+    for block in func.blocks.values():
+        if isinstance(block.terminator, Branch):
+            block.terminator.if_false = "missing"
+
+
+#: Malformed ``f``, reached from ``f(0)``: the error both engines raise.
+MALFORMED = {
+    "unsupported_op": (_unsupported_op, InterpError,
+                       "cannot interpret mystery-op"),
+    "unbound_operand": (_unbound_operand, InterpError, "unbound value None"),
+    "no_terminator": (_no_terminator, SimulationError,
+                      "bad terminator in entry"),
+    "unknown_target": (_unknown_target, KeyError, "'missing'"),
+}
+
+LAZY_C = "int f(int a) { int x = a + 1; if (a) return x; return 2 * x; }"
+
+
+class TestLazyErrorParity:
+    """Malformed code raises only when reached, the same on both engines
+    (the reference walk is the oracle)."""
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_unreachable_malformed_block_is_harmless(self, engine):
+        project = synthesize(LAZY_C, "f", clock_ns=8.0)
+        func = project.module["f"]
+        x = next(op.dst for op in func.blocks["entry"].ops
+                 if isinstance(op, Assign))
+        dead = func.new_block("dead")
+        dead.ops.append(_Unsupported())
+        dead.ops.append(Assign(x, None))
+        dead.append(Jump("nowhere"))
+        orphan = func.new_block("orphan")   # no terminator either
+        orphan.ops.append(_Unsupported())
+        result, trace, _ = simulator(engine, project).run("f", (4,))
+        assert result == 5
+        assert trace.blocks[0] == "entry"
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_block_raises_when_reached(self, case, engine):
+        mutate, error, message = MALFORMED[case]
+        project = synthesize(LAZY_C, "f", clock_ns=8.0)
+        mutate(project.module["f"])
+        with pytest.raises(error) as caught:
+            simulator(engine, project).run("f", (0,))
+        assert str(caught.value) == message

@@ -9,6 +9,7 @@ passes and the backend schedule simultaneously.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fsmd_identity import ENGINES, simulator
 
 from repro.hls import compile_to_ir, synthesize
 from repro.hls.backend import allocate, schedule_function, verify_schedule
@@ -264,9 +265,9 @@ class TestRandomLoops:
         expected = run_loop(project.module, args)
         assert expected == evaluate(args)
         cycles = set()
-        for engine in ("interp", "dbt"):
-            result, trace, memories = project.simulate(
-                args, {"out": [0] * MAX_TRIP}, engine=engine)
+        for engine in sorted(ENGINES):
+            result, trace, memories = simulator(engine, project).run(
+                "f", args, {"out": [0] * MAX_TRIP})
             assert (result, memories["out"].data) == expected, engine
             cycles.add(trace.cycles)
         assert len(cycles) == 1
