@@ -2,7 +2,7 @@
 
 Acceptance gate of the basic-block translation cache (repro.soc.dbt):
 on the full boot-chain + SVC-heavy four-core guest workload the DBT
-engine must be at least **5x** faster than the reference decode-per-step
+engine must be at least **8x** faster than the reference decode-per-step
 interpreter while ending in **bit-identical architectural state**
 (registers, flags, cycle counts, bus counters, memory contents,
 hypercall counts and boot report cycles).
@@ -33,7 +33,7 @@ from repro.hypervisor import (
 )
 from repro.soc import CoreState, DDR_BASE, NgUltraSoc, assemble
 
-SPEEDUP_GATE = 5.0
+SPEEDUP_GATE = 8.0
 
 # SVC-heavy guest: every outer iteration traps XM_GET_TIME (0x01), then
 # grinds an ALU loop and bounces a value through memory.  All cores run

@@ -223,7 +223,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
         ("IR interpreter identity golden",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/hls/test_interp_identity.py"),
-        ("DBT vs interpreter race (bit-identity + ≥5x gate)",
+        ("DBT vs interpreter race (bit-identity + ≥8x gate)",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_sim_dbt.py"),
         ("Benchmark output checks: hls_dse",

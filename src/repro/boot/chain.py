@@ -105,7 +105,8 @@ def provision_flash(soc: NgUltraSoc, objects: List[BootImage],
         cursor += copies * stride
     flash.program(0, LOADLIST_FLASH_OFFSET, load_list.to_words())
     if mirror_bank_b:
-        flash.program(1, 0, flash.banks[0].data)
+        # Bank A's words are already masked: a slice copy is exact.
+        flash.banks[1].data[:] = flash.banks[0].data
     return provisioned
 
 

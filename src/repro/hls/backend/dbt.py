@@ -63,7 +63,7 @@ class _FsmdDecoder(_Decoder):
             return super().call(op)
         sim, caller, name = self.sim, self.func.name, op.callee
         coerce = self.interp._coerce_scalar
-        memory_for = self.interp._memory_for
+        callee_memories = self.interp._callee_memories
         args = [self.read(arg) for arg in op.args]
         mem_args = [mem.name for mem in op.mem_args]
         d = None if op.dst is None else self.slot(op.dst)
@@ -73,12 +73,7 @@ class _FsmdDecoder(_Decoder):
             callee = sim.module[name]
             values = [coerce(regs[arg], param.type)
                       for arg, param in zip(args, callee.scalar_params())]
-            sub_mems = {param.name: memories[mem]
-                        for param, mem in zip(callee.memory_params(),
-                                              mem_args)}
-            for mem_name, mem in callee.mems.items():
-                if not mem.is_param and mem_name not in sub_mems:
-                    sub_mems[mem_name] = memory_for(mem)
+            sub_mems = callee_memories(callee, mem_args, memories)
             # The callee's calls and profile go straight into the
             # caller's maps, in the order the reference merges them.
             trace.calls[name] = trace.calls.get(name, 0) + 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..ir import Call, Function, Module
-from ..ir.interp import Interpreter, Memory
+from ..ir.interp import Interpreter
 from ..ir.operations import Branch, Jump, Load, Return, Store
 from ..ir.values import Var
 from .allocation import Allocation
@@ -151,12 +151,8 @@ class FsmdSimulator:
             sub_env[Var(param.name, param.type)] = \
                 self._interp._coerce_scalar(self._interp._value(arg, env),
                                             param.type)
-        sub_mems: Dict[str, Memory] = {}
-        for param, mem_arg in zip(callee.memory_params(), op.mem_args):
-            sub_mems[param.name] = memories[mem_arg.name]
-        for name, mem in callee.mems.items():
-            if not mem.is_param and name not in sub_mems:
-                sub_mems[name] = self._interp._memory_for(mem)
+        sub_mems = self._interp._callee_memories(
+            callee, [mem.name for mem in op.mem_args], memories)
         sub_trace = SimulationTrace()
         value = self._run_function(callee, sub_env, sub_mems, sub_trace,
                                    base_cycles + trace.cycles)

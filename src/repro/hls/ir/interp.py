@@ -303,16 +303,24 @@ class Interpreter:
         for param, arg in zip(callee.scalar_params(), op.args):
             sub_env[Var(param.name, param.type)] = self._coerce_scalar(
                 self._value(arg, env), param.type)
-        sub_mems: Dict[str, Memory] = {}
+        sub_mems = self._callee_memories(
+            callee, [mem.name for mem in op.mem_args], memories)
+        return self._exec_function(callee, sub_env, sub_mems)
+
+    def _callee_memories(self, callee: Function, mem_args: Sequence[str],
+                         memories: Dict[str, Memory]) -> Dict[str, Memory]:
+        """The memories a call to ``callee`` runs on: its memory
+        parameters bound to the caller's ``mem_args``, then its own
+        arrays.  Every engine's sub-call goes through here."""
         mem_params = callee.memory_params()
-        if len(mem_params) != len(op.mem_args):
-            raise InterpError(f"call {op.callee}: memory arity mismatch")
-        for param, mem_arg in zip(mem_params, op.mem_args):
-            sub_mems[param.name] = memories[mem_arg.name]
+        if len(mem_params) != len(mem_args):
+            raise InterpError(f"call {callee.name}: memory arity mismatch")
+        sub_mems = {param.name: memories[mem]
+                    for param, mem in zip(mem_params, mem_args)}
         for name, mem in callee.mems.items():
             if not mem.is_param and name not in sub_mems:
                 sub_mems[name] = self._memory_for(mem)
-        return self._exec_function(callee, sub_env, sub_mems)
+        return sub_mems
 
     # -- value helpers ---------------------------------------------------
 
@@ -634,14 +642,7 @@ class _Decoder:
             code = _decode(interp, callee, codes)
             sub = code.frame([coerce(regs[arg], ty)
                               for arg, ty in zip(args, code.param_types)])
-            mem_params = callee.memory_params()
-            if len(mem_params) != len(mem_args):
-                raise InterpError(f"call {name}: memory arity mismatch")
-            sub_mems = {param.name: memories[mem]
-                        for param, mem in zip(mem_params, mem_args)}
-            for mem_name, mem in callee.mems.items():
-                if not mem.is_param and mem_name not in sub_mems:
-                    sub_mems[mem_name] = interp._memory_for(mem)
+            sub_mems = interp._callee_memories(callee, mem_args, memories)
             value = interp._execute(code, sub, sub_mems)
             if d is not None:
                 regs[d] = value

@@ -29,8 +29,8 @@ simulation for qualification campaigns):
 
 The reference core remains the oracle: ``DbtCore`` inherits from it and
 falls back to the inherited single-step path for bus-trace capture,
-peripheral-resident code and end-of-budget tails, so every fallback is
-bit-identical by construction.
+peripheral-resident code and the tail of a block that would cross the
+step budget, so every fallback is bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from .memory import PERIPH_BASE
 PAGE_SHIFT = 8
 #: Maximum decoded instructions per block (spans at most two pages).
 MAX_BLOCK_WORDS = 64
-#: Instructions each core executes per ``run_all`` scheduling turn.
+#: Instructions each core executes per ``run_all`` scheduling turn; a
+#: turn ends at the first block boundary at or past it.
 DBT_QUANTUM = 128
 
 _BRANCHES = {_OPCODES[m]: m for m in ("B", "BEQ", "BNE", "BLT", "BGE", "BL")}
@@ -521,14 +522,22 @@ class DbtCore(R52Core):
             return ((faulting - block.start) >> 2) + 1
         return self._dbt_steps
 
-    def run(self, max_steps: int = 1_000_000) -> int:
+    def run(self, max_steps: int = 1_000_000,
+            quantum: Optional[int] = None) -> int:
         """Run until HALT/fault/WFI; returns executed steps.
+
+        ``max_steps`` is a hard, exact cap: a block that would cross it
+        runs only up to the cap, one instruction at a time through the
+        reference ``step()``.  With ``quantum`` (a ``run_all`` scheduling
+        turn) the run also returns at the first block boundary at or
+        past ``quantum`` instructions, so a turn never splits a block.
 
         Inlines the hot dispatch loop: hoisted locals, a single dict
         probe per block and no per-block Python call overhead beyond
         the translated function itself.  Misses, revalidation, hooks,
         trace capture and budget tails delegate to :meth:`run_block`.
         """
+        limit = max_steps if quantum is None else min(max_steps, quantum)
         steps = 0
         regs = self.regs
         bus = self.bus
@@ -536,7 +545,7 @@ class DbtCore(R52Core):
         fast = cache.fast
         mpu = bus.mpu
         running = CoreState.RUNNING
-        while steps < max_steps and self.state is running:
+        while steps < limit and self.state is running:
             if (bus.trace_enabled or self.pc_hook is not None
                     or self.branch_hook is not None):
                 steps += self.run_block(max_steps - steps)

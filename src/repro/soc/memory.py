@@ -102,8 +102,14 @@ class WordArray:
         self.data[index] = value & 0xFFFFFFFF
 
     def load(self, words, offset: int = 0) -> None:
-        for i, value in enumerate(words):
-            self.data[offset + i] = value & 0xFFFFFFFF
+        """Write ``words`` (masked to 32 bits) from ``offset`` on; a
+        range outside the array raises before anything is written."""
+        words = [value & 0xFFFFFFFF for value in words]
+        end = offset + len(words)
+        if offset < 0 or end > len(self.data):
+            raise IndexError(f"load of {len(words)} words at {offset} "
+                             f"outside a {len(self.data)}-word array")
+        self.data[offset:end] = words
 
     def __len__(self) -> int:
         return len(self.data)

@@ -94,7 +94,7 @@ class FlashController:
 
     def program(self, bank: int, offset: int, words) -> None:
         """Ground-segment programming (bypasses the read-only window)."""
-        self.banks[bank].load(list(words), offset)
+        self.banks[bank].load(words, offset)
 
     def corrupt_word(self, bank: int, offset: int, mask: int) -> None:
         """Fault injection: flip bits in one stored word."""

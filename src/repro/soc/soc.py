@@ -100,17 +100,18 @@ class NgUltraSoc:
     def run_core(self, core_id: int, max_steps: int = 1_000_000) -> int:
         return self.cores[core_id].run(max_steps)
 
-    def run_all(self, max_steps: int = 1_000_000,
-                quantum: Optional[int] = None) -> Dict[int, int]:
+    def run_all(self, max_steps: int = 1_000_000) -> Dict[int, int]:
         """Round-robin all running cores (simple SMP interleave).
 
-        The reference engine interleaves per instruction.  The DBT
-        engine batches: each core executes up to ``quantum``
-        instructions (whole cached blocks) per scheduling turn, so the
-        Python dispatch loop is not re-entered per instruction.  For
+        Each core runs at most ``max_steps`` instructions; the cap is
+        exact on both engines.  The reference engine interleaves per
+        instruction.  The DBT engine interleaves per turn: a turn runs
+        whole cached blocks through :meth:`DbtCore.run` and ends at the
+        first block boundary at or past ``DBT_QUANTUM`` instructions, so
+        no block is split between turns.  For
         independent per-core programs (boot, hypervisor partitions) the
         final architectural state is identical; programs that race on
-        shared memory observe a coarser interleave.
+        shared memory observe a block-grained interleave.
         """
         steps = {core.core_id: 0 for core in self.cores}
         if self.engine != "dbt":
@@ -125,21 +126,15 @@ class NgUltraSoc:
                     break
             return steps
         from .dbt import DBT_QUANTUM
-        quantum = quantum or DBT_QUANTUM
         progressed = True
         while progressed:
             progressed = False
             for core in self.cores:
                 done = steps[core.core_id]
-                if core.state is not CoreState.RUNNING \
-                        or done >= max_steps:
-                    continue
-                budget = min(quantum, max_steps - done)
-                ran = 0
-                while ran < budget and core.state is CoreState.RUNNING:
-                    ran += core.run_block(budget - ran)
-                steps[core.core_id] = done + ran
-                progressed = True
+                if core.state is CoreState.RUNNING and done < max_steps:
+                    steps[core.core_id] = done + core.run(max_steps - done,
+                                                          DBT_QUANTUM)
+                    progressed = True
         return steps
 
     def notify_code_mutation(self, address: Optional[int] = None) -> None:

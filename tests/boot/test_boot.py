@@ -21,7 +21,15 @@ from repro.boot import (
     run_boot_chain,
 )
 from repro.boot.bl0 import BL1_FLASH_OFFSET, BL1_SPACEWIRE_OBJECT
-from repro.soc import DDR_BASE, NgUltraSoc, assemble
+from repro.hypervisor import (
+    Compute,
+    EndActivation,
+    MemoryArea,
+    SvcBridge,
+    SystemConfig,
+    XtratumHypervisor,
+)
+from repro.soc import CoreState, DDR_BASE, NgUltraSoc, assemble
 
 
 def app_image(payload=None, load=DDR_BASE, entry=None):
@@ -108,6 +116,16 @@ class TestBl0:
         result = run_bl0(soc)
         assert result.report.boot_source == "flash-bank-B"
         assert result.report.had_recovery or result.report.recovered_objects
+
+    def test_bank_b_mirrors_bank_a(self):
+        soc = NgUltraSoc()
+        provision_flash(soc, [app_image()])
+        bank_a, bank_b = soc.flash_controller.banks
+        assert bank_b.data == bank_a.data
+        assert bank_b.data is not bank_a.data
+        before = list(bank_b.data)
+        soc.flash_controller.corrupt_word(0, BL1_FLASH_OFFSET + 8, 0xFF)
+        assert bank_b.data == before != bank_a.data
 
     def test_fallback_to_spacewire(self):
         soc = NgUltraSoc()
@@ -288,3 +306,89 @@ class TestSpaceWireLinkDown:
         step = result.report.step("spacewire-link")
         assert step.status is StepStatus.SKIPPED
         assert result.report.success  # link-down is not a boot failure
+
+
+#: An SVC-heavy guest: each outer trip traps XM_GET_TIME, grinds an ALU
+#: loop and bounces a value through DDR.  Every core runs it, so the
+#: final state does not depend on the interleave.
+SMP_GUEST = """
+    MOVI r10, #16
+    MOVI r11, #16
+    LSL  r10, r10, r11
+    MOVI r11, #16384
+    ADD  r10, r10, r11
+    MOVI r7, #40
+outer:
+    MOVI r0, #1
+    SVC  #0
+    MOV  r4, r0
+    MOVI r1, #10
+inner:
+    ADD  r2, r2, r4
+    EOR  r3, r2, r1
+    ADD  r2, r2, r3
+    ADDI r1, r1, #-1
+    CMP  r1, r12
+    BNE  inner
+    STR  r2, [r10, #0]
+    LDR  r5, [r10, #0]
+    ADDI r7, r7, #-1
+    CMP  r7, r12
+    BNE  outer
+    HALT
+"""
+
+
+def boot_smp_guest(engine):
+    """Provision and boot the 4-core guest under the hypervisor's SVC
+    bridge; returns the SoC's architectural state and its DBT stats."""
+    config = SystemConfig(cores=4, context_switch_us=2.0)
+    config.add_partition(0, "P0", [MemoryArea("p0ram", 0x1000, 0x1000)])
+    config.add_partition(1, "P1", [MemoryArea("p1ram", 0x2000, 0x1000)])
+    plan = config.add_plan(0, major_frame_us=1000.0)
+    plan.add_window(0, core=0, start_us=0.0, duration_us=400.0)
+    plan.add_window(1, core=0, start_us=400.0, duration_us=400.0)
+    hv = XtratumHypervisor(config)
+
+    def workload():
+        while True:
+            yield Compute(100.0)
+            yield EndActivation()
+
+    hv.load_partition(0, workload, period_us=1000.0)
+    hv.load_partition(1, workload, period_us=1000.0)
+    hv.run(frames=2)
+    bridge = SvcBridge(hv.api, partition_of_core={0: 0, 1: 1, 2: 0, 3: 1})
+    soc = NgUltraSoc(svc_handler=bridge, engine=engine)
+    guest = assemble(SMP_GUEST, base_address=DDR_BASE)
+    provision_flash(soc, [app_image(payload=guest)])
+    boot = run_boot_chain(soc, multicore=True, run_application=True)
+    state = {
+        "halted": [core.state is CoreState.HALTED for core in soc.cores],
+        "boot_cycles": boot.total_cycles,
+        "regs": [list(core.regs) for core in soc.cores],
+        "flags": [(core.flag_z, core.flag_n, core.flag_v)
+                  for core in soc.cores],
+        "cycles": [core.cycles for core in soc.cores],
+        "bus": (soc.bus.reads, soc.bus.writes),
+        "tcm": list(soc.tcm.data),
+        "ddr": list(soc.ddr.data),
+        "traps": bridge.trap_count,
+        "hypercalls": dict(hv.api.calls),
+    }
+    return state, soc.dbt_cache.stats() if soc.dbt_cache else None
+
+
+class TestSmpGuestIdentity:
+    """The DBT engine's boot + SMP guest ends where the reference
+    interpreter's does (a small copy of ``bench_sim_dbt.py``'s check)."""
+
+    def test_dbt_matches_interpreter(self):
+        dbt, stats = boot_smp_guest("dbt")
+        ref, _ = boot_smp_guest("interp")
+        assert dbt["halted"] == [True] * 4
+        assert dbt["traps"] == 4 * 40
+        assert dbt == ref
+        # One compile per distinct block start of the guest.
+        assert stats["compiled"] == 6
+

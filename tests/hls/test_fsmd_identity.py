@@ -28,6 +28,8 @@ from test_interp_identity import SOURCES, stimuli
 from repro.hls import synthesize
 from repro.hls.backend.dbt import DbtFsmdSimulator
 from repro.hls.backend.simulate import FsmdSimulator
+from repro.hls.ir import Call
+from repro.hls.ir.interp import InterpError, Interpreter
 
 CLOCK_NS = 8.0
 
@@ -137,3 +139,24 @@ def test_calls_program_exercises_calls():
     assert dict(payload["calls"]) == {"bucket": 3, "spread": 1}
     assert {func for (func, _), _ in payload["block_cycles"]} == {
         "calls", "bucket", "spread"}
+
+
+@pytest.mark.parametrize("engine", ["ir"] + sorted(ENGINES))
+def test_memory_arity_mismatch(engine):
+    """A call with too few memory arguments fails alike on the IR
+    interpreter and both FSMD engines (``TestCallArity``'s module)."""
+    source = ("int total(const int *v, int n) { int s = 0; int t[2];"
+              " for (int i = 0; i < n; i++) { t[i & 1] = v[i];"
+              " s += t[i & 1]; } return s; }\n"
+              "int f(int *data, int n) { data[0] = 5;"
+              " return total(data, n); }")
+    project = synthesize(source, "f", clock_ns=CLOCK_NS)
+    for op in project.module["f"].all_ops():
+        if isinstance(op, Call):
+            op.mem_args = []
+    runner = Interpreter(project.module) if engine == "ir" \
+        else simulator(engine, project)
+    with pytest.raises(InterpError,
+                       match=r"^call total: memory arity mismatch$"):
+        runner.run("f", (3,), {"data": [1, 2, 3]})
+

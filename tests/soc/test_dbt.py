@@ -360,20 +360,55 @@ class TestSvcLockstep:
         assert soc_d.master_core().regs[0] == 10 * 7
 
 
+#: Three blocks: [MOVI .. BNE] at +0, the loop [ADDI .. BNE] at +4 and
+#: [HALT] at +20.
+LOOP_SOURCE = """
+    MOVI r1, #300
+    loop:
+    ADDI r1, r1, #-1
+    ADD  r2, r2, r1
+    CMP  r1, r0
+    BNE  loop
+    HALT
+"""
+LOOP_BLOCK_STARTS = {CODE_BASE, CODE_BASE + 4, CODE_BASE + 20}
+
+
+def per_core_socs(max_steps):
+    """Both engines after ``run_all(max_steps)`` on four independent
+    per-core programs (own code, own trip count, own data word).  Each
+    runs an 11-instruction block, then a 7-instruction loop block."""
+    socs = []
+    for engine in ("dbt", "interp"):
+        soc = NgUltraSoc(engine=engine)
+        for core in soc.cores:
+            base = CODE_BASE + core.core_id * 0x400
+            soc.tcm.load(assemble(f"""
+                MOVI r1, #{200 + 37 * core.core_id}
+                MOVI r3, #{(DATA_BASE >> 8) + core.core_id}
+                MOVI r4, #8
+                LSL  r3, r3, r4
+                loop:
+                ADDI r1, r1, #-1
+                ADD  r2, r2, r1
+                EOR  r5, r2, r1
+                STR  r5, [r3, #0]
+                LDR  r6, [r3, #0]
+                CMP  r1, r0
+                BNE  loop
+                HALT
+                """, base_address=base), (base - TCM_BASE) // 4)
+            core.reset(entry_point=base)
+        steps = soc.run_all(max_steps)
+        socs.append((soc, steps))
+    return socs
+
+
 class TestRunAllEquivalence:
     def test_multicore_final_state_matches(self):
         """run_all batches per block on the DBT engine; independent
         per-core programs end in identical architectural state."""
-        words = assemble(
-            """
-            MOVI r1, #300
-            loop:
-            ADDI r1, r1, #-1
-            ADD  r2, r2, r1
-            CMP  r1, r0
-            BNE  loop
-            HALT
-            """, base_address=CODE_BASE)
+        words = assemble(LOOP_SOURCE, base_address=CODE_BASE)
         finals = []
         for engine in ("dbt", "interp"):
             soc = NgUltraSoc(engine=engine)
@@ -388,3 +423,39 @@ class TestRunAllEquivalence:
                 sorted(steps.values()),
             ))
         assert finals[0] == finals[1]
+
+    def test_turns_compile_only_block_starts(self):
+        """A turn ends on a block boundary, so resuming never starts
+        (and compiles) a block in the middle of another."""
+        soc = NgUltraSoc()
+        soc.tcm.load(assemble(LOOP_SOURCE, base_address=CODE_BASE))
+        for core in soc.cores:
+            core.reset(entry_point=CODE_BASE)
+        soc.run_all(100_000)
+        assert all(c.state is CoreState.HALTED for c in soc.cores)
+        assert set(soc.dbt_cache.fast) == LOOP_BLOCK_STARTS
+        assert soc.dbt_cache.stats()["compiled"] == len(LOOP_BLOCK_STARTS)
+
+    @pytest.mark.parametrize("max_steps", [1, 129, 130, 131, 1001, 1403])
+    def test_max_steps_is_exact(self, max_steps):
+        """``max_steps`` caps every core exactly, also mid-block, and
+        each core then matches the reference engine's state."""
+        (dbt, dbt_steps), (ref, ref_steps) = per_core_socs(max_steps)
+        assert dbt_steps == ref_steps == dict.fromkeys(range(4), max_steps)
+        for core_d, core_i in zip(dbt.cores, ref.cores):
+            assert core_d.state is core_i.state is CoreState.RUNNING
+            assert list(core_d.regs) == list(core_i.regs)
+            assert core_d.cycles == core_i.cycles
+            assert (core_d.flag_z, core_d.flag_n, core_d.flag_v) == \
+                (core_i.flag_z, core_i.flag_n, core_i.flag_v)
+        assert dbt.tcm.data == ref.tcm.data
+
+    def test_per_core_programs_run_to_halt(self):
+        (dbt, dbt_steps), (ref, ref_steps) = per_core_socs(100_000)
+        assert dbt_steps == ref_steps
+        assert len(set(dbt_steps.values())) == 4
+        assert [list(c.regs) for c in dbt.cores] == \
+            [list(c.regs) for c in ref.cores]
+        assert [c.cycles for c in dbt.cores] == [c.cycles for c in ref.cores]
+        assert all(c.state is CoreState.HALTED for c in dbt.cores)
+        assert dbt.tcm.data == ref.tcm.data

@@ -14,6 +14,7 @@ from repro.soc import (
     SRAM_BASE,
     SpaceWireError,
     TCM_BASE,
+    WordArray,
     assemble,
     default_mpu_regions,
     disassemble,
@@ -203,6 +204,26 @@ class TestMemoryMap:
             soc.bus.read_word(FLASH_A_BASE)
         soc.bus.write_word(PERIPH_BASE + REG_FLASH_CTRL * 4, 1)
         assert soc.bus.read_word(FLASH_A_BASE) == 0xAB
+
+
+class TestWordArrayLoad:
+    def test_load_masks_to_32_bits(self):
+        array = WordArray(4)
+        array.load([1 << 32 | 7, -1], 1)
+        assert array.data == [0, 7, 0xFFFFFFFF, 0]
+
+    @pytest.mark.parametrize("offset,count", [(3, 2), (-1, 1), (5, 0)])
+    def test_out_of_range_load_writes_nothing(self, offset, count):
+        array = WordArray(4)
+        array.load([1, 2, 3, 4])
+        with pytest.raises(IndexError):
+            array.load([9] * count, offset)
+        assert array.data == [1, 2, 3, 4]
+
+    def test_flash_program_takes_any_iterable(self):
+        soc = NgUltraSoc()
+        soc.flash_controller.program(1, 2, (w for w in (5, 6)))
+        assert soc.flash_controller.banks[1].data[:5] == [0, 0, 5, 6, 0]
 
 
 class TestMpu:
