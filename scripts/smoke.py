@@ -208,18 +208,22 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     # Correctness + perf net for the block-cached simulators: the
     # randomized lockstep equivalence suite (DBT vs decode-per-step
     # oracle, including self-modifying code and SEU-flip invalidation),
-    # the latent-bugfix regressions and the FSMD identity digests
+    # the latent-bugfix regressions, the FSMD identity digests
     # (results and full traces of the reference FSMD walk and the FSMD
-    # DBT), the HLS golden model's identity digests (the decoded IR
+    # DBT) and the synthesis identity digests (optimized IR, block
+    # schedule lengths and Verilog of every hls_dse point), the HLS
+    # golden model's identity digests (the decoded IR
     # interpreter every co-simulation checks against), then the gated
     # race — ≥5x on the boot + 4-core SVC guest workload with
     # bit-identical state — and a short run of the co-simulation-bound
     # hls_dse benchmark, which checks every output.
     "sim-dbt": {"steps": [
-        ("Lockstep equivalence + bugfix regressions + FSMD identity",
+        ("Lockstep equivalence + bugfix regressions + FSMD and "
+         "synthesis identity",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/soc/test_dbt.py tests/soc/test_cpu_bugfixes.py "
-         "tests/hls/test_fsmd_dbt.py tests/hls/test_fsmd_identity.py"),
+         "tests/hls/test_fsmd_dbt.py tests/hls/test_fsmd_identity.py "
+         "tests/hls/test_synthesis_identity.py"),
         ("IR interpreter identity golden",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/hls/test_interp_identity.py"),

@@ -44,6 +44,7 @@ from ...hls.ir.operations import (
     UnOp,
     eval_binop,
     eval_unop,
+    trunc_div,
 )
 from ...hls.ir.types import FloatType, IntType
 from ...hls.ir.values import Const, MemObject, Temp, Value, Var
@@ -215,12 +216,6 @@ def width_needed(interval: Interval, signed: bool) -> int:
             bits += 1
         return bits
     return max(1, hi.bit_length())
-
-
-def _trunc_div(a: int, b: int) -> int:
-    """C-style truncating integer division (exact, no float round-trip)."""
-    q = abs(a) // abs(b)
-    return q if (a < 0) == (b < 0) else -q
 
 
 class IntervalDomain(Domain):
@@ -513,7 +508,7 @@ class IntervalDomain(Domain):
         rl, rh = rhs
         divisors = {d for d in (rl, rh, -1, 1)
                     if rl <= d <= rh and d != 0}
-        candidates = [_trunc_div(a, b)
+        candidates = [trunc_div(a, b)
                       for a in lhs for b in sorted(divisors)]
         if rl <= 0 <= rh:
             candidates.append(0)  # interp defines x / 0 == 0

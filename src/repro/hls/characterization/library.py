@@ -48,18 +48,31 @@ class CharacterizationError(Exception):
     pass
 
 
+#: Class -> width -> variants sorted by stages, widths in increasing order.
+_Index = Dict[str, Dict[int, List[ComponentRecord]]]
+
+
 class ComponentLibrary:
-    """Characterized component store with clock-aware selection."""
+    """Characterized component store with clock-aware selection.
+
+    Queries read an index of the variants by (class, width), sorted by
+    stages, and ``select`` memoizes its answer per (class, width,
+    clock).  ``add`` drops both, so a query never sees a stale library.
+    """
 
     def __init__(self, name: str = "ng-ultra-analytic") -> None:
         self.name = name
         self._records: Dict[Tuple[str, int, int], ComponentRecord] = {}
+        self._index: Optional[_Index] = None
+        self._selected: Dict[Tuple[str, int, float], ComponentRecord] = {}
 
     # -- population ------------------------------------------------------
 
     def add(self, record: ComponentRecord) -> None:
         key = (record.resource_class, record.width, record.stages)
         self._records[key] = record
+        self._index = None
+        self._selected.clear()
 
     def records(self) -> List[ComponentRecord]:
         return sorted(self._records.values(),
@@ -67,28 +80,38 @@ class ComponentLibrary:
 
     # -- queries -----------------------------------------------------------
 
-    def widths_for(self, resource_class: str) -> List[int]:
-        return sorted({w for (cls, w, _s) in self._records
-                       if cls == resource_class})
+    def _by_class(self) -> _Index:
+        if self._index is None:
+            index: _Index = {}
+            for record in self.records():
+                index.setdefault(record.resource_class, {}).setdefault(
+                    record.width, []).append(record)
+            self._index = index
+        return self._index
+
+    def _variants(self, resource_class: str,
+                  width: int) -> List[ComponentRecord]:
+        """The variants of the smallest characterized width >= width
+        (the widest if there is none), sorted by stages."""
+        widths = self._by_class().get(resource_class)
+        if not widths:
+            raise CharacterizationError(
+                f"no characterization for {resource_class!r}")
+        chosen = next((w for w in widths if w >= width), max(widths))
+        return widths[chosen]
 
     def lookup(self, resource_class: str, width: int,
                stages: Optional[int] = None) -> ComponentRecord:
         """Find the record for the smallest characterized width >= width."""
-        widths = self.widths_for(resource_class)
-        if not widths:
+        variants = self._variants(resource_class, width)
+        if stages is None:
+            return variants[0]
+        record = next((r for r in variants if r.stages == stages), None)
+        if record is None:
             raise CharacterizationError(
-                f"no characterization for {resource_class!r}")
-        chosen_width = next((w for w in widths if w >= width), widths[-1])
-        if stages is not None:
-            record = self._records.get((resource_class, chosen_width, stages))
-            if record is None:
-                raise CharacterizationError(
-                    f"{resource_class} width {chosen_width} has no "
-                    f"{stages}-stage variant")
-            return record
-        candidates = [r for (cls, w, _s), r in self._records.items()
-                      if cls == resource_class and w == chosen_width]
-        return min(candidates, key=lambda r: r.stages)
+                f"{resource_class} width {variants[0].width} has no "
+                f"{stages}-stage variant")
+        return record
 
     def select(self, resource_class: str, width: int,
                clock_ns: float) -> ComponentRecord:
@@ -99,19 +122,14 @@ class ComponentLibrary:
         timing the deepest variant is returned (the design will then limit
         Fmax, exactly as a real flow reports a timing violation).
         """
-        widths = self.widths_for(resource_class)
-        if not widths:
-            raise CharacterizationError(
-                f"no characterization for {resource_class!r}")
-        chosen_width = next((w for w in widths if w >= width), widths[-1])
-        variants = sorted(
-            (r for (cls, w, _s), r in self._records.items()
-             if cls == resource_class and w == chosen_width),
-            key=lambda r: r.stages)
-        for record in variants:
-            if record.delay_ns <= clock_ns:
-                return record
-        return variants[-1]
+        key = (resource_class, width, clock_ns)
+        record = self._selected.get(key)
+        if record is None:
+            variants = self._variants(resource_class, width)
+            record = next((r for r in variants if r.delay_ns <= clock_ns),
+                          variants[-1])
+            self._selected[key] = record
+        return record
 
     def latency_cycles(self, resource_class: str, width: int,
                        clock_ns: float) -> int:

@@ -11,11 +11,12 @@ bounds-checked :class:`Memory`):
 
 * :meth:`Interpreter.run` decodes each function it reaches once per run:
   every ``Var``/``Temp`` becomes a slot of a list register file, every op
-  a closure with its slots, constants and types bound (comparisons and
-  the wrapping integer ops bind their Python operator), every terminator
-  a reference to its target blocks.  Then it executes that form.  This
-  is the golden model of every co-simulation, and design-space
-  exploration runs one per design point.  The FSMD DBT
+  a closure with its slots, constants and types bound (comparisons bind
+  their Python operator; integer arithmetic, assigns, casts and selects
+  into an integer type bind the type's wrapping constants), every
+  terminator a reference to its target blocks.  Then it executes that
+  form.  This is the golden model of every co-simulation, and
+  design-space exploration runs one per design point.  The FSMD DBT
   (``repro.hls.backend.dbt``) runs the same decoded form, from a
   ``_Decoder`` subclass that decodes only sub-calls differently, under
   its own cycle-accounting walk: one decoder, two walks over what it
@@ -37,13 +38,14 @@ execution reaches it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .cfg import Function, Module
 from .operations import (
+    COMPARE,
+    INT_ARITH,
     Assign,
     BinOp,
     Branch,
@@ -369,13 +371,53 @@ _JUMP, _BRANCH, _RETURN, _FAIL = range(4)
 #: A decoded op: ``fn(regs, memories)``.
 _Op = Callable[[list, Dict[str, Memory]], None]
 
-#: Binary ops a decoded op runs as one operator instead of through
-#: ``eval_binop``, with its semantics: comparisons give 1/0 whatever the
-#: type, the integer ops wrap ``op(int(a), int(b))`` to the result type.
-_COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
-            "le": operator.le, "gt": operator.gt, "ge": operator.ge}
-_WRAPPING = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-             "and": operator.and_, "or": operator.or_, "xor": operator.xor}
+# Kernels for integer destinations: ``IntType.wrap`` as one expression
+# with the type's mask and half range bound in the closure, one closure
+# per signedness.  Wrapping ``v`` to a signed type is
+# ``((v + half) & mask) - half``, to an unsigned one ``v & mask``.
+
+
+def _wrapped_arith(fn, ty: IntType, a: int, b: int, d: int) -> _Op:
+    """``d = fn(int(a), int(b))`` wrapped to ``ty``."""
+    mask = (1 << ty.width) - 1
+    if not ty.signed:
+        def unsigned_arith(regs, memories):
+            regs[d] = fn(int(regs[a]), int(regs[b])) & mask
+        return unsigned_arith
+    half = 1 << (ty.width - 1)
+
+    def signed_arith(regs, memories):
+        regs[d] = ((fn(int(regs[a]), int(regs[b])) + half) & mask) - half
+    return signed_arith
+
+
+def _wrapped_convert(ty: IntType, a: int, d: int) -> _Op:
+    """``d = int(a)`` wrapped to ``ty`` (an assign or a cast)."""
+    mask = (1 << ty.width) - 1
+    if not ty.signed:
+        def unsigned_convert(regs, memories):
+            regs[d] = int(regs[a]) & mask
+        return unsigned_convert
+    half = 1 << (ty.width - 1)
+
+    def signed_convert(regs, memories):
+        regs[d] = ((int(regs[a]) + half) & mask) - half
+    return signed_convert
+
+
+def _wrapped_select(ty: IntType, c: int, t: int, f: int, d: int) -> _Op:
+    """``d = int(t if c else f)`` wrapped to ``ty``."""
+    mask = (1 << ty.width) - 1
+    if not ty.signed:
+        def unsigned_select(regs, memories):
+            regs[d] = int(regs[t] if regs[c] else regs[f]) & mask
+        return unsigned_select
+    half = 1 << (ty.width - 1)
+
+    def signed_select(regs, memories):
+        regs[d] = ((int(regs[t] if regs[c] else regs[f]) + half)
+                   & mask) - half
+    return signed_select
 
 
 class _Block:
@@ -557,18 +599,14 @@ class _Decoder:
             # (signedness); other ops from the destination type.
             ty = op.lhs.ty if op.is_comparison else op.dst.ty
             d = self.slot(op.dst)
-            if name in _COMPARE:
-                compare = _COMPARE[name]
+            if name in COMPARE:
+                compare = COMPARE[name]
 
                 def comparison(regs, memories):
                     regs[d] = 1 if compare(regs[a], regs[b]) else 0
                 return comparison
-            if name in _WRAPPING and isinstance(ty, IntType):
-                fn, wrap = _WRAPPING[name], ty.wrap
-
-                def arith(regs, memories):
-                    regs[d] = wrap(fn(int(regs[a]), int(regs[b])))
-                return arith
+            if name in INT_ARITH and isinstance(ty, IntType):
+                return _wrapped_arith(INT_ARITH[name], ty, a, b, d)
 
             def binop(regs, memories):
                 regs[d] = eval_binop(name, regs[a], regs[b], ty)
@@ -580,20 +618,21 @@ class _Decoder:
             def unop(regs, memories):
                 regs[d] = eval_unop(name, regs[a], ty)
             return unop
-        if isinstance(op, Assign):
+        if isinstance(op, (Assign, Cast)):
+            # Into an integer type both take ``ty.wrap(int(value))``.
             a, ty, d = self.read(op.src), op.dst.ty, self.slot(op.dst)
+            if isinstance(ty, IntType):
+                return _wrapped_convert(ty, a, d)
+            if isinstance(op, Cast):
+                cast, src_ty = self.interp._cast, op.src.ty
+
+                def convert(regs, memories):
+                    regs[d] = cast(regs[a], src_ty, ty)
+                return convert
 
             def assign(regs, memories):
                 regs[d] = coerce(regs[a], ty)
             return assign
-        if isinstance(op, Cast):
-            cast = self.interp._cast
-            a, src_ty, ty, d = self.read(op.src), op.src.ty, op.dst.ty, \
-                self.slot(op.dst)
-
-            def convert(regs, memories):
-                regs[d] = cast(regs[a], src_ty, ty)
-            return convert
         if isinstance(op, Load):
             i, mem, d = self.read(op.index), op.mem.name, self.slot(op.dst)
 
@@ -610,6 +649,8 @@ class _Decoder:
             c, t, f = (self.read(op.cond), self.read(op.if_true),
                        self.read(op.if_false))
             ty, d = op.dst.ty, self.slot(op.dst)
+            if isinstance(ty, IntType):
+                return _wrapped_select(ty, c, t, f, d)
 
             def select(regs, memories):
                 regs[d] = coerce(regs[t] if regs[c] else regs[f], ty)

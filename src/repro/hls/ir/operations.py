@@ -7,6 +7,7 @@ keyed by these class names plus operand bit widths.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -20,8 +21,6 @@ BINARY_OPS = {
     "eq", "ne", "lt", "le", "gt", "ge",
 }
 UNARY_OPS = {"neg", "not", "bnot"}
-
-_COMPARISONS = {"eq", "ne", "lt", "le", "gt", "ge"}
 
 # Map operator mnemonic -> functional unit resource class used during
 # allocation/binding.  Adders and subtractors share hardware; comparisons
@@ -104,7 +103,7 @@ class BinOp(Operation):
 
     @property
     def is_comparison(self) -> bool:
-        return self.op in _COMPARISONS
+        return self.op in COMPARE
 
     def __str__(self) -> str:
         return f"{self.dst} = {self.mnemonic} {self.lhs}, {self.rhs}"
@@ -390,54 +389,68 @@ def operand_width(op: Operation) -> int:
     return max(widths)
 
 
+def trunc_div(lhs: int, rhs: int) -> int:
+    """C integer division: the quotient truncated toward zero, exact at
+    any width (a zero divisor gives 0)."""
+    if rhs == 0:
+        return 0
+    quotient = abs(lhs) // abs(rhs)
+    return -quotient if (lhs < 0) != (rhs < 0) else quotient
+
+
+def _trunc_rem(lhs: int, rhs: int) -> int:
+    """C remainder: takes the dividend's sign (a zero divisor gives 0)."""
+    return 0 if rhs == 0 else lhs - trunc_div(lhs, rhs) * rhs
+
+
+def _float_div(lhs: float, rhs: float) -> float:
+    return lhs / rhs if rhs != 0 else float("inf")
+
+
+def _shl(lhs: int, rhs: int, ty: IntType) -> int:
+    return lhs << (rhs & (ty.width - 1) if rhs >= ty.width else rhs)
+
+
+def _shr(lhs: int, rhs: int, ty: IntType) -> int:
+    shift = rhs if rhs < ty.width else ty.width - 1
+    if ty.signed:
+        return lhs >> shift
+    return (lhs & ((1 << ty.width) - 1)) >> shift
+
+
+#: Comparisons: 1/0 whatever the operand type.
+COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+           "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+#: Integer ops as ``fn(int(a), int(b))``, before wrapping to the result
+#: type (the shifts, in ``_SHIFT``, also take the type).
+INT_ARITH = {"add": operator.add, "sub": operator.sub,
+             "mul": operator.mul, "div": trunc_div, "rem": _trunc_rem,
+             "and": operator.and_, "or": operator.or_,
+             "xor": operator.xor}
+_SHIFT = {"shl": _shl, "shr": _shr}
+_FLOAT_ARITH = {"add": operator.add, "sub": operator.sub,
+                "mul": operator.mul, "div": _float_div}
+
+
 def eval_binop(op: str, lhs, rhs, result_ty: Type):
     """Bit-accurate constant evaluation of a binary operation."""
-    if isinstance(result_ty, FloatType) and op not in _COMPARISONS:
-        ops = {
-            "add": lambda a, b: a + b,
-            "sub": lambda a, b: a - b,
-            "mul": lambda a, b: a * b,
-            "div": lambda a, b: a / b if b != 0 else float("inf"),
-        }
-        if op not in ops:
+    compare = COMPARE.get(op)
+    if compare is not None:
+        return 1 if compare(lhs, rhs) else 0
+    if isinstance(result_ty, IntType):
+        arith = INT_ARITH.get(op)
+        if arith is not None:
+            return result_ty.wrap(arith(int(lhs), int(rhs)))
+        shift = _SHIFT.get(op)
+        if shift is None:
+            raise ValueError(op)
+        return result_ty.wrap(shift(int(lhs), int(rhs), result_ty))
+    if isinstance(result_ty, FloatType):
+        arith = _FLOAT_ARITH.get(op)
+        if arith is None:
             raise ValueError(f"float op {op} unsupported")
-        return result_ty.round(ops[op](lhs, rhs))
-    if op in _COMPARISONS:
-        table = {
-            "eq": lhs == rhs, "ne": lhs != rhs, "lt": lhs < rhs,
-            "le": lhs <= rhs, "gt": lhs > rhs, "ge": lhs >= rhs,
-        }
-        return 1 if table[op] else 0
-    assert isinstance(result_ty, IntType)
-    lhs, rhs = int(lhs), int(rhs)
-    if op == "add":
-        raw = lhs + rhs
-    elif op == "sub":
-        raw = lhs - rhs
-    elif op == "mul":
-        raw = lhs * rhs
-    elif op == "div":
-        raw = 0 if rhs == 0 else int(lhs / rhs)  # C truncating division
-    elif op == "rem":
-        raw = 0 if rhs == 0 else lhs - int(lhs / rhs) * rhs
-    elif op == "and":
-        raw = lhs & rhs
-    elif op == "or":
-        raw = lhs | rhs
-    elif op == "xor":
-        raw = lhs ^ rhs
-    elif op == "shl":
-        raw = lhs << (rhs & (result_ty.width - 1) if rhs >= result_ty.width else rhs)
-    elif op == "shr":
-        shift = rhs if rhs < result_ty.width else result_ty.width - 1
-        if result_ty.signed:
-            raw = lhs >> shift
-        else:
-            mask = (1 << result_ty.width) - 1
-            raw = (lhs & mask) >> shift
-    else:  # pragma: no cover - guarded by BINARY_OPS
-        raise ValueError(op)
-    return result_ty.wrap(raw)
+        return result_ty.round(arith(lhs, rhs))
+    raise TypeError(f"{op} has no semantics for result type {result_ty}")
 
 
 def eval_unop(op: str, src, result_ty: Type):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir import Assign, BinOp, Cast, Function, Module, Select, UnOp
+from ..ir import Assign, BasicBlock, BinOp, Cast, Function, Module, Select, UnOp
 from ..ir.values import Const, Temp, Value, Var
 
 _PURE_OPS = (BinOp, UnOp, Cast, Select, Assign)
@@ -108,27 +108,9 @@ def _defined_temps(func: Function, loop: Set[str]) -> Set[Value]:
 # Assumed iteration weight for the hoist cost model: hoisting pays off
 # when (preheader growth) < weight * (body shrinkage).  In spatial HLS a
 # chained op is free inside the body, so hoisting is *not* always a win —
-# the decision is made on actual schedule lengths (see _loop_cost).
+# the decision is made on actual schedule lengths.
 _TRIP_WEIGHT = 8
 _COST_CLOCK_NS = 10.0
-
-
-def _loop_cost(func: Function, loop: Set[str], preheader_name: str) -> int:
-    """Schedule-length cost of one loop and its preheader.
-
-    Uses the real list scheduler at a nominal clock so the decision sees
-    chaining and resource serialization exactly as the back end will.
-    """
-    from ..backend.allocation import allocate
-    from ..backend.scheduling import schedule_block
-
-    allocation = allocate(func, clock_ns=_COST_CLOCK_NS)
-    body = sum(schedule_block(func.blocks[name], allocation,
-                              _COST_CLOCK_NS).length
-               for name in loop)
-    pre = schedule_block(func.blocks[preheader_name], allocation,
-                         _COST_CLOCK_NS).length
-    return pre + _TRIP_WEIGHT * body
 
 
 def loop_invariant_code_motion(func: Function,
@@ -136,10 +118,29 @@ def loop_invariant_code_motion(func: Function,
     """Hoist invariant pure ops out of every eligible loop.
 
     Each loop's hoist is accepted only when the scheduled cost
-    (preheader + weighted body) improves; otherwise the hoist is
-    reverted — in hardware, ops chained for free inside the body must
-    not be serialized into the loop entry.
+    (preheader length + weight * body length) improves; otherwise the
+    hoist is reverted — in hardware, ops chained for free inside the
+    body must not be serialized into the loop entry.
+
+    The cost uses the real list scheduler at a nominal clock, so the
+    decision sees chaining and resource serialization exactly as the
+    back end will.  A block's schedule depends only on its ops, its
+    terminator and the allocation, and the allocation only on the
+    function's memories and pragmas, which no hoist changes.  So one
+    allocation serves the whole pass, and a loop is priced only when
+    something was hoisted, on the blocks the hoist changed: a block it
+    left alone adds the same length to the cost before and after.
     """
+    from ..backend.allocation import allocate
+    from ..backend.scheduling import schedule_block
+
+    allocation = None
+
+    def length(name: str, ops: List) -> int:
+        view = BasicBlock(name)
+        view.ops, view.terminator = ops, func.blocks[name].terminator
+        return schedule_block(view, allocation, _COST_CLOCK_NS).length
+
     hoisted_total = 0
     preds = func.predecessors()
     for header, loop in find_loops(func):
@@ -149,8 +150,7 @@ def loop_invariant_code_motion(func: Function,
             continue  # multi-entry or unreachable preheader pattern
         preheader = func.blocks[outside_preds[0]]
         saved_ops = {name: list(func.blocks[name].ops) for name in loop}
-        saved_pre = list(preheader.ops)
-        cost_before = _loop_cost(func, loop, preheader.name)
+        saved_ops[preheader.name] = list(preheader.ops)
         written_vars = _written_vars(func, loop)
         loop_temps = _defined_temps(func, loop)
         invariant: Set[Value] = set()
@@ -188,11 +188,22 @@ def loop_invariant_code_motion(func: Function,
                 block.ops = keep
         if hoisted_here == 0:
             continue
-        if _loop_cost(func, loop, preheader.name) < cost_before:
+        if allocation is None:
+            allocation = allocate(func, clock_ns=_COST_CLOCK_NS)
+        # Hoisting only moves ops out of the loop into the preheader, so
+        # a block whose op count is unchanged is unchanged.
+        touched = [name for name, ops in saved_ops.items()
+                   if len(func.blocks[name].ops) != len(ops)]
+        weight = {name: _TRIP_WEIGHT for name in loop}
+        weight[preheader.name] = 1
+        before = sum(weight[name] * length(name, saved_ops[name])
+                     for name in touched)
+        after = sum(weight[name] * length(name, func.blocks[name].ops)
+                    for name in touched)
+        if after < before:
             hoisted_total += hoisted_here
         else:
             # The hoist serialized chained work: revert this loop.
-            preheader.ops = saved_pre
             for name, ops in saved_ops.items():
                 func.blocks[name].ops = ops
     return hoisted_total

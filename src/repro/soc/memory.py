@@ -132,6 +132,13 @@ class EccSram:
         self.memory.write(index, value & 0xFFFFFFFF)
 
     def load(self, words, offset: int = 0) -> None:
+        """Write ``words`` from ``offset`` on, as :meth:`WordArray.load`
+        does: a range outside the SRAM raises before anything is
+        written."""
+        words = list(words)
+        if offset < 0 or offset + len(words) > self.memory.size:
+            raise IndexError(f"load of {len(words)} words at {offset} "
+                             f"outside a {self.memory.size}-word SRAM")
         for i, value in enumerate(words):
             self.write(offset + i, value)
 

@@ -27,6 +27,7 @@ from repro.soc.peripherals import (
     REG_PLL_CTRL,
     REG_PLL_STATUS,
 )
+from repro.soc.memory import EccSram
 
 
 def run_program(source, max_steps=10_000, setup=None):
@@ -224,6 +225,22 @@ class TestWordArrayLoad:
         soc = NgUltraSoc()
         soc.flash_controller.program(1, 2, (w for w in (5, 6)))
         assert soc.flash_controller.banks[1].data[:5] == [0, 0, 5, 6, 0]
+
+
+class TestEccSramLoad:
+    def test_load_masks_to_32_bits(self):
+        sram = EccSram(4)
+        sram.load((w for w in (1 << 32 | 7, -1)), 1)
+        assert [sram.read(i) for i in range(4)] == [0, 7, 0xFFFFFFFF, 0]
+
+    @pytest.mark.parametrize("offset,count", [(1, 6), (3, 2), (-1, 1),
+                                              (5, 0)])
+    def test_out_of_range_load_writes_nothing(self, offset, count):
+        sram = EccSram(4)
+        sram.load([1, 2, 3, 4])
+        with pytest.raises(IndexError):
+            sram.load(list(range(10, 10 + count)), offset)
+        assert [sram.read(i) for i in range(4)] == [1, 2, 3, 4]
 
 
 class TestMpu:
