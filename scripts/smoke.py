@@ -214,7 +214,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     # schedule lengths and Verilog of every hls_dse point), the HLS
     # golden model's identity digests (the decoded IR
     # interpreter every co-simulation checks against), then the gated
-    # race — ≥5x on the boot + 4-core SVC guest workload with
+    # race — ≥8x on the boot + 4-core SVC guest workload with
     # bit-identical state — and a short run of the co-simulation-bound
     # hls_dse benchmark, which checks every output.
     "sim-dbt": {"steps": [
@@ -275,10 +275,10 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
         ("Stop the job server",
          "if [ -f server.pid ]; then kill $(cat server.pid); fi"),
     ]},
-    # Interactive ECO gates: the delta/warm-start/cone test suites and
-    # the delta-chained key + service warm-hit contracts, then a
-    # scripted 1% edit to the 10k design through the real CLI — ≥3x
-    # over the cold re-run at CI scale, ECO HPWL within 5% of cold's,
+    # Interactive ECO gates: the delta/warm-start/cone test suites, the
+    # delta-chained key + service warm-hit contracts and the pinned cold
+    # and ECO stage keys, then a scripted 1% edit to the 10k design
+    # through the real CLI — ≥3x over the cold re-run at CI scale, ECO HPWL within 5% of cold's,
     # no timing violation the cold flow doesn't have, and the ECO wire
     # report byte-identical across two fresh runs — and finally the
     # cold-vs-ECO race bench (≥10x at 1% edits, QoR-gated).
@@ -286,6 +286,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
         ("Delta, warm-start, cone-STA and key-chain test suites",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/fabric/test_eco.py tests/cache/test_eco_keys.py "
+         "tests/cache/test_stage_key_pins.py "
          "tests/service/test_eco_service.py"),
         ("Scripted 1% edit through the real CLI (speedup + QoR gates)",
          "PYTHONPATH=src python -m repro.cli eco --synth-cells 10000 "

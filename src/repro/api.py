@@ -471,7 +471,7 @@ def _run_eco(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     except DeltaError as error:
         raise JobSpecError(f"bad eco delta: {error}")
     flow = EcoFlow(_project_from(spec, ctx, eco_base_netlist(params)),
-                   delta, tracer=ctx.tracer)
+                   delta)
     effort = params.get("effort", 1.0)
     channel_width = params.get("channel_width", DEFAULT_CHANNEL_WIDTH)
     progress = ctx.progress or (lambda completed, total: None)

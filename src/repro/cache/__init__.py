@@ -13,7 +13,6 @@ artifact equal to what recomputation would produce, and every lookup is
 visible as ``cache.hit`` / ``cache.miss`` / ``cache.evict`` telemetry.
 """
 
-from .inflight import InflightRegistry
 from .keys import (
     CacheKeyError,
     canonical_json,
@@ -34,7 +33,6 @@ from .store import (
 )
 
 __all__ = [
-    "InflightRegistry",
     "CacheKeyError", "canonical_json", "canonicalize", "content_key",
     "device_fingerprint", "library_fingerprint", "netlist_fingerprint",
     "DEFAULT_MAX_BYTES", "DEFAULT_MAX_ENTRIES", "CacheStoreError",

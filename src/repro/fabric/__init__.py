@@ -12,7 +12,6 @@ from .device import (
     scaled_device,
 )
 from .eco import (
-    ECO_KERNEL_VERSION,
     AddCell,
     DeltaError,
     DeltaImpact,
@@ -29,6 +28,7 @@ from .eco import (
 )
 from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Cell, Net, Netlist
 from .nxmap import (
+    ECO_KERNEL_VERSION,
     FlowError,
     FlowReport,
     NXmapProject,

@@ -28,7 +28,8 @@ re-implementation incremental:
     full-timing state.
 
 Every ECO stage result is content-addressed under a *delta-chained*
-key: ``content_key(base stage key, canonical delta, options)``.  The
+key: ``content_key(base stage key, canonical delta, options)``, made by
+the same :meth:`NXmapProject.stage_key` as the cold stage keys.  The
 same edit submitted twice — from the CLI, the API (job kind ``eco``) or
 the PR-9 service — is therefore a warm cache hit with a byte-identical
 report.
@@ -40,10 +41,9 @@ Telemetry counters: ``eco.cells.moved``, ``eco.nets.ripped``,
 from __future__ import annotations
 
 import random
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, \
-    Sequence, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, NamedTuple, \
+    Optional, Sequence, Set, Tuple, Union
 
 from ..cache import content_key
 from ..telemetry import Tracer
@@ -55,13 +55,6 @@ from .placement import PlacementResult, _Grid, _SiteManager, _anneal, \
 from .routing import DEFAULT_CHANNEL_WIDTH, RoutingResult, route
 from .timing import StaState, TimingReport, analyze_timing_cone, \
     analyze_timing_state
-
-#: Bumped whenever the ECO kernels (warm-start placement, delta routing
-#: orchestration, cone merge) change their results; folded into every
-#: delta-chained stage key so stale ECO artifacts are never served.
-#: Version 2: the warm start reports its final HPWL (version 1 reported
-#: the warm-start HPWL) and counts ``rescans`` over tracked nets only.
-ECO_KERNEL_VERSION = 2
 
 #: Constraint names a delta may change.
 _CONSTRAINT_NAMES = ("target_clock_ns",)
@@ -640,66 +633,45 @@ class EcoReport:
 # -- the flow ---------------------------------------------------------------
 
 
+class _ConeTiming(NamedTuple):
+    """The cached ``eco-sta`` value: the merged report plus the cone
+    size, which rides along so a warm hit reports the same number the
+    cold run measured (the byte-identical warm-report contract covers
+    ``eco`` stats)."""
+
+    report: TimingReport
+    cone: int
+
+    def to_json(self) -> Dict[str, Any]:
+        return {"report": self.report.to_json(), "cone": self.cone}
+
+    @classmethod
+    def from_json(cls, payload: Mapping[str, Any]) -> "_ConeTiming":
+        return cls(TimingReport.from_json(payload["report"]),
+                   int(payload["cone"]))
+
+
 class EcoFlow:
     """Incremental re-implementation of one edit on a base project.
 
     The base :class:`NXmapProject` supplies the cached placement,
     routing and timing state (computed cold if its cache has been
     evicted — the delta-chained keys then rebuild below the new base
-    keys, so the fallback is transparent).  ``run()`` produces an
-    :class:`EcoReport` for the edited design.
+    keys, so the fallback is transparent).  ``run()`` builds a project
+    for the edited design and runs the warm-start stages on it through
+    :meth:`NXmapProject.run_stage`, so they are keyed, cached and traced
+    as the cold stages are; it returns an :class:`EcoReport`.
     """
 
-    def __init__(self, project: NXmapProject, delta: NetlistDelta,
-                 tracer: Optional[Tracer] = None) -> None:
+    def __init__(self, project: NXmapProject, delta: NetlistDelta) -> None:
         self.project = project
         self.delta = delta
-        self.tracer = tracer if tracer is not None else project.tracer
-        self.cache = project.cache
         self.netlist: Optional[Netlist] = None
         self.impact: Optional[DeltaImpact] = None
         self.placement: Optional[PlacementResult] = None
         self.routing: Optional[RoutingResult] = None
         self.timing: Optional[TimingReport] = None
         self._base_state: Optional[StaState] = None
-
-    # -- delta-chained content addressing -----------------------------------
-
-    def _eco_key(self, stage: str, parent: Optional[str],
-                 **options: Any) -> Optional[str]:
-        """``content_key(parent stage key, delta, options)``.
-
-        ``parent`` is the base stage's key for the first ECO stage and
-        the previous ECO stage's key after that, so the whole incremental
-        chain hangs off the base placement identity plus the canonical
-        delta — the delta-chained key contract.
-        """
-        if self.cache is None or parent is None:
-            return None
-        return content_key("fabric", {
-            "stage": stage, "parent": parent,
-            "delta": self.delta.canonical(),
-            "kernel": ECO_KERNEL_VERSION,
-            "options": options})
-
-    def _cached(self, key: Optional[str], decoder, compute, encoder):
-        if self.cache is None or key is None:
-            return compute()
-        hit, value = self.cache.get("fabric", key, decoder)
-        if hit:
-            return value
-        value = compute()
-        self.cache.put("fabric", key, value, encoder)
-        return value
-
-    def _span(self, name: str, **attributes):
-        if self.tracer is None:
-            return nullcontext(None)
-        return self.tracer.span(name, "fabric",
-                                design=self.project.netlist.name,
-                                **attributes)
-
-    # -- the incremental flow ----------------------------------------------
 
     def prepare_base(self, effort: float = 1.0,
                      channel_width: int = DEFAULT_CHANNEL_WIDTH
@@ -720,60 +692,51 @@ class EcoFlow:
         if project.routing is None:
             project.run_route(channel_width=channel_width)
         if self._base_state is None:
-            state_key = (project._stage_key("sta-state",
-                                            project._route_key)
-                         if self.cache is not None else None)
-            with self._span("eco.sta.base"):
-                self._base_state = self._cached(
-                    state_key, StaState.from_json,
-                    lambda: analyze_timing_state(
-                        project.netlist, project.device,
-                        routing=project.routing,
-                        locations=project.placement.locations)[1],
-                    StaState.to_json)
+            self._base_state = project.run_stage(
+                "sta-state", project.stage_keys.get("route"), StaState,
+                lambda: analyze_timing_state(
+                    project.netlist, project.device,
+                    routing=project.routing,
+                    locations=project.placement.locations)[1],
+                span="eco.sta.base")
         return self._base_state
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,
             channel_width: int = DEFAULT_CHANNEL_WIDTH) -> EcoReport:
-        project = self.project
-        device = project.device
-        tracer = self.tracer
+        base = self.project
+        tracer = base.tracer
 
-        with self._span("eco", ops=len(self.delta.ops)):
+        with base.span("eco", ops=len(self.delta.ops)):
             base_state = self.prepare_base(effort=effort,
                                            channel_width=channel_width)
-            base_place = project.placement
-            base_route = project.routing
+            base_place = base.placement
+            base_route = base.routing
 
-            # Apply the edit; the shadow project re-validates it and
-            # checks device capacity (and later regenerates the
-            # bitstream through the delta-chained key).
-            edited, impact = self.delta.apply(project.netlist)
+            # Apply the edit; the edited design's project re-validates it
+            # and checks device capacity, then runs the ECO stages.
+            edited, impact = self.delta.apply(base.netlist)
             self.netlist, self.impact = edited, impact
             try:
-                shadow = NXmapProject(edited, device, seed=project.seed,
-                                      tracer=tracer, cache=self.cache)
+                project = NXmapProject(edited, base.device, seed=base.seed,
+                                       tracer=tracer, cache=base.cache)
             except FlowError as error:
                 raise FlowError(f"edited netlist rejected: {error}")
             target = impact.constraints.get("target_clock_ns",
                                             target_clock_ns)
             changed = set(impact.changed_cells)
+            delta = self.delta.canonical()
 
-            # (a) Warm-start placement.
-            place_key = self._eco_key("eco-place", project._place_key,
-                                      effort=effort)
-            with self._span("eco.place", changed=len(changed)) as span:
-                placement = self._cached(
-                    place_key, PlacementResult.from_json,
-                    lambda: eco_place(edited, device, base_place,
-                                      changed, seed=project.seed,
-                                      effort=effort, tracer=tracer),
-                    PlacementResult.to_json)
-                if span is not None:
-                    span.attributes["moved"] = \
-                        placement.stats.get("moved", 0)
-                    span.attributes["frozen"] = \
-                        placement.stats.get("frozen", 0)
+            # (a) Warm-start placement, chained off the base placement.
+            placement = project.placement = project.run_stage(
+                "place", base.stage_keys.get("place"), PlacementResult,
+                lambda: eco_place(edited, base.device, base_place,
+                                  changed, seed=base.seed,
+                                  effort=effort, tracer=tracer),
+                options={"effort": effort}, delta=delta, span="eco.place",
+                attributes={"changed": len(changed)},
+                describe=lambda result: {
+                    "moved": result.stats.get("moved", 0),
+                    "frozen": result.stats.get("frozen", 0)})
             self.placement = placement
             moved_cells = {name for name, tile
                            in placement.locations.items()
@@ -797,64 +760,43 @@ class EcoFlow:
                     rip.add(cell.output)
             ripped_existing = sum(1 for name in rip
                                   if name in base_route.routes)
-            route_key = self._eco_key("eco-route", place_key,
-                                      channel_width=channel_width)
-            with self._span("eco.route", ripped=ripped_existing) as span:
-                routing = self._cached(
-                    route_key, RoutingResult.from_json,
-                    lambda: route(edited, placement.locations,
-                                  placement.grid,
-                                  channel_width=channel_width,
-                                  tracer=tracer, warm=base_route,
-                                  reroute_nets=rip),
-                    RoutingResult.to_json)
-                if span is not None:
-                    span.attributes["wirelength"] = routing.wirelength
-                    span.attributes["failed"] = \
-                        routing.failed_connections
+            routing = project.routing = project.run_stage(
+                "route", project.stage_keys.get("place"), RoutingResult,
+                lambda: route(edited, placement.locations, placement.grid,
+                              channel_width=channel_width, tracer=tracer,
+                              warm=base_route, reroute_nets=rip),
+                options={"channel_width": channel_width}, delta=delta,
+                span="eco.route", attributes={"ripped": ripped_existing},
+                describe=lambda result: {
+                    "wirelength": result.wirelength,
+                    "failed": result.failed_connections})
             self.routing = routing
 
             # (c) Cone-limited STA, merged into the cached base state.
-            # The cone size rides along in the cached payload so a warm
-            # hit reports the same number the cold run measured — the
-            # byte-identical warm-report contract covers ``eco`` stats.
-            sta_key = self._eco_key("eco-sta", route_key,
-                                    target_clock_ns=target)
-            with self._span("eco.sta") as span:
+            def compute_sta() -> _ConeTiming:
+                report, _state, size = analyze_timing_cone(
+                    edited, base.device, base_state,
+                    changed_cells=changed | moved_cells,
+                    changed_nets=rip, target_clock_ns=target,
+                    routing=routing, locations=placement.locations)
+                return _ConeTiming(report, size)
 
-                def compute_sta() -> Tuple[TimingReport, int]:
-                    report, _state, size = analyze_timing_cone(
-                        edited, device, base_state,
-                        changed_cells=changed | moved_cells,
-                        changed_nets=rip, target_clock_ns=target,
-                        routing=routing,
-                        locations=placement.locations)
-                    return report, size
-
-                timing, cone_size = self._cached(
-                    sta_key,
-                    lambda payload: (
-                        TimingReport.from_json(payload["report"]),
-                        int(payload["cone"])),
-                    compute_sta,
-                    lambda value: {"report": value[0].to_json(),
-                                   "cone": value[1]})
-                if span is not None:
-                    span.attributes["cone"] = cone_size
-                    span.attributes["critical_path_ns"] = \
-                        round(timing.critical_path_ns, 6)
-            self.timing = timing
+            timing, cone_size = project.run_stage(
+                "sta", project.stage_keys.get("route"), _ConeTiming,
+                compute_sta, options={"target_clock_ns": target},
+                delta=delta, span="eco.sta",
+                describe=lambda result: {
+                    "cone": result.cone,
+                    "critical_path_ns":
+                        round(result.report.critical_path_ns, 6)})
+            self.timing = project.timing = timing
 
             # Bitstream: regeneration is O(cells) and config words may
-            # have changed anywhere (resize ops), so rebuild in full.
-            shadow.placement = placement
-            shadow.routing = routing
-            shadow.timing = timing
-            # Chain the bitstream stage off the delta-chained place key
+            # have changed anywhere (resize ops), so rebuild in full.  It
+            # chains off the edited project's (delta-chained) place key,
             # so the regenerated bitstream is cached per (base, delta).
-            shadow._place_key = place_key
-            with self._span("eco.bitstream"):
-                shadow.run_bitstream()
+            with project.span("eco.bitstream"):
+                project.run_bitstream()
 
             eco_stats = {
                 "cells_added": len(impact.added),
@@ -877,10 +819,10 @@ class EcoFlow:
                     cone_size)
 
             return EcoReport(
-                device=device.name,
-                base_netlist=project._base()["netlist"],
-                delta=self.delta.canonical(),
+                device=base.device.name,
+                base_netlist=base.fingerprint()["netlist"],
+                delta=delta,
                 delta_fingerprint=self.delta.fingerprint(),
                 base_hpwl=base_place.hpwl,
-                flow=shadow.report(target),
+                flow=project.report(target),
                 eco=eco_stats)

@@ -83,16 +83,18 @@ class Netlist:
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
             raise NetlistError(f"duplicate cell {cell.name!r}")
+        # Check before writing: a rejected cell leaves no trace.
+        driven = (self.nets.get(cell.output)
+                  if cell.output is not None else None)
+        if driven is not None and driven.driver is not None:
+            raise NetlistError(
+                f"net {driven.name!r} driven twice "
+                f"({driven.driver} and {cell.name})")
         self.cells[cell.name] = cell
         for net_name in cell.inputs:
             self.ensure_net(net_name).sinks.append(cell.name)
         if cell.output is not None:
-            net = self.ensure_net(cell.output)
-            if net.driver is not None:
-                raise NetlistError(
-                    f"net {net.name!r} driven twice "
-                    f"({net.driver} and {cell.name})")
-            net.driver = cell.name
+            self.ensure_net(cell.output).driver = cell.name
         return cell
 
     def add_input(self, net_name: str) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..cache import FlowCache, content_key, device_fingerprint, \
     netlist_fingerprint
@@ -26,6 +26,13 @@ from .placement import PLACE_KERNEL_VERSION, PlacementResult, place
 from .routing import DEFAULT_CHANNEL_WIDTH, ROUTE_KERNEL_VERSION, \
     RoutingResult, route
 from .timing import STA_KERNEL_VERSION, TimingReport, analyze_timing
+
+#: Bumped whenever the ECO kernels (warm-start placement, delta routing
+#: orchestration, cone merge) change their results; folded into every
+#: delta-chained stage key so stale ECO artifacts are never served.
+#: Version 2: the warm start reports its final HPWL (version 1 reported
+#: the warm-start HPWL) and counts ``rescans`` over tracked nets only.
+ECO_KERNEL_VERSION = 2
 
 #: Per-stage kernel versions folded into the stage cache keys.  When a
 #: kernel's algorithm changes (and so its results for identical inputs),
@@ -40,6 +47,9 @@ _KERNEL_VERSIONS: Dict[str, int] = {
     # delays) reused by the ECO cone-limited STA; versioned with the
     # STA kernel because it is that kernel's intermediate product.
     "sta-state": STA_KERNEL_VERSION,
+    "eco-place": ECO_KERNEL_VERSION,
+    "eco-route": ECO_KERNEL_VERSION,
+    "eco-sta": ECO_KERNEL_VERSION,
 }
 
 
@@ -124,6 +134,25 @@ class FlowReport:
         return ", ".join(parts)
 
 
+def _placement_attributes(placement: PlacementResult) -> Dict[str, Any]:
+    attributes = {"hpwl": round(placement.hpwl, 3),
+                  "iterations": placement.iterations}
+    moves = placement.stats.get("moves", 0)
+    if moves:
+        attributes["accept_rate"] = round(
+            placement.stats.get("accepted", 0) / moves, 4)
+        attributes["bbox_rescans"] = placement.stats.get("rescans", 0)
+    return attributes
+
+
+def _timing_attributes(timing: TimingReport) -> Dict[str, Any]:
+    attributes = {"critical_path_ns": round(timing.critical_path_ns, 6),
+                  "fmax_mhz": round(timing.fmax_mhz, 3)}
+    if timing.slack_ns is not None:
+        attributes["slack_ns"] = round(timing.slack_ns, 6)
+    return attributes
+
+
 class NXmapProject:
     """One backend compilation: netlist → placed/routed/timed bitstream.
 
@@ -133,6 +162,11 @@ class NXmapProject:
     off its parent stage's key plus its own options only.  Changing a
     routing option therefore reuses the cached placement; changing the
     STA clock reuses both placement and routing.
+
+    Every stage, cold or delta-chained (the ECO flow's warm-start
+    stages), runs through :meth:`run_stage`, which keys, caches and
+    traces it; ``stage_keys`` holds the key of each stage's current
+    result, so later stages chain off it.
     """
 
     def __init__(self, netlist: Netlist, device: Device | str,
@@ -147,14 +181,13 @@ class NXmapProject:
         self.routing: Optional[RoutingResult] = None
         self.timing: Optional[TimingReport] = None
         self.bitstream: Optional[Bitstream] = None
+        self.stage_keys: Dict[str, Optional[str]] = {}
         self._base_material: Optional[Dict[str, Any]] = None
-        self._place_key: Optional[str] = None
-        self._route_key: Optional[str] = None
         self._validate()
 
     # -- content addressing ------------------------------------------------
 
-    def _base(self) -> Dict[str, Any]:
+    def fingerprint(self) -> Dict[str, Any]:
         """Fingerprint of the flow inputs shared by every stage."""
         if self._base_material is None:
             self._base_material = {
@@ -164,28 +197,71 @@ class NXmapProject:
             }
         return self._base_material
 
-    def _stage_key(self, stage: str, parent: Optional[str],
-                   **options: Any) -> str:
-        """Key for one stage: parent stage's key + this stage's options."""
+    def stage_key(self, stage: str, parent: Optional[str],
+                  delta: Optional[List[Dict[str, Any]]] = None,
+                  **options: Any) -> str:
+        """Key for one stage: parent stage's key + this stage's options.
+
+        With ``delta`` (a canonical edit script) the stage is the ECO
+        re-run of ``stage`` from a base result: it is keyed
+        ``eco-<stage>`` and folds in the edit, so the chain hangs off the
+        base key plus the delta.
+        """
+        if delta is not None:
+            stage = f"eco-{stage}"
         material: Dict[str, Any] = {"stage": stage, "parent": parent,
                                     "options": options}
         version = _KERNEL_VERSIONS.get(stage)
         if version is not None:
             material["kernel"] = version
+        if delta is not None:
+            material["delta"] = delta
         if parent is None:
-            material["base"] = self._base()
+            material["base"] = self.fingerprint()
         return content_key("fabric", material)
 
-    def _cached(self, stage: str, key: Optional[str], decoder,
-                compute, encoder):
-        """Run ``compute`` through the cache when one is attached."""
-        if self.cache is None or key is None:
-            return compute()
-        hit, value = self.cache.get("fabric", key, decoder)
-        if hit:
-            return value
-        value = compute()
-        self.cache.put("fabric", key, value, encoder)
+    def span(self, name: str, **attributes):
+        """A fabric span on the project's tracer (a null context without
+        one)."""
+        if self.tracer is None:
+            return nullcontext(None)
+        return self.tracer.span(name, "fabric", design=self.netlist.name,
+                                **attributes)
+
+    def run_stage(self, stage: str, parent: Optional[str], codec,
+                  compute: Callable[[], Any],
+                  options: Optional[Dict[str, Any]] = None,
+                  delta: Optional[List[Dict[str, Any]]] = None,
+                  span: Optional[str] = None,
+                  attributes: Optional[Dict[str, Any]] = None,
+                  describe: Optional[Callable[[Any], Dict[str, Any]]]
+                  = None) -> Any:
+        """Run one stage: ``compute()`` through the cache when one is
+        attached, under the stage key of (``stage``, ``parent``,
+        ``delta``, ``options``), inside span ``span`` (default: the
+        stage name) opened with ``attributes``.  ``codec`` revives and
+        persists the value (``from_json``/``to_json``); ``describe``
+        maps it to the span's result attributes.
+
+        A delta-chained stage without a ``parent`` key (its base was
+        computed before a cache was attached) is not keyed: the key would
+        hold the edited design but not the base result it was warm-started
+        from.
+        """
+        options = options or {}
+        key = (self.stage_key(stage, parent, delta, **options)
+               if self.cache is not None
+               and (delta is None or parent is not None) else None)
+        with self.span(span or stage, **(attributes or {})) as live:
+            hit, value = (self.cache.get("fabric", key, codec.from_json)
+                          if key is not None else (False, None))
+            if not hit:
+                value = compute()
+                if key is not None:
+                    self.cache.put("fabric", key, value, codec.to_json)
+            if live is not None and describe is not None:
+                live.attributes.update(describe(value))
+        self.stage_keys[stage] = key
         return value
 
     def _validate(self) -> None:
@@ -201,107 +277,65 @@ class NXmapProject:
 
     # -- flow steps (paper Fig. 3) ----------------------------------------
 
-    def _span(self, name: str, **attributes):
-        if self.tracer is None:
-            return nullcontext(None)
-        return self.tracer.span(name, "fabric", design=self.netlist.name,
-                                **attributes)
-
     def run_place(self, effort: float = 1.0) -> PlacementResult:
         stats = self.netlist.stats()
-        key = (self._stage_key("place", None, effort=effort)
-               if self.cache is not None else None)
-        with self._span("place", effort=effort,
-                        cells=stats["luts"] + stats["ffs"]) as span:
-            self.placement = self._cached(
-                "place", key, PlacementResult.from_json,
-                lambda: place(self.netlist, self.device,
-                              seed=self.seed, effort=effort,
-                              tracer=self.tracer),
-                PlacementResult.to_json)
-            if span is not None:
-                span.attributes["hpwl"] = round(self.placement.hpwl, 3)
-                span.attributes["iterations"] = self.placement.iterations
-                moves = self.placement.stats.get("moves", 0)
-                if moves:
-                    span.attributes["accept_rate"] = round(
-                        self.placement.stats.get("accepted", 0) / moves, 4)
-                    span.attributes["bbox_rescans"] = \
-                        self.placement.stats.get("rescans", 0)
-        self._place_key = key
+        self.placement = self.run_stage(
+            "place", None, PlacementResult,
+            lambda: place(self.netlist, self.device, seed=self.seed,
+                          effort=effort, tracer=self.tracer),
+            options={"effort": effort},
+            attributes={"effort": effort,
+                        "cells": stats["luts"] + stats["ffs"]},
+            describe=_placement_attributes)
         return self.placement
 
     def run_route(self, channel_width: int = DEFAULT_CHANNEL_WIDTH
                   ) -> RoutingResult:
         if self.placement is None:
             self.run_place()
-        key = (self._stage_key("route", self._place_key,
-                               channel_width=channel_width)
-               if self.cache is not None else None)
-        with self._span("route", channel_width=channel_width) as span:
-            self.routing = self._cached(
-                "route", key, RoutingResult.from_json,
-                lambda: route(self.netlist, self.placement.locations,
-                              self.placement.grid,
-                              channel_width=channel_width,
-                              tracer=self.tracer),
-                RoutingResult.to_json)
-            if span is not None:
-                span.attributes["wirelength"] = self.routing.wirelength
-                span.attributes["overflow_edges"] = \
-                    self.routing.overflow_edges
-                span.attributes["expanded_nodes"] = \
-                    self.routing.expanded_nodes
-                span.attributes["ripped_connections"] = \
-                    self.routing.ripped_connections
-        self._route_key = key
+        self.routing = self.run_stage(
+            "route", self.stage_keys.get("place"), RoutingResult,
+            lambda: route(self.netlist, self.placement.locations,
+                          self.placement.grid, channel_width=channel_width,
+                          tracer=self.tracer),
+            options={"channel_width": channel_width},
+            attributes={"channel_width": channel_width},
+            describe=lambda routing: {
+                "wirelength": routing.wirelength,
+                "overflow_edges": routing.overflow_edges,
+                "expanded_nodes": routing.expanded_nodes,
+                "ripped_connections": routing.ripped_connections})
         return self.routing
 
     def run_sta(self, target_clock_ns: Optional[float] = None
                 ) -> TimingReport:
-        key = None
-        if self.cache is not None:
-            parent = self._route_key or self._place_key
-            key = self._stage_key("sta", parent,
-                                  target_clock_ns=target_clock_ns,
-                                  routed=self.routing is not None,
-                                  placed=self.placement is not None)
-        with self._span("sta") as span:
-            locations = (self.placement.locations
-                         if self.placement is not None else None)
-            self.timing = self._cached(
-                "sta", key, TimingReport.from_json,
-                lambda: analyze_timing(self.netlist, self.device,
-                                       target_clock_ns=target_clock_ns,
-                                       routing=self.routing,
-                                       locations=locations),
-                TimingReport.to_json)
-            if span is not None:
-                span.attributes["critical_path_ns"] = \
-                    round(self.timing.critical_path_ns, 6)
-                span.attributes["fmax_mhz"] = \
-                    round(self.timing.fmax_mhz, 3)
-                if self.timing.slack_ns is not None:
-                    span.attributes["slack_ns"] = \
-                        round(self.timing.slack_ns, 6)
+        locations = (self.placement.locations
+                     if self.placement is not None else None)
+        self.timing = self.run_stage(
+            "sta",
+            self.stage_keys.get("route") or self.stage_keys.get("place"),
+            TimingReport,
+            lambda: analyze_timing(self.netlist, self.device,
+                                   target_clock_ns=target_clock_ns,
+                                   routing=self.routing,
+                                   locations=locations),
+            options={"target_clock_ns": target_clock_ns,
+                     "routed": self.routing is not None,
+                     "placed": self.placement is not None},
+            describe=_timing_attributes)
         return self.timing
 
     def run_bitstream(self) -> Bitstream:
         if self.placement is None:
             self.run_place()
-        key = (self._stage_key("bitstream", self._place_key)
-               if self.cache is not None else None)
-        with self._span("bitstream") as span:
-            self.bitstream = self._cached(
-                "bitstream", key, Bitstream.from_json,
-                lambda: generate_bitstream(
-                    self.netlist, self.placement.locations,
-                    self.placement.grid, self.device.name, seed=self.seed),
-                Bitstream.to_json)
-            if span is not None:
-                span.attributes["total_bits"] = self.bitstream.total_bits
-                span.attributes["essential_bits"] = \
-                    self.bitstream.essential_bits
+        self.bitstream = self.run_stage(
+            "bitstream", self.stage_keys.get("place"), Bitstream,
+            lambda: generate_bitstream(
+                self.netlist, self.placement.locations,
+                self.placement.grid, self.device.name, seed=self.seed),
+            describe=lambda bitstream: {
+                "total_bits": bitstream.total_bits,
+                "essential_bits": bitstream.essential_bits})
         return self.bitstream
 
     def estimate_power(self, clock_mhz: float,

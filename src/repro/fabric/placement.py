@@ -40,7 +40,7 @@ _BRAM_COLUMN_STRIDE = 12
 #: Bumped whenever the placement algorithm changes its results (including
 #: the serialized ``stats``: version 3 counts ``rescans`` over tracked
 #: nets only); part of the flow-cache stage key (see
-#: ``NXmapProject._stage_key``), so stale cached placements from an older
+#: ``NXmapProject.stage_key``), so stale cached placements from an older
 #: kernel can never be returned.
 PLACE_KERNEL_VERSION = 3
 

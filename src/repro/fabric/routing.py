@@ -32,7 +32,7 @@ Tile = Tuple[int, int]
 Edge = Tuple[Tile, Tile]
 
 #: Bumped whenever the routing algorithm changes its results; part of
-#: the flow-cache stage key (see ``NXmapProject._stage_key``), so stale
+#: the flow-cache stage key (see ``NXmapProject.stage_key``), so stale
 #: cached routes from an older kernel can never be returned.
 ROUTE_KERNEL_VERSION = 3
 

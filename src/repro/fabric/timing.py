@@ -211,11 +211,9 @@ def _endpoint_keys(netlist: Netlist) -> List[str]:
     return keys
 
 
-def _propagate(netlist: Netlist, device: Device,
-               net_lengths: Optional[Dict[str, int]],
-               locations: Optional[Dict[str, Tuple[int, int]]]
-               ) -> Tuple[Dict[str, float], Dict[str, Optional[str]]]:
-    """Levelized arrival propagation over combinational cells."""
+def _combinational_indegree(netlist: Netlist) -> Dict[str, int]:
+    """Count of combinational drivers feeding each combinational cell
+    (the Kahn pass's starting in-degrees)."""
     indegree: Dict[str, int] = {}
     for cell in netlist.cells.values():
         if cell.is_sequential:
@@ -223,41 +221,54 @@ def _propagate(netlist: Netlist, device: Device,
         count = 0
         for net_name in cell.inputs:
             net = netlist.nets.get(net_name)
-            if net and net.driver:
-                driver = netlist.cells[net.driver]
-                if not driver.is_sequential:
-                    count += 1
+            if net and net.driver \
+                    and not netlist.cells[net.driver].is_sequential:
+                count += 1
         indegree[cell.name] = count
+    return indegree
 
+
+def _input_arrival(netlist: Netlist, device: Device,
+                   net_lengths: Optional[Dict[str, int]],
+                   locations: Optional[Dict[str, Tuple[int, int]]],
+                   arrival: Dict[str, float], cell: Cell
+                   ) -> Tuple[float, Optional[str]]:
+    """(worst input arrival, its driver) of one combinational cell."""
+    worst = 0.0
+    source: Optional[str] = None
+    for net_name in cell.inputs:
+        net = netlist.nets.get(net_name)
+        if not net or not net.driver:
+            continue
+        driver = netlist.cells[net.driver]
+        wire = _wire_delay(netlist, driver, cell, device, net_lengths,
+                           locations)
+        if driver.is_sequential:
+            candidate = _cell_delay(driver, device) + wire
+        else:
+            candidate = arrival.get(driver.name, 0.0) + wire
+        if candidate > worst:
+            worst = candidate
+            source = driver.name
+    return worst, source
+
+
+def _propagate(netlist: Netlist, device: Device,
+               net_lengths: Optional[Dict[str, int]],
+               locations: Optional[Dict[str, Tuple[int, int]]]
+               ) -> Tuple[Dict[str, float], Dict[str, Optional[str]]]:
+    """Levelized arrival propagation over combinational cells."""
+    indegree = _combinational_indegree(netlist)
     arrival: Dict[str, float] = {}
     parent: Dict[str, Optional[str]] = {}
-
-    def input_arrival(cell: Cell) -> Tuple[float, Optional[str]]:
-        worst = 0.0
-        source: Optional[str] = None
-        for net_name in cell.inputs:
-            net = netlist.nets.get(net_name)
-            if not net or not net.driver:
-                continue
-            driver = netlist.cells[net.driver]
-            wire = _wire_delay(netlist, driver, cell, device, net_lengths,
-                               locations)
-            if driver.is_sequential:
-                candidate = _cell_delay(driver, device) + wire
-            else:
-                candidate = arrival.get(driver.name, 0.0) + wire
-            if candidate > worst:
-                worst = candidate
-                source = driver.name
-        return worst, source
-
     queue = deque(name for name, deg in indegree.items() if deg == 0)
     processed = 0
     while queue:
         name = queue.popleft()
         processed += 1
         cell = netlist.cells[name]
-        base, source = input_arrival(cell)
+        base, source = _input_arrival(netlist, device, net_lengths,
+                                      locations, arrival, cell)
         arrival[name] = base + _cell_delay(cell, device)
         parent[name] = source
         if cell.output:
@@ -428,25 +439,6 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
             merged_arrivals[name] = value
             merged_parents[name] = base.parents.get(name)
 
-    def input_arrival(cell: Cell) -> Tuple[float, Optional[str]]:
-        worst = 0.0
-        source: Optional[str] = None
-        for net_name in cell.inputs:
-            net = netlist.nets.get(net_name)
-            if not net or not net.driver:
-                continue
-            driver = netlist.cells[net.driver]
-            wire = _wire_delay(netlist, driver, cell, device, net_lengths,
-                               locations)
-            if driver.is_sequential:
-                candidate = _cell_delay(driver, device) + wire
-            else:
-                candidate = merged_arrivals.get(driver.name, 0.0) + wire
-            if candidate > worst:
-                worst = candidate
-                source = driver.name
-        return worst, source
-
     # Topological levels of the combinational cells (one cheap Kahn
     # pass — no delay arithmetic).  Processing the worklist in level
     # order guarantees every predecessor's final value lands before a
@@ -454,17 +446,7 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     # a plain FIFO fixpoint would revisit deep cells once per upstream
     # change.  The pass also detects combinational loops.
     level: Dict[str, int] = {}
-    indegree: Dict[str, int] = {}
-    for cell in netlist.cells.values():
-        if cell.is_sequential:
-            continue
-        count = 0
-        for net_name in cell.inputs:
-            net = netlist.nets.get(net_name)
-            if net and net.driver \
-                    and not netlist.cells[net.driver].is_sequential:
-                count += 1
-        indegree[cell.name] = count
+    indegree = _combinational_indegree(netlist)
     kahn = deque(name for name, deg in indegree.items() if deg == 0)
     processed = 0
     while kahn:
@@ -516,7 +498,8 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
         queued.discard(name)
         cell = netlist.cells[name]
         cone.add(name)
-        arrival_in, source = input_arrival(cell)
+        arrival_in, source = _input_arrival(
+            netlist, device, net_lengths, locations, merged_arrivals, cell)
         value = arrival_in + _cell_delay(cell, device)
         known = name in merged_arrivals
         old = merged_arrivals.get(name)

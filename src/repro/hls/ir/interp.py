@@ -76,7 +76,9 @@ class Memory:
         self.mem = mem
         length = size if size is not None else mem.size
         if data is not None:
-            self.data = list(data)
+            # Stimuli take the C element type at the boundary, as a
+            # store does: 300 in an ``unsigned char`` is 44.
+            self.data = [self._wrap(value) for value in data]
             if length and len(self.data) < length:
                 self.data.extend([0] * (length - len(self.data)))
         else:
@@ -169,7 +171,7 @@ class Interpreter:
                 if isinstance(supplied, Memory):
                     memories[name] = supplied
                 else:
-                    memories[name] = Memory(mem, data=list(supplied),
+                    memories[name] = Memory(mem, data=supplied,
                                             size=len(supplied))
             else:
                 memories[name] = self._memory_for(mem)

@@ -17,9 +17,11 @@ one), tie-broken by submission order.
 scheduling.  A submission whose key is already warm in the cache's
 ``service`` layer completes immediately (a *warm hit*); one whose key
 is currently being computed registers as a *follower* of the in-flight
-leader via :class:`~repro.cache.InflightRegistry` and receives the
+leader (the scheduler's ``key -> leader record`` map) and receives the
 leader's byte-identical wire report when it lands; only a genuinely
-novel key is enqueued.
+novel key is enqueued.  The first claimant of a key leads; only the
+leader releases the key, when it finishes or is cancelled, so a later
+submission takes the warm-cache path.
 
 **Backpressure.**  The queue is bounded; a submission over capacity
 raises :class:`~repro.service.jobs.QueueFullError` (HTTP 429).
@@ -42,7 +44,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..api import ExitCode, JobContext, JobSpec, JobSpecError, submit
-from ..cache import FlowCache, InflightRegistry
+from ..cache import FlowCache
 from ..core.report import report_json_text
 from ..exec.cancel import ExecCancelled, cancel_scope
 from ..telemetry import Tracer
@@ -134,7 +136,11 @@ class JobScheduler:
         self.job_workers = job_workers
         self.backend = backend
         self.clock = clock
-        self.inflight = InflightRegistry()
+        # key -> the in-flight leader computing it, and the lifetime
+        # count of keys claimed (a claim counts even when the queue
+        # then rejects it).
+        self._leaders: Dict[str, JobRecord] = {}
+        self._claims = 0
         self._queue = FairQueue(weights=weights, aging_rate=aging_rate)
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
@@ -167,7 +173,7 @@ class JobScheduler:
                 record = self._queue.pop(self.clock())
                 if record is None:
                     break
-                self.inflight.release(record.key, record)
+                self._release_locked(record)
                 self._finish_locked(record, JobState.CANCELLED,
                                     error="service shutdown")
             for record in self._jobs.values():
@@ -208,9 +214,8 @@ class JobScheduler:
                     report_text=payload["report"])
                 return record
 
-            leader_is_me, owner = self.inflight.acquire(key, record)
-            if not leader_is_me:
-                leader: JobRecord = owner
+            leader = self._leaders.get(key)
+            if leader is not None:
                 record.coalesced = True
                 record.leader_id = leader.id
                 leader.followers.append(record)
@@ -220,12 +225,13 @@ class JobScheduler:
                 self._register_locked(record)
                 return record
 
+            self._claims += 1
             if len(self._queue) >= self.max_queue:
-                self.inflight.release(key, record)
                 self.counts["rejected"] += 1
                 self._count("service.jobs.rejected")
                 raise QueueFullError(
                     f"queue full ({self.max_queue} job(s) pending)")
+            self._leaders[key] = record
             self._register_locked(record)
             self._queue.push(record)
             record.add_event("queued",
@@ -236,6 +242,11 @@ class JobScheduler:
     def _register_locked(self, record: JobRecord) -> None:
         self._jobs[record.id] = record
         self._order.append(record.id)
+
+    def _release_locked(self, record: JobRecord) -> None:
+        """Release ``record``'s key if (and only if) it leads it."""
+        if self._leaders.get(record.key) is record:
+            del self._leaders[record.key]
 
     # -- queries -----------------------------------------------------------
 
@@ -274,7 +285,9 @@ class JobScheduler:
                 "queue_depth": len(self._queue),
                 "running": self._running,
                 "jobs": len(self._jobs),
-                "inflight": self.inflight.stats(),
+                "inflight": {"inflight": len(self._leaders),
+                             "leaders": self._claims,
+                             "coalesced": self.counts["coalesced"]},
                 "cache": cache_stats,
             }
 
@@ -297,7 +310,7 @@ class JobScheduler:
                 return True
             if record.state is JobState.QUEUED \
                     and self._queue.remove(record):
-                self.inflight.release(record.key, record)
+                self._release_locked(record)
                 self._promote_follower_locked(record)
                 self._finish_locked(record, JobState.CANCELLED,
                                     error=reason)
@@ -317,7 +330,8 @@ class JobScheduler:
             follower.leader_id = None
             follower.followers = cancelled.followers
             cancelled.followers = []
-            self.inflight.acquire(follower.key, follower)
+            self._leaders[follower.key] = follower
+            self._claims += 1
             self._queue.push(follower)
             follower.add_event("promoted-to-leader")
             self._work_ready.notify()
@@ -337,7 +351,7 @@ class JobScheduler:
                 if record is None:     # closed and queue drained
                     return
                 if record.token.cancelled:
-                    self.inflight.release(record.key, record)
+                    self._release_locked(record)
                     self._promote_follower_locked(record)
                     self._finish_locked(record, JobState.CANCELLED,
                                         error=record.token.reason)
@@ -393,7 +407,7 @@ class JobScheduler:
                   error: Optional[str] = None) -> None:
         with self._lock:
             self._running -= 1
-            self.inflight.release(record.key, record)
+            self._release_locked(record)
             if state is JobState.CANCELLED and not self._closed:
                 # A cancelled leader must not drag its subscribers down:
                 # the first live follower is promoted to leader and

@@ -1,8 +1,9 @@
 """Delta-chained stage keys: the ECO cache contract.
 
 Every ECO stage result is addressed by
-``content_key(parent stage key, canonical delta, options)``; these
-tests pin the three properties the interactive flow relies on:
+``content_key(parent stage key, canonical delta, options)``, made by
+``NXmapProject.stage_key`` with the canonical delta; these tests pin
+the three properties the interactive flow relies on:
 
 * the same (base, delta, options) triple produces identical keys and
   byte-identical reports regardless of worker count;
@@ -21,9 +22,9 @@ from repro.cache import FlowCache
 from repro.core.report import report_json_text
 from repro.fabric import (
     NG_ULTRA,
-    EcoFlow,
     NetlistDelta,
     NXmapProject,
+    PlacementResult,
     ResizeCell,
     random_delta,
     scaled_device,
@@ -88,13 +89,12 @@ class TestDeltaChainedKeys:
         project = NXmapProject(base_netlist(), small_device(), seed=1,
                                cache=cache)
         project.run_place(effort=1.0)
-        flow_f = EcoFlow(project, forward)
-        flow_r = EcoFlow(project, reverse)
-        key_f = flow_f._eco_key("eco-place", project._place_key,
-                                effort=1.0)
-        key_r = flow_r._eco_key("eco-place", project._place_key,
-                                effort=1.0)
-        assert key_f is not None and key_f != key_r
+        place_key = project.stage_keys["place"]
+        key_f = project.stage_key("place", place_key, forward.canonical(),
+                                  effort=1.0)
+        key_r = project.stage_key("place", place_key, reverse.canonical(),
+                                  effort=1.0)
+        assert key_f != key_r
         # Job-level keys diverge too, so the service never aliases them.
         assert eco_spec(forward).content_key() \
             != eco_spec(reverse).content_key()
@@ -132,10 +132,24 @@ class TestDeltaChainedKeys:
         project = NXmapProject(base_netlist(), small_device(), seed=1,
                                cache=cache)
         project.run_place(effort=1.0)
-        flow = EcoFlow(project, delta)
-        base_key = project._place_key
-        assert flow._eco_key("eco-place", base_key, effort=1.0) \
-            != flow._eco_key("eco-place", base_key, effort=0.5)
-        assert flow._eco_key("eco-place", base_key, effort=1.0) \
-            != flow._eco_key("eco-route", base_key, effort=1.0)
-        assert flow._eco_key("eco-place", None, effort=1.0) is None
+        base_key = project.stage_keys["place"]
+        edit = delta.canonical()
+        assert project.stage_key("place", base_key, edit, effort=1.0) \
+            != project.stage_key("place", base_key, edit, effort=0.5)
+        assert project.stage_key("place", base_key, edit, effort=1.0) \
+            != project.stage_key("route", base_key, edit, effort=1.0)
+        # The delta is part of the key: the ECO stage never aliases the
+        # cold stage of the same name, parent and options.
+        assert project.stage_key("place", base_key, edit, effort=1.0) \
+            != project.stage_key("place", base_key, effort=1.0)
+        # No ECO key without a base key: a delta-chained stage whose
+        # base was placed before the cache was attached stores nothing.
+        late = NXmapProject(base_netlist(), small_device(), seed=1)
+        late.run_place(effort=1.0)
+        assert late.stage_keys["place"] is None
+        late.cache = FlowCache()
+        late.run_stage("place", late.stage_keys["place"], PlacementResult,
+                       lambda: late.placement, options={"effort": 1.0},
+                       delta=edit)
+        assert late.stage_keys["place"] is None
+        assert len(late.cache.memory) == 0

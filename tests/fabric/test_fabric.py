@@ -69,6 +69,18 @@ class TestNetlist:
             netlist.add_cell(Cell(name="b", kind=LUT4, inputs=[],
                                   output="n0"))
 
+    def test_rejected_cell_leaves_netlist_unchanged(self):
+        netlist = Netlist("t")
+        netlist.add_cell(Cell(name="a", kind=LUT4, inputs=["x"],
+                              output="n0"))
+        with pytest.raises(NetlistError, match="driven twice"):
+            netlist.add_cell(Cell(name="b", kind=LUT4, inputs=["x", "y"],
+                                  output="n0"))
+        assert list(netlist.cells) == ["a"]
+        assert netlist.nets["x"].sinks == ["a"]
+        assert "y" not in netlist.nets
+        assert netlist.nets["n0"].driver == "a"
+
     def test_lut_input_limit(self):
         with pytest.raises(NetlistError):
             Cell(name="x", kind=LUT4, inputs=["a", "b", "c", "d", "e"])

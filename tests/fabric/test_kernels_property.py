@@ -268,9 +268,9 @@ class TestKernelVersionCacheSalt:
     def test_stage_keys_include_kernel_versions(self, monkeypatch):
         project = self._project()
         before = {
-            "place": project._stage_key("place", None, effort=1.0),
-            "route": project._stage_key("route", "parent", channel_width=16),
-            "sta": project._stage_key("sta", "parent", target_clock_ns=None,
+            "place": project.stage_key("place", None, effort=1.0),
+            "route": project.stage_key("route", "parent", channel_width=16),
+            "sta": project.stage_key("sta", "parent", target_clock_ns=None,
                                       routed=True, placed=True),
         }
         bumped = dict(nxmap_module._KERNEL_VERSIONS)
@@ -279,11 +279,11 @@ class TestKernelVersionCacheSalt:
         monkeypatch.setattr(nxmap_module, "_KERNEL_VERSIONS", bumped)
         for stage, old_key in before.items():
             new_key = {
-                "place": lambda: project._stage_key("place", None,
+                "place": lambda: project.stage_key("place", None,
                                                     effort=1.0),
-                "route": lambda: project._stage_key("route", "parent",
+                "route": lambda: project.stage_key("route", "parent",
                                                     channel_width=16),
-                "sta": lambda: project._stage_key("sta", "parent",
+                "sta": lambda: project.stage_key("sta", "parent",
                                                   target_clock_ns=None,
                                                   routed=True, placed=True),
             }[stage]()
@@ -308,7 +308,7 @@ class TestKernelVersionCacheSalt:
     def test_bitstream_chains_off_salted_place_key(self):
         project = self._project()
         project.cache = object()  # truthy: key computation active
-        place_key = project._stage_key("place", None, effort=1.0)
-        bit_key = project._stage_key("bitstream", place_key)
-        other = project._stage_key("bitstream", "different-parent")
+        place_key = project.stage_key("place", None, effort=1.0)
+        bit_key = project.stage_key("bitstream", place_key)
+        other = project.stage_key("bitstream", "different-parent")
         assert bit_key != other

@@ -7,6 +7,7 @@ checked here against a plain reference, written from the C rules, over
 every op and the edge values of six types.  Division and remainder are
 checked end to end as well, on the IR interpreter, both FSMD engines
 and constant folding, at 64 bits where a float quotient loses digits.
+Memory stimuli are checked to take their C element type on the way in.
 """
 
 import struct
@@ -195,3 +196,42 @@ def test_constant_folding_divides_exactly(lhs, rhs):
         assert isinstance(block.terminator.value, Const)
         folded.append(block.terminator.value.value)
     assert tuple(folded) == DIVISIONS[lhs, rhs]
+
+
+# -- stimuli take their C element type at the boundary --------------------------
+
+STIMULUS_C = """
+int narrow(unsigned char *p) { return p[0] + 1; }
+int truncate(int *p) { return p[0] > 2; }
+"""
+
+#: (top, stimulus) -> (C result, memory contents): the stimulus is
+#: stored in the parameter's element type, so 300 is 44 in an
+#: ``unsigned char`` and 2.7 is 2 in an ``int``.
+STIMULI = {
+    ("narrow", (300,)): (45, [44]),
+    ("truncate", (2.7,)): (0, [2]),
+}
+
+
+@pytest.mark.parametrize("top,data", sorted(STIMULI))
+def test_interpreter_wraps_stimuli(top, data):
+    result, memories = run_function(compile_to_ir(STIMULUS_C), top, (),
+                                    {"p": list(data)})
+    assert (result, memories["p"].data) == STIMULI[top, data]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("top,data", sorted(STIMULI))
+def test_fsmd_wraps_stimuli(top, data, engine):
+    project = synthesize(STIMULUS_C, top)
+    result, _trace, memories = simulator(engine, project).run(
+        top, (), {"p": list(data)})
+    assert (result, memories["p"].data) == STIMULI[top, data]
+
+
+@pytest.mark.parametrize("top,data", sorted(STIMULI))
+def test_cosimulation_wraps_stimuli(top, data):
+    result = synthesize(STIMULUS_C, top).cosimulate((), {"p": list(data)})
+    assert result.match
+    assert result.expected == result.actual == STIMULI[top, data][0]

@@ -11,39 +11,63 @@ from repro.api import (
     register_kind,
     unregister_kind,
 )
-from repro.cache import InflightRegistry
 from repro.core import GenericReport
 from repro.service import JobScheduler, JobState
 
 
-class TestInflightRegistry:
-    def test_first_claim_leads(self):
-        registry = InflightRegistry()
-        leader, owner = registry.acquire("k", "A")
-        assert leader and owner == "A"
+@pytest.fixture
+def idle_scheduler():
+    """A scheduler with no worker threads: every leader stays queued."""
+    instance = JobScheduler(workers=1, max_queue=8)
+    yield instance
+    instance.stop()
 
-    def test_second_claim_coalesces_onto_leader(self):
-        registry = InflightRegistry()
-        registry.acquire("k", "A")
-        leader, owner = registry.acquire("k", "B")
-        assert not leader and owner == "A"
-        assert registry.stats() == {"inflight": 1, "leaders": 1,
-                                    "coalesced": 1}
 
-    def test_release_is_leader_only(self):
-        registry = InflightRegistry()
-        registry.acquire("k", "A")
-        registry.release("k", "B")        # follower: no effect
-        assert registry.leader_of("k") == "A"
-        registry.release("k", "A")
-        assert registry.leader_of("k") is None
-        assert len(registry) == 0
+def flow_spec(tenant="default", width=8):
+    return JobSpec(kind="flow", params={"component": "addsub",
+                                        "width": width}, tenant=tenant)
 
-    def test_distinct_keys_do_not_coalesce(self):
-        registry = InflightRegistry()
-        assert registry.acquire("k1", "A")[0]
-        assert registry.acquire("k2", "B")[0]
-        assert registry.stats()["coalesced"] == 0
+
+def inflight(scheduler):
+    return scheduler.stats()["inflight"]
+
+
+class TestLeaderMap:
+    """The scheduler's ``key -> leader`` map and its lifetime counts."""
+
+    def test_first_claim_leads(self, idle_scheduler):
+        first = idle_scheduler.submit(flow_spec())
+        assert not first.coalesced and first.leader_id is None
+        assert inflight(idle_scheduler) == {"inflight": 1, "leaders": 1,
+                                            "coalesced": 0}
+
+    def test_second_claim_coalesces_onto_leader(self, idle_scheduler):
+        first = idle_scheduler.submit(flow_spec())
+        second = idle_scheduler.submit(flow_spec(tenant="other"))
+        assert second.coalesced and second.leader_id == first.id
+        assert first.followers == [second]
+        assert inflight(idle_scheduler) == {"inflight": 1, "leaders": 1,
+                                            "coalesced": 1}
+
+    def test_release_is_leader_only(self, idle_scheduler):
+        leader = idle_scheduler.submit(flow_spec())
+        follower = idle_scheduler.submit(flow_spec())
+        assert idle_scheduler.cancel(follower.id)   # releases nothing
+        late = idle_scheduler.submit(flow_spec())
+        assert late.leader_id == leader.id
+        # The leader releases the key; its live follower claims it.
+        assert idle_scheduler.cancel(leader.id)
+        assert not late.coalesced and late.state is JobState.QUEUED
+        assert idle_scheduler.cancel(late.id)
+        assert inflight(idle_scheduler) == {"inflight": 0, "leaders": 2,
+                                            "coalesced": 2}
+
+    def test_distinct_keys_do_not_coalesce(self, idle_scheduler):
+        one = idle_scheduler.submit(flow_spec(width=8))
+        two = idle_scheduler.submit(flow_spec(width=16))
+        assert not one.coalesced and not two.coalesced
+        assert inflight(idle_scheduler) == {"inflight": 2, "leaders": 2,
+                                            "coalesced": 0}
 
 
 class CountingKind:
@@ -95,7 +119,7 @@ class TestCoalescing:
 
             # Exactly one underlying computation...
             assert counting.computations == 1
-            assert scheduler.inflight.stats()["coalesced"] == 11
+            assert inflight(scheduler)["coalesced"] == 11
             assert scheduler.counts["coalesced"] == 11
             assert scheduler.counts["computed"] == 1
             # ...stored exactly once in the service cache layer...
