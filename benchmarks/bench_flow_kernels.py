@@ -12,6 +12,10 @@ their results at the same settings (seed 1) are pinned in
 * zero failed connections, and routing success preserved, on every
   design.
 
+The ``w_min`` column is each placement's minimum routable channel width,
+found by VPR's binary search over the width (Betz & Rose, 1997): the
+QoR number a placement change must not make worse.
+
 The old ≥3x wall-clock race needed the old code to run; its last table
 is frozen in EXPERIMENTS.md.  The kernels' performance net is now the
 repository benchmark's ``compile_cold`` and ``eco_edits`` workloads
@@ -70,6 +74,26 @@ def fig3_netlists():
         yield name, synthesize_design(project[top], project.module[top])
 
 
+def min_channel_width(netlist, placement, start):
+    """The least channel width at which ``route()`` ends legal (no
+    overflowed edge, no failed connection): double ``start`` until a
+    width routes, then bisect the bracket."""
+    def routable(width):
+        return route(netlist, placement.locations, placement.grid,
+                     channel_width=width).success
+
+    low, high = 0, start
+    while not routable(high):
+        low, high = high, high * 2
+    while high - low > 1:
+        middle = (low + high) // 2
+        if routable(middle):
+            high = middle
+        else:
+            low = middle
+    return high
+
+
 def implement(name, netlist, device, effort, channel_width):
     """Place and route one design; return its metrics vs the old kernels."""
     start = time.perf_counter()
@@ -85,6 +109,7 @@ def implement(name, netlist, device, effort, channel_width):
         "old_success": old_success,
         "hpwl_ratio": placement.hpwl / max(1.0, old_hpwl),
         "wl_ratio": routing.wirelength / max(1, old_wl),
+        "w_min": min_channel_width(netlist, placement, channel_width),
     }
 
 
@@ -93,7 +118,7 @@ def run_kernel_gates():
     table = Table(
         "Incremental place/route kernels vs the pinned pre-change QoR",
         ["design", "cells", "seconds", "hpwl_ratio", "wl_ratio",
-         "overflow", "old_overflow", "failed"])
+         "overflow", "old_overflow", "failed", "w_min"])
     designs = [("synth10k", synth_large(), LARGE_EFFORT,
                 LARGE_CHANNEL_WIDTH)]
     designs += [(name, netlist, 0.2, 16)
@@ -109,7 +134,8 @@ def run_kernel_gates():
                       round(metrics["wl_ratio"], 4),
                       metrics["route"].overflow_edges,
                       metrics["old_overflow"],
-                      metrics["route"].failed_connections)
+                      metrics["route"].failed_connections,
+                      metrics["w_min"])
     table.add_note("ratios are against the replaced kernels' results, "
                    "pinned in OLD_KERNELS (seed 1)")
     table.add_note(f"large design: effort={LARGE_EFFORT}, "

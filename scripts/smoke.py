@@ -312,17 +312,23 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     ]},
     # QoR net for the incremental place/route/STA kernels: the kernel
     # property tests (incremental HPWL == scratch recompute, route-tree
-    # invariants, per-seed bit-identity, kernel-version cache salt), the
-    # placement identity golden (cold and ECO placements pinned by
-    # digest), then the QoR gates against the pinned results of the
-    # replaced kernels on a ~10k-cell design and the three Fig. 3
-    # designs.  Their wall-clock net is the repository benchmark: a
-    # short smoke run of compile_cold and eco_edits checks every output
-    # and exits 1 on a wrong result.
+    # invariants, per-seed bit-identity, kernel-version cache salt, and
+    # the analytic start's legality and same-seed identity in a fresh
+    # process), the placement identity golden (cold and ECO placements
+    # pinned by digest), then the QoR gates against the pinned results
+    # of the replaced kernels on a ~10k-cell design and the three Fig. 3
+    # designs, with each placement's W_min.  Their wall-clock net is the
+    # repository benchmark: a short smoke run of compile_cold and
+    # eco_edits checks every output and exits 1 on a wrong result.
     "perf-kernel": {"steps": [
         ("Kernel property tests",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/fabric/test_kernels_property.py"),
+         "tests/fabric/test_kernels_property.py "
+         "-k 'not TestGlobalPlacement'"),
+        ("Global placement property tests (generated netlists, fresh "
+         "process)",
+         "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
+         "tests/fabric/test_kernels_property.py::TestGlobalPlacement"),
         ("Placement identity golden",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/fabric/test_place_identity.py"),

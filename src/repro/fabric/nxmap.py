@@ -235,7 +235,7 @@ class NXmapProject:
                   span: Optional[str] = None,
                   attributes: Optional[Dict[str, Any]] = None,
                   describe: Optional[Callable[[Any], Dict[str, Any]]]
-                  = None) -> Any:
+                  = None, root: bool = False) -> Any:
         """Run one stage: ``compute()`` through the cache when one is
         attached, under the stage key of (``stage``, ``parent``,
         ``delta``, ``options``), inside span ``span`` (default: the
@@ -243,15 +243,16 @@ class NXmapProject:
         persists the value (``from_json``/``to_json``); ``describe``
         maps it to the span's result attributes.
 
-        A delta-chained stage without a ``parent`` key (its base was
-        computed before a cache was attached) is not keyed: the key would
-        hold the edited design but not the base result it was warm-started
-        from.
+        Only a ``root`` stage, which runs on the flow inputs alone, is
+        keyed without a ``parent``.  Any other stage without a parent key
+        (its upstream result was computed before a cache was attached) is
+        not keyed: the key would hold the design but not the placement or
+        base result the stage ran on.
         """
         options = options or {}
         key = (self.stage_key(stage, parent, delta, **options)
                if self.cache is not None
-               and (delta is None or parent is not None) else None)
+               and (parent is not None or root) else None)
         with self.span(span or stage, **(attributes or {})) as live:
             hit, value = (self.cache.get("fabric", key, codec.from_json)
                           if key is not None else (False, None))
@@ -286,7 +287,7 @@ class NXmapProject:
             options={"effort": effort},
             attributes={"effort": effort,
                         "cells": stats["luts"] + stats["ffs"]},
-            describe=_placement_attributes)
+            describe=_placement_attributes, root=True)
         return self.placement
 
     def run_route(self, channel_width: int = DEFAULT_CHANNEL_WIDTH
@@ -322,7 +323,7 @@ class NXmapProject:
             options={"target_clock_ns": target_clock_ns,
                      "routed": self.routing is not None,
                      "placed": self.placement is not None},
-            describe=_timing_attributes)
+            describe=_timing_attributes, root=locations is None)
         return self.timing
 
     def run_bitstream(self) -> Bitstream:

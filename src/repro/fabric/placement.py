@@ -1,10 +1,20 @@
-"""Simulated-annealing placement on the device tile grid.
+"""Analytic placement refined by simulated annealing on the device grid.
 
 Sites: every grid tile accepts up to ``LUTS_PER_TILE`` LUT-class cells and
 the same number of flip-flops; DSP and BRAM macros live in dedicated
 columns (every 8th / 12th column), mirroring a column-based FPGA
 floorplan.  The cost function is the half-perimeter wirelength (HPWL)
 summed over nets, the classic VPR-style objective.
+
+A cold placement starts from an analytic global placement
+(:func:`_global_placement`): a quadratic net model solved by conjugate
+gradients, spread and re-solved against anchors for a few passes in the
+SimPL style (Kim, Lee & Markov, 2010), then legalized onto the sites.
+``PlacementResult.initial_hpwl`` is the HPWL of that legalized start, so
+``improvement`` measures what the anneal after it bought, not the gain
+over a random draw.  The anneal runs a fixed share of the move budget
+(``100 * effort`` moves a cell) from a low temperature in a narrow
+window, as the ECO warm start does.
 
 The annealer is *incremental*: every tracked net keeps one bbox record
 (the four extremes plus the number of pins at each), and a move updates
@@ -14,12 +24,13 @@ pins, O(pins); ``place.bbox.rescans`` counts those fallbacks.  They are
 not rare: a two-pin net loses an extreme whenever a pin moves towards
 the other, so on the HLS kernels a fifth to two fifths of the moves
 rescan a net.  Nets covering fewer than two cells always span 0 and are
-not tracked at all.  Free sites come from per-site-class free-lists (no
-rejection sampling), and moves are VPR-style range-limited, with a
-window that shrinks as the temperature drops.  The move loop
-(:func:`_anneal`) is shared with the ECO warm start.  Results stay
-deterministic per seed; ``PLACE_KERNEL_VERSION`` salts the flow-cache
-stage key so artifacts of older kernels are never served.
+not tracked at all, by the annealer or by the net model.  Free sites
+come from per-site-class free-lists (no rejection sampling), and moves
+are VPR-style range-limited, with a window that shrinks as the
+temperature drops.  The move loop (:func:`_anneal`) is shared with the
+ECO warm start.  Results stay deterministic per seed on any host;
+``PLACE_KERNEL_VERSION`` salts the flow-cache stage key so artifacts of
+older kernels are never served.
 """
 
 from __future__ import annotations
@@ -39,13 +50,39 @@ _BRAM_COLUMN_STRIDE = 12
 
 #: Bumped whenever the placement algorithm changes its results (including
 #: the serialized ``stats``: version 3 counts ``rescans`` over tracked
-#: nets only); part of the flow-cache stage key (see
-#: ``NXmapProject.stage_key``), so stale cached placements from an older
-#: kernel can never be returned.
-PLACE_KERNEL_VERSION = 3
+#: nets only; version 4 anneals from the analytic start); part of the
+#: flow-cache stage key (see ``NXmapProject.stage_key``), so stale cached
+#: placements from an older kernel can never be returned.
+PLACE_KERNEL_VERSION = 4
 
 #: Window samples attempted before falling back to the global free-list.
 _WINDOW_TRIES = 8
+
+#: Sites per tile of each site class.
+_CAPACITY = {"lut": LUTS_PER_TILE, "ff": LUTS_PER_TILE, "dsp": 2, "bram": 2}
+
+#: The analytic start (:func:`_global_placement`): quadratic solves of
+#: ``_CG_ITERATIONS`` conjugate-gradient steps each, the first anchored to
+#: random points at ``_FIRST_ANCHOR``, then one per anchor pass at
+#: ``_ANCHOR_WEIGHT`` growing by ``_ANCHOR_GROWTH``.
+_GLOBAL_PASSES = 7
+_FIRST_ANCHOR = 0.01
+_ANCHOR_WEIGHT = 0.05
+_ANCHOR_GROWTH = 2.5
+_CG_ITERATIONS = 12
+#: Nets spanning more cells than this are modelled as a star on their
+#: first pin, not a clique; the star's springs share ``_STAR_WEIGHT``.
+_CLIQUE_CELLS = 16
+_STAR_WEIGHT = 2.0
+#: Decimal places solved coordinates keep before they are sorted.
+_DECIMALS = 6
+
+#: The anneal that refines the analytic start: its share of the move
+#: budget (``100 * effort`` moves a cell), its start temperature per unit
+#: of start HPWL a cell, and its window as a share of the grid span.
+_REFINE_MOVES = 0.3
+_REFINE_TEMPERATURE = 0.2
+_REFINE_WINDOW = 0.3
 
 
 class PlacementError(Exception):
@@ -174,8 +211,7 @@ class _SiteManager:
         self.grid = grid
         tiles = [(col, row) for col in range(grid.cols)
                  for row in range(grid.rows)]
-        self.capacity = {"lut": LUTS_PER_TILE, "ff": LUTS_PER_TILE,
-                         "dsp": 2, "bram": 2}
+        self.capacity = dict(_CAPACITY)
         self.used: Dict[str, Dict[Tuple[int, int], int]] = {
             "lut": {}, "ff": {}, "dsp": {}, "bram": {}}
         self.free = {
@@ -423,12 +459,172 @@ def _anneal(rng: random.Random, sites: _SiteManager, xs: List[int],
                   "window_fallbacks": window_fallbacks}
 
 
+def _global_placement(rng: random.Random, grid: _Grid, classes: List[str],
+                      net_pins: List[List[int]]
+                      ) -> Tuple[List[int], List[int]]:
+    """The analytic start: a legal tile per cell, from quadratic solves.
+
+    Each tracked net becomes springs between its cells: a clique of
+    weight ``2 / k`` on a ``k``-cell net, or for nets above
+    ``_CLIQUE_CELLS`` cells a star on the first pin (the driver, when
+    a cell drives it) whose springs share ``_STAR_WEIGHT``.  Minimising the spring energy is one
+    sparse linear system per axis, solved by Jacobi-preconditioned
+    conjugate gradients in numpy (x and y at once).  Unanchored, every
+    cell would collapse to one point, so each cell also has a spring to
+    an anchor (SimPL, Kim, Lee & Markov, 2010): on the first pass a
+    seeded random point, on every later pass the cell's spread tile from
+    the pass before, at a weight that grows by ``_ANCHOR_GROWTH`` a
+    pass.  The last solve's spread is the result.
+
+    Solved coordinates are rounded to ``_DECIMALS`` places before they
+    are sorted, and ties break on the cell index, so the result never
+    hinges on the last bit of a floating-point reduction.
+    """
+    import numpy as np
+
+    ncells = len(classes)
+    ends: List[int] = []
+    weights: List[float] = []
+    for pins in net_pins:
+        cells = list(dict.fromkeys(pins))
+        if len(cells) > _CLIQUE_CELLS:
+            for cell in cells[1:]:
+                ends += (cells[0], cell)
+            weights += [_STAR_WEIGHT / (len(cells) - 1)] * (len(cells) - 1)
+            continue
+        for position, cell in enumerate(cells):
+            for other in cells[position + 1:]:
+                ends += (cell, other)
+        weights += [2.0 / len(cells)] * (len(cells) * (len(cells) - 1) // 2)
+    # Springs between the same two cells merge into one.
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    pairs.sort(axis=1)
+    merged, inverse = np.unique(pairs[:, 0] * ncells + pairs[:, 1],
+                                return_inverse=True)
+    spring = np.bincount(inverse.reshape(-1), weights=weights)
+    lo, hi = np.divmod(merged, ncells)
+    # The off-diagonal of the Laplacian of the stacked [x..., y...]
+    # vector, and its diagonal (each cell's total spring weight).
+    rows = np.concatenate([lo, hi, lo + ncells, hi + ncells])
+    cols = np.concatenate([hi, lo, hi + ncells, lo + ncells])
+    springs = np.tile(spring, 4)
+    degree = np.bincount(lo, spring, ncells) + np.bincount(hi, spring, ncells)
+
+    def laplacian(vector):
+        off = np.bincount(rows, springs * vector.reshape(-1)[cols],
+                          2 * ncells)
+        return degree * vector - off.reshape(2, ncells)
+
+    def solve(position, anchor, weight):
+        # (L + weight I) p = weight * anchor, warm-started at position.
+        diagonal = degree + weight
+        residual = weight * (anchor - position) - laplacian(position)
+        z = residual / diagonal
+        direction = z
+        rz = (residual * z).sum(axis=1, keepdims=True)
+        for _ in range(_CG_ITERATIONS):
+            product = laplacian(direction) + weight * direction
+            step = rz / np.maximum(
+                (direction * product).sum(axis=1, keepdims=True), 1e-300)
+            position = position + step * direction
+            residual = residual - step * product
+            z = residual / diagonal
+            rz_next = (residual * z).sum(axis=1, keepdims=True)
+            direction = z + rz_next / np.maximum(rz, 1e-300) * direction
+            rz = rz_next
+        return position
+
+    groups: Dict[str, List[int]] = {}
+    for index, cls in enumerate(classes):
+        groups.setdefault(cls, []).append(index)
+    members = {cls: np.array(cells, dtype=np.int64)
+               for cls, cells in groups.items()}
+
+    def spread(position):
+        solved = np.round(position, _DECIMALS)
+        tiles = np.zeros((2, ncells), dtype=np.int64)
+        for cls, cells in members.items():
+            _spread_class(grid, cls, cells, solved, tiles)
+        return tiles
+
+    anchor = np.array([[rng.random() * (grid.cols - 1)
+                        for _ in range(ncells)],
+                       [rng.random() * (grid.rows - 1)
+                        for _ in range(ncells)]])
+    position = anchor
+    weight = _FIRST_ANCHOR
+    for number in range(_GLOBAL_PASSES):
+        position = solve(position, anchor, weight)
+        tiles = spread(position)
+        anchor = tiles.astype(np.float64)
+        weight = _ANCHOR_WEIGHT * _ANCHOR_GROWTH ** number
+    xs, ys = tiles.tolist()
+    return xs, ys
+
+
+def _spread_class(grid: _Grid, cls: str, cells, solved, tiles) -> None:
+    """Give one site class's ``cells`` legal tiles near their ``solved``
+    points, written into ``tiles`` (numpy arrays, rows x and y).
+
+    LUT and flip-flop cells are packed by rank into the fewest tiles
+    that hold them, a block of the grid's aspect centred on the cells'
+    median point: the cells sorted by x fill its columns in equal
+    shares, and each column's cells sorted by y fill its rows the same
+    way, so no tile gets more than ``ceil(cells / tiles)``.  The few
+    macro cells each take the nearest macro-column tile with room, in
+    cell order.
+    """
+    import numpy as np
+
+    capacity = _CAPACITY[cls]
+    count = len(cells)
+    if cls not in ("lut", "ff"):
+        kind = DSP if cls == "dsp" else BRAM
+        room = {(col, row): capacity for col in range(grid.cols)
+                if grid.is_macro_column(kind, col)
+                for row in range(grid.rows)}
+        if count > capacity * len(room):
+            raise PlacementError("no free site found (grid saturated)")
+        for index, x, y in zip(cells.tolist(), *solved[:, cells].tolist()):
+            tile = min((tile for tile, left in room.items() if left),
+                       key=lambda t: (abs(t[0] - x) + abs(t[1] - y), t))
+            room[tile] -= 1
+            tiles[:, index] = tile
+        return
+    if count > capacity * grid.cols * grid.rows:
+        raise PlacementError("no free site found (grid saturated)")
+    needed = -(-count // capacity)
+    width = min(grid.cols, math.ceil(math.sqrt(needed * grid.cols
+                                                / grid.rows)))
+    height = min(grid.rows, -(-needed // width))
+    width = max(width, -(-needed // height))
+    x, y = solved[:, cells]
+    by_x = np.lexsort((cells, x))
+    middle_x = x[by_x[count // 2]]
+    middle_y = y[np.lexsort((cells, y))[count // 2]]
+    left = min(max(0, math.floor(middle_x - (width - 1) / 2 + 0.5)),
+               grid.cols - width)
+    bottom = min(max(0, math.floor(middle_y - (height - 1) / 2 + 0.5)),
+                 grid.rows - height)
+    # Rank r of n goes to share floor((2r + 1) * k / 2n) of k: at most
+    # ceil(n / k) ranks share one.
+    ranks = np.arange(count)
+    col = np.empty(count, dtype=np.int64)
+    col[by_x] = (2 * ranks + 1) * width // (2 * count)
+    order = np.lexsort((cells, y, col))
+    by_col = col[order]
+    size = np.bincount(by_col, minlength=width)[by_col]
+    rank = ranks - np.searchsorted(by_col, by_col)
+    tiles[0, cells[order]] = left + by_col
+    tiles[1, cells[order]] = bottom + (2 * rank + 1) * height // (2 * size)
+
+
 def place(netlist: Netlist, device: Device, seed: int = 1,
           effort: float = 1.0, tracer: Optional[Tracer] = None
           ) -> PlacementResult:
-    """Simulated-annealing placement (incremental kernel).
+    """Analytic global placement, legalized, then a short anneal.
 
-    ``effort`` scales the number of annealing moves (1.0 ≈ 100 moves per
+    ``effort`` scales the number of annealing moves (1.0 ≈ 30 moves per
     cell); the run is deterministic for a given seed.
 
     The input netlist is never mutated: all placement state lives in the
@@ -453,35 +649,25 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
                           for cell in netlist.cells.values()]
     ncells = len(cell_names)
 
-    # Initial placement: sequential free-list draw (keeps related cells
-    # adjacent because macro elaboration emits them in connectivity
-    # order).
-    xs: List[int] = [0] * ncells
-    ys: List[int] = [0] * ncells
-    for index in range(ncells):
-        cls = classes[index]
-        tile = sites.free[cls].sample(rng)
-        if tile is None:
-            raise PlacementError("no free site found (grid saturated)")
-        sites.occupy(cls, tile)
-        xs[index], ys[index] = tile
-
     if ncells == 0:
         return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
 
     net_pins, nets_of_cell = _connectivity(netlist, cell_index)
+    xs, ys = _global_placement(rng, grid, classes, net_pins)
+    for index in range(ncells):
+        sites.occupy(classes[index], (xs[index], ys[index]))
     boxes = [_bbox(pins, xs, ys) for pins in net_pins]
     initial = sum(box[1] - box[0] + box[3] - box[2] for box in boxes)
-    moves = max(200, int(100 * effort * ncells))
-    span = max(cols, rows)
-    # VPR-style range limit: adapted every block of moves towards the
-    # classic 0.44 target accept rate — the window widens while moves
-    # are cheap (hot) and contracts as the anneal freezes.
+    moves = int(_REFINE_MOVES * max(200, 100 * effort * ncells))
+    window = max(2.0, _REFINE_WINDOW * max(cols, rows))
+    # A low-temperature anneal in a narrow window, as the ECO warm start
+    # runs: the analytic start is already globally sound, so the moves
+    # buy local fixes, not the coarse shuffle a random start needs.
     gain, stats = _anneal(
         rng, sites, xs, ys, classes, list(range(ncells)), net_pins,
         nets_of_cell, boxes, moves=moves,
-        temperature=max(1.0, initial / max(1, ncells) * 2),
-        radius=float(span), block=max(50, moves // 100), floor_span=span)
+        temperature=max(0.05, _REFINE_TEMPERATURE * initial / ncells),
+        radius=window, block=max(50, moves // 100), floor_span=window)
     if tracer is not None:
         tracer.counter("place.moves.total", "fabric").add(stats["moves"])
         tracer.counter("place.moves.accepted", "fabric").add(

@@ -137,8 +137,7 @@ class JobScheduler:
         self.backend = backend
         self.clock = clock
         # key -> the in-flight leader computing it, and the lifetime
-        # count of keys claimed (a claim counts even when the queue
-        # then rejects it).
+        # count of keys claimed by an admitted submission.
         self._leaders: Dict[str, JobRecord] = {}
         self._claims = 0
         self._queue = FairQueue(weights=weights, aging_rate=aging_rate)
@@ -225,12 +224,12 @@ class JobScheduler:
                 self._register_locked(record)
                 return record
 
-            self._claims += 1
             if len(self._queue) >= self.max_queue:
                 self.counts["rejected"] += 1
                 self._count("service.jobs.rejected")
                 raise QueueFullError(
                     f"queue full ({self.max_queue} job(s) pending)")
+            self._claims += 1
             self._leaders[key] = record
             self._register_locked(record)
             self._queue.push(record)

@@ -4,7 +4,9 @@ Stage keys address artifacts that outlive a process (``--cache`` disk
 directories, the job service's cache), so a refactor of the stage
 plumbing must leave every key byte-identical: a cache directory filled
 by the previous code is then served warm.  The digests below were taken
-from the code before the cold and ECO stages shared one stage helper.
+from the code before the cold and ECO stages shared one stage helper,
+and re-pinned when ``PLACE_KERNEL_VERSION`` went from 3 to 4: the place
+key folds in that version, and every other stage chains below it.
 
 When a key change is intended (a kernel version bump, a new option),
 update the digest of that stage and of every stage chained below it.
@@ -23,23 +25,23 @@ from repro.fabric import (
 #: (stage, key) in the order the stages store their results.
 PINNED = [
     ("place",
-     "042730872ea0435b38cb984dd5b48c32a4511fd57d0e43427bae24ff92c015f1"),
+     "8e2b7fc67486f304ac1aa4f2b8da343d2d2bcfb544e8f4068f1c01b4b7ddffb1"),
     ("route",
-     "c1c5c673e8e110069514e948b3c6b7850f3a53341251c1602fa89e3b8a5e3ebb"),
+     "8576bc048c567cb3ea9045a37fb4c7c64f6a2656df2ba18e5baf9bceb7a4b264"),
     ("sta",
-     "331d115068d7b2372d03d00ea1f1b066da1c6fd113a07768cba06e404ae95b3e"),
+     "006dd46b18539e2048dc5b3dec50018f419bc291562756a005d566b812972f05"),
     ("bitstream",
-     "119a88dc99b1f6fcf2e814a2d141b69bc671a92d93757e7abba3c7115d976bf8"),
+     "27de688ba2634f5808a51b56f0950b2b057b206401caf765372c1682616c0a53"),
     ("sta-state",
-     "c2e36875071ef3b91517e6097d3b014918005084d3e775cf0cb7bdaa8551488c"),
+     "45de2e3bcc2337cbd09844a018659e300e1d1dca94cdef4ce4f3dbfc1a02c2d5"),
     ("eco-place",
-     "a12df02cc986bfa405e85242a6503fed04f0611604d5a7f7006d7236751d7e98"),
+     "a82c041760097b7b22ed4a292201609b4e7bc6fe9ef64a130f5fd0c683ec37ab"),
     ("eco-route",
-     "fa8339a6ce1f96b00e364322a7edf472d40e77a4fd01b9736ce8edd7bbde5c66"),
+     "79905af6d98373bbb7bc6cc2e15565d0f9a3bb807daf07ffd43421b53fdeeeb9"),
     ("eco-sta",
-     "27871dfdebede15e079ce1e67efc66d214a847cbb722f3524579028fb8b2ff0e"),
+     "c27ee33e69f32b8b813a58ad55809604d914984d7a494f181e96674171c6a6c9"),
     ("eco-bitstream",
-     "5aa4515727a61bd345cd2ccc051fceb5a7d4a6562da0a57bc65e9f3176a48363"),
+     "6bec593ed21ab130595d6340d7d043b4d965e4449056bde5d4dcf6aafd5b74fc"),
 ]
 
 

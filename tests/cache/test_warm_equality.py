@@ -12,6 +12,7 @@ import pytest
 from repro.cache import FlowCache
 from repro.fabric.device import NG_MEDIUM, scaled_device
 from repro.fabric.nxmap import NXmapProject
+from repro.fabric.routing import route
 from repro.fabric.synthesis import synthesize_component
 from repro.hls import synthesize
 from repro.hls.characterization.eucalyptus import Eucalyptus
@@ -70,6 +71,29 @@ class TestNXmapWarmEquality:
             netlist, small_device(), seed=3,
             cache=FlowCache(directory=tmp_path / "cache")).run_all()
         assert _flow_json(plain) == _flow_json(cached)
+
+    def test_stages_after_a_late_cache_are_not_keyed(self):
+        # Placed before the cache was attached, a project has no place
+        # key to chain off: a route keyed without it would be served to
+        # another placement of the same netlist.
+        netlist = synthesize_component("addsub", 32)
+        cache = FlowCache()
+        placements = []
+        for effort in (0.1, 1.0):
+            project = NXmapProject(netlist, small_device(), seed=3)
+            project.run_place(effort=effort)
+            project.cache = cache
+            project.run_route(channel_width=8)
+            project.run_sta()
+            project.run_bitstream()
+            assert set(project.stage_keys.values()) == {None}
+            placement = project.placement
+            assert project.routing.to_json() == route(
+                netlist, placement.locations, placement.grid,
+                channel_width=8).to_json()
+            placements.append(placement.locations)
+        assert placements[0] != placements[1]
+        assert len(cache.memory) == 0
 
 
 class TestCharacterizeWarmEquality:

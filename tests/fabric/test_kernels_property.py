@@ -10,11 +10,18 @@ state; these tests pin down the invariants that make the trade safe:
 * every routed net forms a driver-rooted Steiner tree — connected,
   acyclic, containing the driver tile and every placed sink tile;
 * both kernels are bit-identical across two runs with the same seed;
+* the analytic start places every cell on a legal site, and the same
+  seed gives the same placement in another process;
 * the kernel-version salt changes the flow-cache stage keys, so cached
   artifacts from an older kernel can never be served.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +40,7 @@ from repro.fabric import (
 )
 from repro.fabric import nxmap as nxmap_module
 from repro.fabric.netlist import BRAM, DFF, DSP, LUT4
-from repro.fabric.placement import total_hpwl
+from repro.fabric.placement import _CAPACITY, _SiteManager, total_hpwl
 
 
 def small_device():
@@ -157,6 +164,66 @@ class TestPlacementLegality:
             occupancy[key] = occupancy.get(key, 0) + 1
         for (is_ff, is_macro, _tile), used in occupancy.items():
             assert used <= (2 if is_macro else 8)
+
+
+class TestGlobalPlacement:
+    """The legalized analytic start and the anneal after it, on generated
+    netlists: a legal, fully placed, reproducible result."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_cells=st.integers(1, 400), netlist_seed=st.integers(0, 999),
+           fanin=st.integers(2, 4), window=st.integers(1, 64),
+           with_macros=st.booleans(), place_seed=st.integers(1, 1000),
+           effort=st.sampled_from([0.0, 0.05, 0.3]))
+    def test_placement_is_legal_and_reproducible(
+            self, n_cells, netlist_seed, fanin, window, with_macros,
+            place_seed, effort):
+        netlist = random_netlist(n_cells=n_cells, seed=netlist_seed,
+                                 fanin=fanin, window=window,
+                                 with_macros=with_macros)
+        result = place(netlist, small_device(), seed=place_seed,
+                       effort=effort)
+        assert set(result.locations) == set(netlist.cells)
+        cols, rows = result.grid
+        used = {}
+        for name, (col, row) in result.locations.items():
+            assert 0 <= col < cols and 0 <= row < rows
+            kind = netlist.cells[name].kind
+            if kind == DSP:
+                assert col % 8 == 4, f"{name} off the DSP column"
+            if kind == BRAM:
+                assert col % 12 == 6, f"{name} off the BRAM column"
+            slot = (_SiteManager.site_class(kind), col, row)
+            used[slot] = used.get(slot, 0) + 1
+        for (cls, _col, _row), count in used.items():
+            assert count <= _CAPACITY[cls]
+        assert result.hpwl == total_hpwl(netlist, result.locations)
+        again = place(netlist, small_device(), seed=place_seed,
+                      effort=effort)
+        assert again.to_json() == result.to_json()
+
+    @pytest.mark.parametrize("n_cells,seed", [(300, 11), (250, 5)])
+    def test_same_seed_same_placement_in_a_fresh_process(self, n_cells,
+                                                         seed):
+        netlist = random_netlist(n_cells=n_cells, seed=seed,
+                                 with_macros=True)
+        here = place(netlist, small_device(), seed=seed, effort=0.2)
+        script = (
+            "import json, runpy, sys\n"
+            f"module = runpy.run_path({__file__!r})\n"
+            f"netlist = module['random_netlist'](n_cells={n_cells}, "
+            f"seed={seed}, with_macros=True)\n"
+            f"result = module['place'](netlist, module['small_device'](), "
+            f"seed={seed}, effort=0.2)\n"
+            "print(json.dumps(result.to_json(), sort_keys=True))\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        # Another hash seed too: no set or dict order may leak into it.
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="4242")
+        there = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=300,
+                               check=True)
+        assert json.loads(there.stdout) == json.loads(
+            json.dumps(here.to_json(), sort_keys=True))
 
 
 class TestRouteTreeInvariants:

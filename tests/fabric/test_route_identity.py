@@ -4,7 +4,9 @@ Each digest is the sha256 of ``RoutingResult.to_json()`` (canonical
 JSON: routes, edge usage, wirelength, overflow, expansion and rip-up
 counts).  The digests were taken with the tuple-keyed router that kept
 channel usage in a dict and rebuilt each net tree's bbox per sink; the
-integer-tile router must reproduce its results bit for bit.
+integer-tile router had to reproduce its results bit for bit.  They were
+re-pinned when ``PLACE_KERNEL_VERSION`` 4 changed the placements they
+route; ``routing.py`` did not change with it.
 
 The designs are four HLS kernels (8 ns, placed at seed 1, effort 0.2)
 on the ``compile_cold`` evaluation device, routed cold at channel
@@ -44,40 +46,40 @@ SOURCES = {
 
 COLD_DIGESTS = {
     ("median3", 8):
-        "d8e2451c827fec2b27bb165ce5cab40ccac3e51d9d50967877ed5bf5b20dc1b6",
+        "547b2be2c7afbcfa0e8f1a79e1c133923e027d368409eaa3655bde287d55fee7",
     ("median3", 16):
-        "0c068e84434b68be610c61bb6d4032bfef9928a45a64992d75bf104762b7f645",
+        "23c767e51cecacd399edda88b1fe5c1aa41bbc8db539942c50846b62d0b86313",
     ("median3", 32):
-        "310b8726f1a9cf1a329d11550a2fba48281ec308549722d9d3b051faed93f9fd",
+        "6b264081570a5cb0811c41251c1c3ddca238a6fdc557d0c203a1aad33d579ab2",
     ("fir8", 8):
-        "3fc0838897eb7278b84663265c972131b1069ab7840ae88d75eaf55f8b12f313",
+        "932e7c339f9cd2c02b7dc6c1b0b443a346945520a9124fe2774cb510304333e0",
     ("fir8", 16):
-        "5cca5d1492d4556ca750f060a38779b23b36d2f6c07f43677eff65d32611022b",
+        "8e5218502907c70ad02375b0e9bcc6cd4ce20ccb021ad3fecd6d2e2963181748",
     ("fir8", 32):
-        "ffd7100f28e85fcfcb29dbbfa2640b179748a206c9e52605629957854c58d49a",
+        "93b1b51e83e7126bc90564d053fe424b7bec860f439d4b42f94a025ec4dfd8b1",
     ("conv2d", 8):
-        "3537abfa4ebdb3398299a6b6041c6de5e13b7b399f8954e5a7af9df711af11c8",
+        "af86f96ececb545fca872d04f5c80cccb10752c708edd31c5f55c157f129e812",
     ("conv2d", 16):
-        "adf5ae75aab01d902594216583dda8b7af0d148756e94564f988fad28bcd0b82",
+        "fa1c9e20ad66431f6c168fda1a52e4dc8d95552f8ba83b7ca896e6d0be1c79e2",
     ("conv2d", 32):
-        "3e5705965a36bd4bd5d9ca3f5f68f737178260a561774dc125e5e26e289ee9cf",
+        "72b2833d07b0209f42825c77b921ca3634f60aa465e60c30a72c93caf6377808",
     ("sobel", 8):
-        "4ce409f7c6f82856675613d8a1e2fb4399dde5fc97ec668e4c8a32871b4e2c5c",
+        "608ef4ddb7e12e01842bd6a2fe1424384fc388e664230a787b5735c34533949a",
     ("sobel", 16):
-        "4d1fb44ad844df835ed5b2afcfc8b2e6e4aeb81679a0c380ebb2a2d9403f4a34",
+        "4277c17a6284942d91451c3e48d01b22f7e00a07665598b3e1e48f0099782d9a",
     ("sobel", 32):
-        "be59237f46c7db46d8eb941133458f9dac9da921adf6f77e9d3184854d0d980d",
+        "113d1da2273f2748f7b9fabb5a9bf40ccd66c6b0a7f204fa990d5cf19f94059b",
 }
 
 #: conv2d ECO base (cold route at channel width 16), then one digest
 #: per edit: ``random_delta`` seeds 1-4 at 0.2%, 1%, 0.2%, 1%.
 ECO_EDITS = ((0.002, 1), (0.01, 2), (0.002, 3), (0.01, 4))
 ECO_DIGESTS = [
-    "adf5ae75aab01d902594216583dda8b7af0d148756e94564f988fad28bcd0b82",
-    "3a8fb395b7157fb368620f069e8f27c8f5a9eaa87b95601d664adcd12e2c0e5b",
-    "222e2ee3307fadeeb6bbb08652a4e40d7bcd7ec1606ab5478e1c4eae59892e02",
-    "e6d419eecaf12e0054908d92c6371a3dcee55927db32031d3603dc442879d58d",
-    "6418f8ec164c7e3025e09aee61182574f09f2844a6841174bc1c767e4d5bfc8d",
+    "fa1c9e20ad66431f6c168fda1a52e4dc8d95552f8ba83b7ca896e6d0be1c79e2",
+    "eed443dbca6471cbf8743bcb9adb73fbbb981ece2cb4aa7517bd179de80a2cf9",
+    "e9a8396d8a94c2470f93e71fb78eb79b1ced4e9e9f61de42147391a056b3a2e3",
+    "34e392b9a598c0e907c74f728b1e5ca4c1aa532f19032ed16eccda9765512afd",
+    "3f7c537512cec55bee25a783d502e02855aa1bb7c2803d388f9f482f20d8d54e",
 ]
 
 

@@ -12,7 +12,7 @@ from repro.api import (
     unregister_kind,
 )
 from repro.core import GenericReport
-from repro.service import JobScheduler, JobState
+from repro.service import JobScheduler, JobState, QueueFullError
 
 
 @pytest.fixture
@@ -68,6 +68,18 @@ class TestLeaderMap:
         assert not one.coalesced and not two.coalesced
         assert inflight(idle_scheduler) == {"inflight": 2, "leaders": 2,
                                             "coalesced": 0}
+
+    def test_rejected_submission_is_no_leader(self):
+        # Never started: the first job stays queued and fills the queue.
+        scheduler = JobScheduler(workers=1, max_queue=1)
+        try:
+            scheduler.submit(flow_spec(width=8))
+            with pytest.raises(QueueFullError):
+                scheduler.submit(flow_spec(width=16))
+            assert inflight(scheduler) == {"inflight": 1, "leaders": 1,
+                                           "coalesced": 0}
+        finally:
+            scheduler.stop()
 
 
 class CountingKind:
