@@ -323,12 +323,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     "perf-kernel": {"steps": [
         ("Kernel property tests",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/fabric/test_kernels_property.py "
-         "-k 'not TestGlobalPlacement'"),
-        ("Global placement property tests (generated netlists, fresh "
-         "process)",
-         "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/fabric/test_kernels_property.py::TestGlobalPlacement"),
+         "tests/fabric/test_kernels_property.py"),
         ("Placement identity golden",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/fabric/test_place_identity.py"),

@@ -33,6 +33,13 @@ def canonicalize(value: Any) -> Any:
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    # Exact-type fast paths for the common JSON shapes; the generic
+    # checks below (``Mapping`` is an ABC check) give the same result.
+    if type(value) is dict:
+        return {str(key): canonicalize(value[key])
+                for key in sorted(value, key=str)}
+    if type(value) is list or type(value) is tuple:
+        return [canonicalize(item) for item in value]
     if isinstance(value, (bytes, bytearray)):
         return bytes(value).hex()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):

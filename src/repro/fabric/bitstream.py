@@ -164,12 +164,56 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
     for col in range(cols):
         bitstream.frames.append(Frame(index=col,
                                       data=bytearray(frame_bytes)))
+    _configure(bitstream, netlist, locations)
+    for frame in bitstream.frames:
+        frame.seal()
+    bitstream.snapshot_golden()
+    return bitstream
 
+
+def update_bitstream(base: Bitstream, netlist: Netlist,
+                     locations: Dict[str, Tuple[int, int]],
+                     tiles: Set[Tuple[int, int]]) -> Bitstream:
+    """The bitstream of an edited design, rebuilt from ``base`` in the
+    given ``tiles`` only.
+
+    Equal to :func:`generate_bitstream` on (``netlist``, ``locations``)
+    when ``tiles`` holds every tile where a cell was added, removed,
+    moved from or to, or had its init changed since ``base``: a tile's
+    configuration depends only on its own cells, in netlist order.
+    Tile ranges are byte-aligned, so a tile is cleared by slicing.
+    """
+    tile_bytes = TILE_CONFIG_BITS // 8
+    bitstream = Bitstream(
+        device_name=base.device_name, grid=base.grid,
+        frames=[Frame(index=frame.index, data=bytearray(frame.data),
+                      crc=frame.crc) for frame in base.frames],
+        essential=set(base.essential))
+    frame_bits = bitstream.frame_bits
+    for col, row in tiles:
+        start = row * tile_bytes
+        bitstream.frames[col].data[start:start + tile_bytes] = \
+            bytes(tile_bytes)
+        first = col * frame_bits + row * TILE_CONFIG_BITS
+        bitstream.essential.difference_update(
+            range(first, first + TILE_CONFIG_BITS))
+    _configure(bitstream, netlist, locations, tiles)
+    for col in sorted({col for col, _row in tiles}):
+        bitstream.frames[col].seal()
+    bitstream.snapshot_golden()
+    return bitstream
+
+
+def _configure(bitstream: Bitstream, netlist: Netlist,
+               locations: Dict[str, Tuple[int, int]],
+               tiles: Optional[Set[Tuple[int, int]]] = None) -> None:
+    """Write the placed cells' configuration into ``bitstream``: every
+    cell's, or only those on ``tiles``."""
     # Track per-tile LUT slot allocation.
     slot_of_tile: Dict[Tuple[int, int], int] = {}
     for name, cell in netlist.cells.items():
         tile = locations.get(name)
-        if tile is None:
+        if tile is None or (tiles is not None and tile not in tiles):
             continue
         col, row = tile
         tile_base = row * TILE_CONFIG_BITS
@@ -208,7 +252,3 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
             bitstream.essential.add(global_base + LUTS_PER_TILE
                                     * (_LUT_INIT_BITS + _FF_CFG_BITS) + bit)
         del routing_base
-    for frame in bitstream.frames:
-        frame.seal()
-    bitstream.snapshot_golden()
-    return bitstream

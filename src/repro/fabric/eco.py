@@ -47,6 +47,7 @@ from typing import Any, Dict, FrozenSet, List, Mapping, NamedTuple, \
 
 from ..cache import content_key
 from ..telemetry import Tracer
+from .bitstream import Bitstream, update_bitstream
 from .device import Device
 from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
@@ -671,6 +672,7 @@ class EcoFlow:
         self.placement: Optional[PlacementResult] = None
         self.routing: Optional[RoutingResult] = None
         self.timing: Optional[TimingReport] = None
+        self.bitstream: Optional[Bitstream] = None
         self._base_state: Optional[StaState] = None
 
     def prepare_base(self, effort: float = 1.0,
@@ -678,9 +680,10 @@ class EcoFlow:
                      ) -> StaState:
         """Ensure the base implementation this flow increments from.
 
-        Base placement/routing warm from the cache when present and are
-        recomputed cold when evicted — either way the stage keys are
-        rebuilt, so the delta chain stays consistent.  The full-STA
+        Base placement, routing and bitstream warm from the cache when
+        present and are recomputed cold when evicted — either way the
+        stage keys are rebuilt, so the delta chain stays consistent.
+        The edit's bitstream is rebuilt from the base one.  The full-STA
         propagation state is cached under the base route key (stage
         ``sta-state``): in the interactive scenario it is part of the
         implemented design, so callers may run this outside the timed
@@ -691,6 +694,8 @@ class EcoFlow:
             project.run_place(effort=effort)
         if project.routing is None:
             project.run_route(channel_width=channel_width)
+        if project.bitstream is None:
+            project.run_bitstream()
         if self._base_state is None:
             self._base_state = project.run_stage(
                 "sta-state", project.stage_keys.get("route"), StaState,
@@ -711,6 +716,7 @@ class EcoFlow:
                                            channel_width=channel_width)
             base_place = base.placement
             base_route = base.routing
+            base_bitstream = base.bitstream
 
             # Apply the edit; the edited design's project re-validates it
             # and checks device capacity, then runs the ECO stages.
@@ -791,12 +797,25 @@ class EcoFlow:
                         round(result.report.critical_path_ns, 6)})
             self.timing = project.timing = timing
 
-            # Bitstream: regeneration is O(cells) and config words may
-            # have changed anywhere (resize ops), so rebuild in full.  It
-            # chains off the edited project's (delta-chained) place key,
-            # so the regenerated bitstream is cached per (base, delta).
+            # Bitstream: only the tiles a cell left, entered or was
+            # resized on are rebuilt from the base bitstream.  It keys
+            # as the cold bitstream stage does, off the edited project's
+            # (delta-chained) place key, so it is cached per (base,
+            # delta).
+            tiles = {tile for name in changed | moved_cells | impact.resized
+                     for tile in (base_place.locations.get(name),
+                                  placement.locations.get(name))
+                     if tile is not None}
             with project.span("eco.bitstream"):
-                project.run_bitstream()
+                project.bitstream = project.run_stage(
+                    "bitstream", project.stage_keys.get("place"),
+                    Bitstream,
+                    lambda: update_bitstream(base_bitstream, edited,
+                                             placement.locations, tiles),
+                    describe=lambda bitstream: {
+                        "total_bits": bitstream.total_bits,
+                        "essential_bits": bitstream.essential_bits})
+            self.bitstream = project.bitstream
 
             eco_stats = {
                 "cells_added": len(impact.added),

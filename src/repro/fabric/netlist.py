@@ -117,13 +117,18 @@ class Netlist:
         ECO delta ops do) to avoid colliding with inherited ones.
         """
         duplicate = Netlist(name or self.name)
+        # Field-by-field copies that skip the constructors: every cell
+        # was checked when it was built.
         for cell in self.cells.values():
-            duplicate.cells[cell.name] = Cell(
-                name=cell.name, kind=cell.kind, inputs=list(cell.inputs),
-                output=cell.output, init=cell.init, location=cell.location)
+            copied = object.__new__(Cell)
+            copied.__dict__.update(cell.__dict__)
+            copied.inputs = list(cell.inputs)
+            duplicate.cells[cell.name] = copied
         for net in self.nets.values():
-            duplicate.nets[net.name] = Net(
-                name=net.name, driver=net.driver, sinks=list(net.sinks))
+            copied_net = object.__new__(Net)
+            copied_net.__dict__.update(net.__dict__)
+            copied_net.sinks = list(net.sinks)
+            duplicate.nets[net.name] = copied_net
         duplicate.inputs = list(self.inputs)
         duplicate.outputs = list(self.outputs)
         return duplicate

@@ -28,8 +28,8 @@ not tracked at all, by the annealer or by the net model.  Free sites
 come from per-site-class free-lists (no rejection sampling), and moves
 are VPR-style range-limited, with a window that shrinks as the
 temperature drops.  The move loop (:func:`_anneal`) is shared with the
-ECO warm start.  Results stay deterministic per seed on any host;
-``PLACE_KERNEL_VERSION`` salts the flow-cache stage key so artifacts of
+ECO warm start.  Results are deterministic per seed for a given numpy
+build; ``PLACE_KERNEL_VERSION`` salts the flow-cache stage key so artifacts of
 older kernels are never served.
 """
 

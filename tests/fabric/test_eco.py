@@ -43,6 +43,7 @@ from repro.fabric import (
     scaled_device,
     synthesize_component,
 )
+from repro.fabric.bitstream import generate_bitstream
 from repro.fabric.netlist import DFF, LUT4
 from repro.fabric.routing import _usage_of_paths
 from repro.fabric.timing import TimingError
@@ -396,6 +397,18 @@ class TestEcoFlowEndToEnd:
         assert report.eco["cells_frozen"] \
             + report.eco["cells_annealed"] \
             == len(flow.placement.locations)
+
+    @pytest.mark.parametrize("fraction,seed",
+                             [(0.01, 1), (0.1, 2), (0.3, 3), (0.6, 4)])
+    def test_edit_bitstream_equals_full_generation(self, fraction, seed):
+        # The edit's bitstream is rebuilt from the base one on the
+        # touched tiles only; it must be the full regeneration's, bit
+        # for bit (frames, CRCs, essential bits, golden copy).
+        _project, flow, _report = self._run(seed=seed, fraction=fraction)
+        full = generate_bitstream(flow.netlist, flow.placement.locations,
+                                  flow.placement.grid,
+                                  flow.project.device.name)
+        assert flow.bitstream.to_json() == full.to_json()
 
     def test_deterministic_wire_report(self):
         from repro.core.report import report_json_text
