@@ -41,7 +41,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..api import ExitCode, JobContext, JobSpec, JobSpecError, submit
 from ..cache import FlowCache
@@ -128,11 +129,13 @@ class JobScheduler:
                  weights: Optional[Dict[str, float]] = None,
                  aging_rate: float = 0.05,
                  job_workers: int = 1, backend: str = "auto",
-                 clock: Callable[[], float] = time.monotonic) -> None:
+                 clock: Callable[[], float] = time.monotonic,
+                 max_finished: int = 1_000) -> None:
         self.cache = cache if cache is not None else FlowCache()
         self.tracer = tracer
         self.workers = max(1, workers)
         self.max_queue = max(1, max_queue)
+        self.max_finished = max(1, max_finished)
         self.job_workers = job_workers
         self.backend = backend
         self.clock = clock
@@ -143,8 +146,12 @@ class JobScheduler:
         self._queue = FairQueue(weights=weights, aging_rate=aging_rate)
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
+        # Every live job and the last ``max_finished`` finished ones,
+        # in submission order; older finished jobs are forgotten (their
+        # reports stay in the cache), so memory does not grow with the
+        # number of requests served.
         self._jobs: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
+        self._finished: Deque[str] = deque()
         self._next_seq = 0
         self._running = 0
         self._closed = False
@@ -240,7 +247,6 @@ class JobScheduler:
 
     def _register_locked(self, record: JobRecord) -> None:
         self._jobs[record.id] = record
-        self._order.append(record.id)
 
     def _release_locked(self, record: JobRecord) -> None:
         """Release ``record``'s key if (and only if) it leads it."""
@@ -259,7 +265,7 @@ class JobScheduler:
     def jobs(self, tenant: Optional[str] = None,
              state: Optional[JobState] = None) -> List[JobRecord]:
         with self._lock:
-            records = [self._jobs[job_id] for job_id in self._order]
+            records = list(self._jobs.values())
         if tenant is not None:
             records = [r for r in records if r.spec.tenant == tenant]
         if state is not None:
@@ -449,6 +455,9 @@ class JobScheduler:
             self._count("service.jobs.cancelled")
         self._emit_span_locked(record)
         record.done.set()
+        self._finished.append(record.id)
+        while len(self._finished) > self.max_finished:
+            self._jobs.pop(self._finished.popleft(), None)
 
     # -- telemetry (tracer is not thread-safe: lock held throughout) -------
 

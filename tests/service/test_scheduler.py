@@ -378,3 +378,27 @@ class TestEvents:
         finally:
             blocking.close()
             scheduler.stop()
+
+
+class TestRetention:
+    def test_only_the_last_finished_jobs_are_kept(self):
+        scheduler = JobScheduler(workers=1, max_finished=2).start()
+        blocking = BlockingKind("test-keep")
+        try:
+            blocking.release.set()
+            spec = JobSpec(kind="test-keep", params={"n": 0})
+            first = scheduler.submit(spec)
+            assert first.done.wait(timeout=30.0)
+            # Warm hits of the same spec finish at submission.
+            second = scheduler.submit(spec)
+            third = scheduler.submit(spec)
+            assert [r.id for r in scheduler.jobs()] == [second.id,
+                                                        third.id]
+            with pytest.raises(UnknownJobError):
+                scheduler.get(first.id)
+            assert scheduler.get(third.id).report_text \
+                == first.report_text
+            assert scheduler.stats()["jobs"] == 2
+        finally:
+            blocking.close()
+            scheduler.stop()
