@@ -252,6 +252,82 @@ def check_tmr_voters(netlist: Netlist, emit) -> None:
                  f"no voter consuming their outputs")
 
 
+def edit_error_messages(netlist: Netlist, counter=None) -> List[str]:
+    """:func:`error_messages` of an edited copy (``Netlist.copy``) whose
+    parent has none, found from the edit alone.
+
+    A finding the full check would make on a net or cell the copy did
+    not write was already a finding on the parent, so only the written
+    nets are checked for a missing driver and undriven outputs.  An
+    acyclic parent means every combinational loop uses a new edge, an
+    edge through a written net that the parent did not have; each loop
+    lies inside the forward combinational cone of such an edge's sink,
+    so Tarjan's SCCs are run over that cone only, with the full check's
+    graph there.  The messages, cycle paths included, and their order
+    are the full check's.  ``counter`` (optional, a tracer counter) is
+    given the number of nets and cells checked.
+    """
+    parent = netlist.parent
+    if parent is None:
+        raise ValueError(f"{netlist.name} is not an edited copy")
+    cells, nets = netlist.cells, netlist.nets
+    findings: List[Tuple[str, str, str]] = []
+    heads: List[str] = []
+    for name in sorted(netlist.edited_nets):
+        net = nets[name]
+        if net.driver is None:
+            if name in netlist.inputs:
+                continue
+            if net.sinks:
+                findings.append(("netlist.undriven-net", f"net:{name}",
+                                 f"net {name!r} has sinks but no driver"))
+            findings.extend(
+                [("netlist.dangling-output", f"net:{name}",
+                  f"primary output {name!r} is not driven by any cell")]
+                * netlist.outputs.count(name))
+            continue
+        driver = cells[net.driver]
+        if driver.is_sequential:
+            continue
+        old = parent.nets.get(name)
+        was = parent.cells.get(driver.name)
+        if old is None or old.driver != driver.name or was is None \
+                or was.kind != driver.kind:
+            old_sinks = set()
+        else:
+            old_sinks = set(old.sinks)
+        for sink in net.sinks:
+            if cells[sink].is_sequential:
+                continue
+            before = parent.cells.get(sink)
+            if sink not in old_sinks or before is None \
+                    or before.is_sequential:
+                heads.append(sink)
+    # The full check's graph over the forward cone of the new edges.
+    graph: Dict[str, List[str]] = {}
+    stack = heads
+    while stack:
+        name = stack.pop()
+        if name in graph:
+            continue
+        successors: List[str] = []
+        output = cells[name].output
+        if output is not None:
+            successors = sorted(sink for sink in nets[output].sinks
+                                if not cells[sink].is_sequential)
+        graph[name] = successors
+        stack.extend(successors)
+    if counter is not None:
+        counter.add(len(netlist.edited_nets) + len(graph))
+    for component in _tarjan_sccs(graph):
+        if len(component) > 1 or component[0] in graph[component[0]]:
+            path = _cycle_path(graph, sorted(component))
+            findings.append(("netlist.comb-loop", f"cell:{path[0]}",
+                             f"combinational loop through {path[0]!r}: "
+                             + " -> ".join(path)))
+    return [message for _rule, _location, message in sorted(findings)]
+
+
 def error_messages(netlist: Netlist) -> List[str]:
     """ERROR-level findings as plain strings (``Netlist.validate``)."""
     from ..analyzer import AnalysisTarget, Analyzer

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .device import LUTS_PER_TILE
 from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Netlist
@@ -173,7 +173,8 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
 
 def update_bitstream(base: Bitstream, netlist: Netlist,
                      locations: Dict[str, Tuple[int, int]],
-                     tiles: Set[Tuple[int, int]]) -> Bitstream:
+                     tiles: Set[Tuple[int, int]],
+                     cells: Optional[Iterable[str]] = None) -> Bitstream:
     """The bitstream of an edited design, rebuilt from ``base`` in the
     given ``tiles`` only.
 
@@ -182,6 +183,9 @@ def update_bitstream(base: Bitstream, netlist: Netlist,
     moved from or to, or had its init changed since ``base``: a tile's
     configuration depends only on its own cells, in netlist order.
     Tile ranges are byte-aligned, so a tile is cleared by slicing.
+    ``cells``, when given, names the cells placed on ``tiles`` in
+    netlist order (the ECO flow knows them); otherwise they are found
+    by walking the netlist.
     """
     tile_bytes = TILE_CONFIG_BITS // 8
     bitstream = Bitstream(
@@ -197,7 +201,7 @@ def update_bitstream(base: Bitstream, netlist: Netlist,
         first = col * frame_bits + row * TILE_CONFIG_BITS
         bitstream.essential.difference_update(
             range(first, first + TILE_CONFIG_BITS))
-    _configure(bitstream, netlist, locations, tiles)
+    _configure(bitstream, netlist, locations, tiles, cells)
     for col in sorted({col for col, _row in tiles}):
         bitstream.frames[col].seal()
     bitstream.snapshot_golden()
@@ -206,12 +210,16 @@ def update_bitstream(base: Bitstream, netlist: Netlist,
 
 def _configure(bitstream: Bitstream, netlist: Netlist,
                locations: Dict[str, Tuple[int, int]],
-               tiles: Optional[Set[Tuple[int, int]]] = None) -> None:
+               tiles: Optional[Set[Tuple[int, int]]] = None,
+               cells: Optional[Iterable[str]] = None) -> None:
     """Write the placed cells' configuration into ``bitstream``: every
-    cell's, or only those on ``tiles``."""
+    cell's, or only those on ``tiles`` (which ``cells``, in netlist
+    order, may name)."""
     # Track per-tile LUT slot allocation.
     slot_of_tile: Dict[Tuple[int, int], int] = {}
-    for name, cell in netlist.cells.items():
+    placed = (netlist.cells.items() if cells is None
+              else [(name, netlist.cells[name]) for name in cells])
+    for name, cell in placed:
         tile = locations.get(name)
         if tile is None or (tiles is not None and tile not in tiles):
             continue

@@ -9,9 +9,10 @@ re-implementation incremental:
 * :class:`NetlistDelta` — a typed edit script (add/remove/resize cell,
   reconnect an input pin, retarget an output, constraint change) with a
   canonical JSON form and a content fingerprint.
-  ``Netlist.apply_delta`` applies it to a *copy*, so the base netlist's
-  content fingerprint stays stable and equal (base, delta) pairs yield
-  structurally identical edited netlists.
+  ``Netlist.apply_delta`` applies it to a copy-on-write *copy*
+  (``Netlist.copy``), so the base netlist's content fingerprint stays
+  stable, equal (base, delta) pairs yield structurally identical edited
+  netlists, and the copy records the cells and nets it wrote.
 * :class:`EcoFlow` — re-implements only what the edit touched:
 
   - **warm-start placement** (:func:`eco_place`): the annealer starts
@@ -27,6 +28,27 @@ re-implementation incremental:
     changed cells and the re-routed nets, then merged into the cached
     full-timing state.
 
+An edit pays for the edit, not the design.  Once per base,
+:meth:`EcoFlow.prepare_base` derives an :class:`EcoBase` and keeps it
+on the base project (``NXmapProject.eco_base``) next to its cached
+results: the site map with every base cell placed and the HPWL
+(:class:`WarmPlacement`), the warm routes by tile id with each edge's
+users (:class:`~repro.fabric.routing.WarmRoutes`), and the canonical
+endpoint order with the endpoints ranked by delay
+(:class:`~repro.fabric.timing.ConeBase`); the Kahn levels live in the
+cached :class:`~repro.fabric.timing.StaState`.  Edits only read it.
+Per edit, the flow then touches the changed cells, their nets and the
+overflowed edges: validation checks the written nets and the forward
+cone of new combinational edges (``NXmapProject.for_edit``), the warm
+start copies the site map and indexes the movable cells' nets, the
+route checks the nets the edit could have made stale and rips up only
+nets on overflowed edges, the cone STA repairs the stored levels over
+the edited nets, and the bitstream rebuilds the touched tiles from the
+cells on them.  What remains design-sized are C-level copies of maps
+(the netlist's, the site map's, the result maps) and, in the route, one
+C-level difference of the two location maps and sums over the channel
+usage list.  Every result is bit-identical to the walks it replaced.
+
 Every ECO stage result is content-addressed under a *delta-chained*
 key: ``content_key(base stage key, canonical delta, options)``, made by
 the same :meth:`NXmapProject.stage_key` as the cold stage keys.  The
@@ -35,15 +57,18 @@ the PR-9 service — is therefore a warm cache hit with a byte-identical
 report.
 
 Telemetry counters: ``eco.cells.moved``, ``eco.nets.ripped``,
-``eco.sta.cone_size``.
+``eco.sta.cone_size``, and the work each stage does outside its kernel:
+``eco.validate.visited``, ``eco.place.sites_scanned``,
+``eco.route.nets_visited``, ``eco.sta.cells_visited`` and
+``eco.bitstream.tiles`` (``tests/fabric/test_eco_work.py`` pins them).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, NamedTuple, \
-    Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, \
+    NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from ..cache import content_key
 from ..telemetry import Tracer
@@ -51,11 +76,12 @@ from .bitstream import Bitstream, update_bitstream
 from .device import Device
 from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
-from .placement import PlacementResult, _Grid, _SiteManager, _anneal, \
-    _bbox, _connectivity, total_hpwl
-from .routing import DEFAULT_CHANNEL_WIDTH, RoutingResult, route
-from .timing import StaState, TimingReport, analyze_timing_cone, \
-    analyze_timing_state
+from .placement import PlacementResult, Tile, _Grid, _SiteManager, \
+    _anneal, _bbox, _net_span, total_hpwl
+from .routing import DEFAULT_CHANNEL_WIDTH, RoutingResult, WarmRoutes, \
+    route
+from .timing import ConeBase, StaState, TimingReport, \
+    analyze_timing_cone, analyze_timing_state
 
 #: Constraint names a delta may change.
 _CONSTRAINT_NAMES = ("target_clock_ns",)
@@ -134,15 +160,11 @@ class RemoveCell:
         return {"op": self.op, "name": self.name}
 
     def apply_to(self, netlist: Netlist) -> Tuple[Set[str], Set[str]]:
-        cell = netlist.cells.pop(self.name, None)
-        if cell is None:
+        if self.name not in netlist.cells:
             raise DeltaError(f"remove_cell: unknown cell {self.name!r}")
-        nets: Set[str] = set()
-        for net_name in cell.inputs:
-            netlist.nets[net_name].sinks.remove(self.name)
-            nets.add(net_name)
+        cell = netlist.remove_cell(self.name)
+        nets = set(cell.inputs)
         if cell.output is not None:
-            netlist.nets[cell.output].driver = None
             nets.add(cell.output)
         return {self.name}, nets
 
@@ -163,10 +185,9 @@ class ResizeCell:
         return {"op": self.op, "name": self.name, "init": self.init}
 
     def apply_to(self, netlist: Netlist) -> Tuple[Set[str], Set[str]]:
-        cell = netlist.cells.get(self.name)
-        if cell is None:
+        if self.name not in netlist.cells:
             raise DeltaError(f"resize_cell: unknown cell {self.name!r}")
-        cell.init = int(self.init)
+        netlist.writable_cell(self.name).init = int(self.init)
         return set(), set()
 
 
@@ -193,8 +214,8 @@ class ReconnectInput:
                 f"reconnect_input: {self.cell} has no input pin "
                 f"{self.index}")
         old = cell.inputs[self.index]
-        netlist.nets[old].sinks.remove(self.cell)
-        cell.inputs[self.index] = self.net
+        netlist.ensure_net(old).sinks.remove(self.cell)
+        netlist.writable_cell(self.cell).inputs[self.index] = self.net
         netlist.ensure_net(self.net).sinks.append(self.cell)
         return {self.cell}, {old, self.net}
 
@@ -222,9 +243,9 @@ class RetargetOutput:
                 f"{target.driver}")
         nets = {self.net}
         if cell.output is not None:
-            netlist.nets[cell.output].driver = None
+            netlist.ensure_net(cell.output).driver = None
             nets.add(cell.output)
-        cell.output = self.net
+        netlist.writable_cell(self.cell).output = self.net
         target.driver = self.cell
         return {self.cell}, nets
 
@@ -410,135 +431,289 @@ def random_delta(netlist: Netlist, fraction: float,
 # -- warm-start placement ---------------------------------------------------
 
 
-def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
-              changed_cells: Set[str], seed: int = 1,
-              effort: float = 1.0,
-              tracer: Optional[Tracer] = None) -> PlacementResult:
-    """Warm-start annealing from a cached base placement.
+def _occupied_sites(netlist: Netlist, device: Device,
+                    base: PlacementResult
+                    ) -> Tuple[_SiteManager, Optional[Tuple[str, Tile]]]:
+    """The site manager on ``base``'s grid with every cell of ``netlist``
+    that has a base tile placed there, in netlist order (the order fixes
+    the free-lists' order), and the first cell whose tile had no room."""
+    sites = _SiteManager(_Grid(device, netlist, dims=base.grid))
+    for name, cell in netlist.cells.items():
+        tile = base.locations.get(name)
+        if tile is None:
+            continue
+        cls = _SiteManager.site_class(cell.kind)
+        if not sites.has_room(cls, tile):
+            return sites, (name, tile)
+        sites.occupy(cls, tile)
+    return sites, None
 
-    The movable set is the changed cells plus every cell sharing a net
-    with them (the range-limit neighborhood); everything else keeps its
-    base tile *bit-identically*.  The anneal runs at a fraction of the
-    cold starting temperature inside a reduced range limit, on the base
-    placement's grid (so frozen tiles stay legal).  The move loop is
-    the cold placer's (``placement._anneal``), with a disturbance
-    penalty on the first move of a pre-existing cell.
+
+class WarmPlacement:
+    """What a warm start needs of a whole base placement: derived once
+    per base (``EcoFlow.prepare_base``) and only read by the edits.
+
+    It holds the base cells' order, the sites they occupy (free-list
+    order included), the base HPWL, and how many nets cover fewer than
+    two pins (``total_hpwl`` is a float when any does).  An edit of a
+    copy of ``netlist`` then pays for its own cells and nets only.
     """
-    rng = random.Random(seed)
-    grid = _Grid(device, netlist, dims=base.grid)
-    sites = _SiteManager(grid)
-    cols, rows = grid.cols, grid.rows
 
-    cell_names: List[str] = list(netlist.cells)
-    cell_index = {name: index for index, name in enumerate(cell_names)}
-    classes: List[str] = [_SiteManager.site_class(cell.kind)
-                          for cell in netlist.cells.values()]
-    ncells = len(cell_names)
-    if ncells == 0:
-        return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
+    def __init__(self, netlist: Netlist, device: Device,
+                 base: PlacementResult) -> None:
+        self.netlist = netlist
+        self.base = base
+        self.order = {name: index for index, name in enumerate(netlist.cells)}
+        self.complete = len(base.locations) == len(self.order) \
+            and all(name in self.order for name in base.locations)
+        # Base cells by tile, in netlist order.
+        self.tiles: Dict[Tile, List[str]] = {}
+        for name in netlist.cells:
+            tile = base.locations.get(name)
+            if tile is not None:
+                self.tiles.setdefault(tile, []).append(name)
+        self.sites, self.overfull = _occupied_sites(netlist, device, base)
+        spans = [_net_span(netlist, base.locations.get, name)
+                 for name in netlist.nets]
+        self.degenerate = spans.count(None)
+        self.hpwl = sum(span for span in spans if span is not None)
 
-    # The movable set: the changed cells, plus the low-fanout one-net
-    # neighborhood of the *added* ones (a fresh cell needs its
-    # neighbors to shuffle locally so it can legalize near them).
-    # Neighbors of merely-reconnected cells stay frozen — they still
-    # participate in the cost function as fixed pins.  Every cell the
-    # anneal moves cascades into the rip-up set and the STA cone, so
-    # unfreezing a reconnect source's whole sink cloud (often a
-    # register feeding dozens of sinks) would defeat incrementality.
-    movable: Set[str] = {name for name in changed_cells
-                         if name in netlist.cells}
+    def position(self, netlist: Netlist) -> Callable[[str], Tuple[int, int]]:
+        """A sort key giving the cells of ``netlist``, an edited copy of
+        this base's netlist, in its order: the parent's cells in their
+        order, then the cells the copy added."""
+        tail = {name: index for index, name
+                in enumerate(netlist.added_cells)}
+        order = self.order
+
+        def position(name: str) -> Tuple[int, int]:
+            return (1, tail[name]) if name in tail else (0, order[name])
+        return position
+
+
+def _movable_cells(netlist: Netlist, base: PlacementResult,
+                   changed_cells: Set[str]) -> Set[str]:
+    """The cells a warm start may move: the changed cells, plus the
+    low-fanout one-net neighborhood of the ones without a base tile.
+
+    A fresh cell needs its neighbors to shuffle locally so it can
+    legalize near them.  Neighbors of merely-reconnected cells stay
+    frozen: they still take part in the cost function as fixed pins.
+    Every cell the anneal moves cascades into the rip-up set and the
+    STA cone, so unfreezing a reconnect source's whole sink cloud
+    (often a register feeding dozens of sinks) would defeat
+    incrementality.
+    """
+    cells = netlist.cells
+    movable = {name for name in changed_cells if name in cells}
     hot_nets: Set[str] = set()
-    for name in sorted(movable):
-        cell = netlist.cells[name]
+    for name in movable:
         if base.locations.get(name) is not None:
             continue                      # pre-existing cell: no spread
+        cell = cells[name]
         hot_nets.update(cell.inputs)
         if cell.output is not None:
             hot_nets.add(cell.output)
-    for net_name in sorted(hot_nets):
+    for net_name in hot_nets:
         net = netlist.nets.get(net_name)
         if net is None or net.fanout > _NEIGHBOR_FANOUT_CAP:
             continue
-        if net.driver is not None and net.driver in netlist.cells:
+        if net.driver is not None and net.driver in cells:
             movable.add(net.driver)
-        movable.update(sink for sink in net.sinks
-                       if sink in netlist.cells)
+        movable.update(sink for sink in net.sinks if sink in cells)
+    return movable
+
+
+def _nearest_free(sites: _SiteManager, cls: str,
+                  point: Tuple[int, int]) -> Tuple[Tile, int]:
+    """The free site of ``cls`` nearest ``point`` (Manhattan, ties to
+    the smaller tile), found ring by ring outward, and the number of
+    sites looked at."""
+    free = sites.free[cls].pos
+    if not free:
+        raise FlowError("eco warm start: no free site for added cell")
+    cols, rows = sites.grid.cols, sites.grid.rows
+    cx, cy = point
+    scanned = 0
+    for distance in range(cols + rows):
+        # Column by column, low row first: tile order within a ring.
+        for x in range(max(0, cx - distance),
+                       min(cols - 1, cx + distance) + 1):
+            rest = distance - abs(x - cx)
+            for y in ((cy - rest, cy + rest) if rest else (cy,)):
+                if 0 <= y < rows:
+                    scanned += 1
+                    if (x, y) in free:
+                        return (x, y), scanned
+    raise FlowError("eco warm start: no free site for added cell")
+
+
+def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
+              changed_cells: Set[str], seed: int = 1,
+              effort: float = 1.0,
+              tracer: Optional[Tracer] = None,
+              warm: Optional[WarmPlacement] = None) -> PlacementResult:
+    """Warm-start annealing from a cached base placement.
+
+    The movable set is the changed cells plus the low-fanout neighbors
+    of the added ones (:func:`_movable_cells`); everything else keeps
+    its base tile *bit-identically*.  The anneal runs at a fraction of
+    the cold starting temperature inside a reduced range limit, on the
+    base placement's grid (so frozen tiles stay legal).  The move loop
+    is the cold placer's (``placement._anneal``), with a disturbance
+    penalty on the first move of a pre-existing cell.
+
+    When ``netlist`` is an edited copy (``Netlist.copy``) of the design
+    ``base`` places, the warm start pays for the edit only: the sites,
+    the cell order and the HPWL come from ``warm``, the base's
+    :class:`WarmPlacement` (derived here when not given), and only the
+    movable cells, their nets and pins are indexed for the anneal.  An
+    edit that removes a cell re-occupies the sites cell by cell (the
+    free-lists' order, which the anneal samples, depends on it); any
+    other netlist is warm-started by walking all of it.  The tracer
+    counter ``eco.place.sites_scanned`` counts the sites looked at,
+    for added cells and by such walks.
+    """
+    rng = random.Random(seed)
+    cells, nets = netlist.cells, netlist.nets
+    parent = netlist.parent
+    if parent is None:
+        warm = None
+    elif warm is None or warm.netlist is not parent or warm.base is not base:
+        warm = WarmPlacement(parent, device, base)
+    if warm is not None and not warm.complete:
+        warm = None
+    scanned = 0
+    if warm is not None:
+        position = warm.position(netlist)
+        added = [name for name in netlist.added_cells
+                 if base.locations.get(name) is None]
+        intact = not any(position(name)[0] == 1 or name not in cells
+                         for name in netlist.edited_cells
+                         if name in warm.order)
+    else:
+        position = {name: index for index, name
+                    in enumerate(cells)}.__getitem__
+        added = [name for name in cells if base.locations.get(name) is None]
+        intact = False
+    if intact:
+        sites, overfull = warm.sites.copy(), warm.overfull
+    else:
+        sites, overfull = _occupied_sites(netlist, device, base)
+        scanned += len(cells)
+    cols, rows = sites.grid.cols, sites.grid.rows
+    if not cells:
+        return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
+    if overfull is not None:
+        raise FlowError(
+            f"eco warm start: base tile {overfull[1]} of {overfull[0]!r} "
+            f"is over capacity (incompatible base placement)")
+
+    movable = _movable_cells(netlist, base, changed_cells)
 
     # Warm start: every surviving cell keeps its base tile; cells the
     # delta added go to the nearest free site of their class, seeded at
     # the centroid of their already-placed neighbors.
-    xs: List[int] = [0] * ncells
-    ys: List[int] = [0] * ncells
-    placed: Set[int] = set()
-    added: List[int] = []
-    for index, name in enumerate(cell_names):
-        tile = base.locations.get(name)
-        if tile is None:
-            added.append(index)
-            continue
-        cls = classes[index]
-        if not sites.has_room(cls, tile):
-            raise FlowError(
-                f"eco warm start: base tile {tile} of {name!r} is over "
-                f"capacity (incompatible base placement)")
-        sites.occupy(cls, tile)
-        xs[index], ys[index] = tile
-        placed.add(index)
+    tiles: Dict[str, Tile] = {}
 
-    def neighbor_centroid(index: int) -> Tuple[int, int]:
-        cell = netlist.cells[cell_names[index]]
-        points: List[Tuple[int, int]] = []
-        net_names = list(cell.inputs)
-        if cell.output is not None:
-            net_names.append(cell.output)
-        for net_name in net_names:
-            net = netlist.nets.get(net_name)
+    def tile_of(name: str) -> Optional[Tile]:
+        tile = tiles.get(name)
+        return tile if tile is not None else base.locations.get(name)
+
+    for name in added:
+        cell = cells[name]
+        points: List[Tile] = []
+        for net_name in cell.inputs + ([cell.output] if cell.output
+                                       is not None else []):
+            net = nets.get(net_name)
             if net is None:
                 continue
             for pin in ([net.driver] if net.driver else []) + net.sinks:
-                other = cell_index.get(pin)
-                if other is not None and other in placed:
-                    points.append((xs[other], ys[other]))
-        if not points:
-            return cols // 2, rows // 2
-        return (round(sum(p[0] for p in points) / len(points)),
-                round(sum(p[1] for p in points) / len(points)))
-
-    for index in added:
-        cls = classes[index]
-        cx, cy = neighbor_centroid(index)
-        candidates = sites.free[cls].items
-        if not candidates:
-            raise FlowError("eco warm start: no free site for added cell")
-        tile = min(candidates,
-                   key=lambda t: (abs(t[0] - cx) + abs(t[1] - cy), t))
+                tile = tile_of(pin) if pin in cells else None
+                if tile is not None:
+                    points.append(tile)
+        centroid = ((round(sum(p[0] for p in points) / len(points)),
+                     round(sum(p[1] for p in points) / len(points)))
+                    if points else (cols // 2, rows // 2))
+        cls = _SiteManager.site_class(cell.kind)
+        tile, looked = _nearest_free(sites, cls, centroid)
+        scanned += looked
         sites.occupy(cls, tile)
-        xs[index], ys[index] = tile
-        placed.add(index)
+        tiles[name] = tile
 
-    warm_locations = {cell_names[i]: (xs[i], ys[i])
-                      for i in range(ncells)}
-    initial = total_hpwl(netlist, warm_locations)
+    if warm is not None:
+        total, degenerate = warm.hpwl, warm.degenerate
+        for net_name in netlist.edited_nets:
+            if net_name in parent.nets:
+                span = _net_span(parent, base.locations.get, net_name)
+                if span is None:
+                    degenerate -= 1
+                else:
+                    total -= span
+            span = _net_span(netlist, tile_of, net_name)
+            if span is None:
+                degenerate += 1
+            else:
+                total += span
+        # ``total_hpwl`` sums a float 0.0 for each such net.
+        initial = float(total) if degenerate else total
+    else:
+        initial = total_hpwl(netlist, {name: tile_of(name)
+                                       for name in cells})
 
-    movable_indices = [cell_index[name] for name in cell_names
-                       if name in movable]
-    frozen = ncells - len(movable_indices)
+    # Index only the movable cells, their tracked nets and those nets'
+    # pins, in netlist order for the movable ones (the anneal draws
+    # from that list); nets without a movable pin cannot change span.
+    members = sorted(movable, key=position)
+    local: Dict[str, int] = {name: index
+                             for index, name in enumerate(members)}
+    names = list(members)
+    tracked: List[Tuple[List[int], Dict[int, int]]] = []
+    seen: Set[str] = set()
+    for name in members:
+        cell = cells[name]
+        for net_name in cell.inputs + ([cell.output] if cell.output
+                                       is not None else []):
+            if net_name in seen:
+                continue
+            seen.add(net_name)
+            net = nets[net_name]
+            pins: List[int] = []
+            for pin in ([net.driver] if net.driver is not None
+                        else []) + net.sinks:
+                if pin not in cells:
+                    continue
+                index = local.get(pin)
+                if index is None:
+                    index = local[pin] = len(names)
+                    names.append(pin)
+                pins.append(index)
+            counts: Dict[int, int] = {}
+            for pin in pins:
+                counts[pin] = counts.get(pin, 0) + 1
+            if len(counts) >= 2:
+                tracked.append((pins, counts))
+    net_pins = [pins for pins, _counts in tracked]
+    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in names]
+    for net_id, (_pins, counts) in enumerate(tracked):
+        for pin, count in counts.items():
+            nets_of_cell[pin].append((net_id, count))
+    xs = [tile_of(name)[0] for name in names]
+    ys = [tile_of(name)[1] for name in names]
+    classes = [_SiteManager.site_class(cells[name].kind) for name in names]
+    movable_indices = list(range(len(members)))
 
-    # Anneal only the nets with at least one movable pin.
-    net_pins, nets_of_cell = _connectivity(netlist, cell_index,
-                                           set(movable_indices))
     stats = {"moves": 0, "accepted": 0, "rescans": 0,
              "window_fallbacks": 0}
     final_hpwl = initial
     # A movable cell on any net anneals, even when each of its nets has
     # no other placed cell (such moves change no span).
-    if any(netlist.cells[cell_names[index]].inputs
-           or netlist.cells[cell_names[index]].output is not None
-           for index in movable_indices):
+    if any(cells[name].inputs or cells[name].output is not None
+           for name in members):
         boxes = [_bbox(pins, xs, ys) for pins in net_pins]
         local_cost = sum(box[1] - box[0] + box[3] - box[2]
                          for box in boxes)
-        moves = max(100, int(100 * effort * len(movable_indices)))
+        moves = max(100, int(100 * effort * len(members)))
         span = max(cols, rows)
         # Low-temperature restart: a quarter of the local cost per
         # movable cell — enough hill-climbing to legalize the edit's
@@ -548,11 +723,11 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         gain, stats = _anneal(
             rng, sites, xs, ys, classes, movable_indices, net_pins,
             nets_of_cell, boxes, moves=moves,
-            temperature=max(0.5, local_cost / max(1, len(movable_indices))
+            temperature=max(0.5, local_cost / max(1, len(members))
                             * 0.25),
             radius=float(max(3, span // 4)), block=max(25, moves // 100),
             floor_span=span * 0.25,
-            home={index: base.locations.get(cell_names[index])
+            home={index: base.locations.get(names[index])
                   for index in movable_indices},
             penalty=_DISTURB_PENALTY)
         # Frozen nets cannot change, so the final HPWL is the warm-start
@@ -560,15 +735,25 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         # full rescan (integer spans), without the O(nets) pass.
         final_hpwl = initial + gain
 
-    locations = {cell_names[i]: (xs[i], ys[i]) for i in range(ncells)}
-    moved = sum(1 for name, tile in locations.items()
-                if base.locations.get(name) != tile)
-    stats.update(annealed=len(movable_indices), frozen=frozen, moved=moved,
-                 added=len(added))
+    if warm is not None:
+        locations = dict(base.locations)
+        for name in netlist.edited_cells:
+            if name not in cells:
+                locations.pop(name, None)
+    else:
+        locations = {name: tile_of(name) for name in cells}
+    locations.update(tiles)
+    for index, name in enumerate(members):
+        locations[name] = (xs[index], ys[index])
+    moved = sum(1 for name in movable.union(added)
+                if base.locations.get(name) != locations[name])
+    stats.update(annealed=len(members), frozen=len(cells) - len(members),
+                 moved=moved, added=len(added))
     if tracer is not None:
         tracer.counter("place.moves.total", "fabric").add(stats["moves"])
         tracer.counter("place.moves.accepted", "fabric").add(
             stats["accepted"])
+        tracer.counter("eco.place.sites_scanned", "fabric").add(scanned)
     return PlacementResult(locations=locations,
                            hpwl=final_hpwl,
                            initial_hpwl=initial,
@@ -652,6 +837,25 @@ class _ConeTiming(NamedTuple):
                    int(payload["cone"]))
 
 
+class EcoBase(NamedTuple):
+    """What every edit of one base implementation needs of the whole
+    design: derived once per base by :meth:`EcoFlow.prepare_base`,
+    carried on the base project next to its cached results, and only
+    read by the edits."""
+
+    netlist: Netlist
+    state: StaState
+    placement: WarmPlacement
+    routing: WarmRoutes
+    timing: ConeBase
+
+    def serves(self, project: NXmapProject, state: StaState) -> bool:
+        """Whether this was derived from ``project``'s current base."""
+        return (self.netlist is project.netlist and self.state is state
+                and self.placement.base is project.placement
+                and self.routing.result is project.routing)
+
+
 class EcoFlow:
     """Incremental re-implementation of one edit on a base project.
 
@@ -685,9 +889,11 @@ class EcoFlow:
         stage keys are rebuilt, so the delta chain stays consistent.
         The edit's bitstream is rebuilt from the base one.  The full-STA
         propagation state is cached under the base route key (stage
-        ``sta-state``): in the interactive scenario it is part of the
-        implemented design, so callers may run this outside the timed
-        edit loop.
+        ``sta-state``), and the design-wide indexes every edit reads
+        are derived from the base once (:class:`EcoBase`, kept as
+        ``project.eco_base`` until the base changes): in the interactive
+        scenario they are part of the implemented design, so callers
+        may run this outside the timed edit loop.
         """
         project = self.project
         if project.placement is None:
@@ -704,7 +910,17 @@ class EcoFlow:
                     routing=project.routing,
                     locations=project.placement.locations)[1],
                 span="eco.sta.base")
-        return self._base_state
+        state = self._base_state
+        if project.eco_base is None \
+                or not project.eco_base.serves(project, state):
+            netlist, placement = project.netlist, project.placement
+            project.eco_base = EcoBase(
+                netlist, state,
+                WarmPlacement(netlist, project.device, placement),
+                WarmRoutes(project.routing, placement.grid, netlist,
+                           placement.locations),
+                ConeBase(netlist, state))
+        return state
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,
             channel_width: int = DEFAULT_CHANNEL_WIDTH) -> EcoReport:
@@ -714,6 +930,7 @@ class EcoFlow:
         with base.span("eco", ops=len(self.delta.ops)):
             base_state = self.prepare_base(effort=effort,
                                            channel_width=channel_width)
+            prepared = base.eco_base
             base_place = base.placement
             base_route = base.routing
             base_bitstream = base.bitstream
@@ -723,8 +940,7 @@ class EcoFlow:
             edited, impact = self.delta.apply(base.netlist)
             self.netlist, self.impact = edited, impact
             try:
-                project = NXmapProject(edited, base.device, seed=base.seed,
-                                       tracer=tracer, cache=base.cache)
+                project = NXmapProject.for_edit(base, edited)
             except FlowError as error:
                 raise FlowError(f"edited netlist rejected: {error}")
             target = impact.constraints.get("target_clock_ns",
@@ -737,16 +953,18 @@ class EcoFlow:
                 "place", base.stage_keys.get("place"), PlacementResult,
                 lambda: eco_place(edited, base.device, base_place,
                                   changed, seed=base.seed,
-                                  effort=effort, tracer=tracer),
+                                  effort=effort, tracer=tracer,
+                                  warm=prepared.placement),
                 options={"effort": effort}, delta=delta, span="eco.place",
                 attributes={"changed": len(changed)},
                 describe=lambda result: {
                     "moved": result.stats.get("moved", 0),
                     "frozen": result.stats.get("frozen", 0)})
             self.placement = placement
-            moved_cells = {name for name, tile
-                           in placement.locations.items()
-                           if base_place.locations.get(name) != tile}
+            moved_cells = {name for name
+                           in _movable_cells(edited, base_place, changed)
+                           if base_place.locations.get(name)
+                           != placement.locations[name]}
 
             # (b) Delta routing.  A base route tree stays valid exactly
             # when its net's connectivity and its pins' tiles are both
@@ -770,7 +988,7 @@ class EcoFlow:
                 "route", project.stage_keys.get("place"), RoutingResult,
                 lambda: route(edited, placement.locations, placement.grid,
                               channel_width=channel_width, tracer=tracer,
-                              warm=base_route, reroute_nets=rip),
+                              warm=prepared.routing, reroute_nets=rip),
                 options={"channel_width": channel_width}, delta=delta,
                 span="eco.route", attributes={"ripped": ripped_existing},
                 describe=lambda result: {
@@ -784,7 +1002,8 @@ class EcoFlow:
                     edited, base.device, base_state,
                     changed_cells=changed | moved_cells,
                     changed_nets=rip, target_clock_ns=target,
-                    routing=routing, locations=placement.locations)
+                    routing=routing, locations=placement.locations,
+                    prepared=prepared.timing, tracer=tracer)
                 return _ConeTiming(report, size)
 
             timing, cone_size = project.run_stage(
@@ -806,12 +1025,28 @@ class EcoFlow:
                      for tile in (base_place.locations.get(name),
                                   placement.locations.get(name))
                      if tile is not None}
+            def rebuild() -> Bitstream:
+                # The cells now on those tiles: base cells that stayed,
+                # and the changed or moved ones that arrived.
+                final = placement.locations
+                on_tiles = {name for tile in tiles
+                            for name in prepared.placement.tiles.get(tile, ())
+                            if final.get(name) == tile}
+                on_tiles.update(name for name in changed | moved_cells
+                                | impact.resized
+                                if final.get(name) in tiles)
+                cells = sorted(on_tiles,
+                               key=prepared.placement.position(edited))
+                if tracer is not None:
+                    tracer.counter("eco.bitstream.tiles", "fabric").add(
+                        len(tiles))
+                return update_bitstream(base_bitstream, edited, final,
+                                        tiles, cells)
+
             with project.span("eco.bitstream"):
                 project.bitstream = project.run_stage(
                     "bitstream", project.stage_keys.get("place"),
-                    Bitstream,
-                    lambda: update_bitstream(base_bitstream, edited,
-                                             placement.locations, tiles),
+                    Bitstream, rebuild,
                     describe=lambda bitstream: {
                         "total_bits": bitstream.total_bits,
                         "essential_bits": bitstream.essential_bits})

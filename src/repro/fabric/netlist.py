@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 # Cell kinds of the modelled NG fabric.
 LUT4 = "LUT4"
@@ -67,6 +67,12 @@ class Netlist:
         self.inputs: List[str] = []       # primary input net names
         self.outputs: List[str] = []      # primary output net names
         self._counter = itertools.count()
+        # Set on a copy (see :meth:`copy`): the original it shares
+        # unedited cells and nets with, and what this copy wrote.
+        self.parent: Optional["Netlist"] = None
+        self.edited_cells: Set[str] = set()
+        self.edited_nets: Set[str] = set()
+        self._added: Dict[str, None] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -76,9 +82,28 @@ class Netlist:
         return name
 
     def ensure_net(self, name: str) -> Net:
-        if name not in self.nets:
-            self.nets[name] = Net(name)
-        return self.nets[name]
+        """The net ``name``, created if missing, ready to be written."""
+        net = self.nets.get(name)
+        if net is None:
+            net = self.nets[name] = Net(name)
+        elif self.parent is not None and name not in self.edited_nets:
+            net = self.nets[name] = Net(name, net.driver, list(net.sinks))
+        if self.parent is not None:
+            self.edited_nets.add(name)
+        return net
+
+    def writable_cell(self, name: str) -> Cell:
+        """The cell ``name`` (``KeyError`` if missing), ready to be
+        written: a copy no longer shares it with its original."""
+        cell = self.cells[name]
+        if self.parent is not None and name not in self.edited_cells:
+            # Field by field, skipping the constructor's checks.
+            shared, cell = cell, object.__new__(Cell)
+            cell.__dict__.update(shared.__dict__)
+            cell.inputs = list(shared.inputs)
+            self.cells[name] = cell
+            self.edited_cells.add(name)
+        return cell
 
     def add_cell(self, cell: Cell) -> Cell:
         if cell.name in self.cells:
@@ -91,10 +116,26 @@ class Netlist:
                 f"net {driven.name!r} driven twice "
                 f"({driven.driver} and {cell.name})")
         self.cells[cell.name] = cell
+        if self.parent is not None:
+            self.edited_cells.add(cell.name)
+            self._added[cell.name] = None
         for net_name in cell.inputs:
             self.ensure_net(net_name).sinks.append(cell.name)
         if cell.output is not None:
             self.ensure_net(cell.output).driver = cell.name
+        return cell
+
+    def remove_cell(self, name: str) -> Cell:
+        """Remove a cell (``KeyError`` if missing); its input nets lose
+        it as a sink and its output net loses its driver."""
+        cell = self.cells.pop(name)
+        if self.parent is not None:
+            self.edited_cells.add(name)
+            self._added.pop(name, None)
+        for net_name in cell.inputs:
+            self.ensure_net(net_name).sinks.remove(name)
+        if cell.output is not None:
+            self.ensure_net(cell.output).driver = None
         return cell
 
     def add_input(self, net_name: str) -> str:
@@ -110,28 +151,35 @@ class Netlist:
     # -- editing -----------------------------------------------------------
 
     def copy(self, name: Optional[str] = None) -> "Netlist":
-        """A structural deep copy (cells, nets, ports).
+        """A copy-on-write copy (cells, nets, ports).
+
+        The copy shares every cell and net with ``self`` (its
+        ``parent``) until it writes one through :meth:`ensure_net`,
+        :meth:`writable_cell`, :meth:`add_cell` or :meth:`remove_cell`,
+        which give it a private copy first; ``edited_cells`` and
+        ``edited_nets`` name what it wrote, so a consumer can find the
+        edit without comparing the two netlists.  Making the copy is a
+        C-level copy of the two maps, not a walk over the design.  Read
+        ``cells``/``nets`` freely, but write a copy only through those
+        methods, and do not edit the original while a copy lives.
 
         The fresh net-name counter restarts at zero; callers that keep
         generating nets on the copy should use explicit names (as the
         ECO delta ops do) to avoid colliding with inherited ones.
         """
         duplicate = Netlist(name or self.name)
-        # Field-by-field copies that skip the constructors: every cell
-        # was checked when it was built.
-        for cell in self.cells.values():
-            copied = object.__new__(Cell)
-            copied.__dict__.update(cell.__dict__)
-            copied.inputs = list(cell.inputs)
-            duplicate.cells[cell.name] = copied
-        for net in self.nets.values():
-            copied_net = object.__new__(Net)
-            copied_net.__dict__.update(net.__dict__)
-            copied_net.sinks = list(net.sinks)
-            duplicate.nets[net.name] = copied_net
+        duplicate.cells = dict(self.cells)
+        duplicate.nets = dict(self.nets)
         duplicate.inputs = list(self.inputs)
         duplicate.outputs = list(self.outputs)
+        duplicate.parent = self
         return duplicate
+
+    @property
+    def added_cells(self) -> List[str]:
+        """Cells a copy added (and kept), in the order they were added:
+        they follow every cell of its parent in ``cells``."""
+        return list(self._added)
 
     def apply_delta(self, delta) -> "Netlist":
         """The netlist with an ECO :class:`~repro.fabric.eco.NetlistDelta`

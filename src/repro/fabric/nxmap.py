@@ -21,7 +21,7 @@ from ..exec.cancel import check_cancelled
 from ..telemetry import Tracer
 from .bitstream import Bitstream, generate_bitstream
 from .device import Device, get_device
-from .netlist import Netlist
+from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Netlist
 from .placement import PLACE_KERNEL_VERSION, PlacementResult, place
 from .routing import DEFAULT_CHANNEL_WIDTH, ROUTE_KERNEL_VERSION, \
     RoutingResult, route
@@ -51,6 +51,11 @@ _KERNEL_VERSIONS: Dict[str, int] = {
     "eco-route": ECO_KERNEL_VERSION,
     "eco-sta": ECO_KERNEL_VERSION,
 }
+
+
+#: The resource count (``Netlist.stats`` key) each cell kind adds to.
+_STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
+                 BRAM: "brams"}
 
 
 class FlowError(Exception):
@@ -172,8 +177,17 @@ class NXmapProject:
     def __init__(self, netlist: Netlist, device: Device | str,
                  seed: int = 1, tracer: Optional[Tracer] = None,
                  cache: Optional[FlowCache] = None) -> None:
+        self._attach(netlist,
+                     get_device(device) if isinstance(device, str)
+                     else device, seed, tracer, cache)
+        self._stats = netlist.stats()
+        self._check(netlist.validate())
+
+    def _attach(self, netlist: Netlist, device: Device, seed: int,
+                tracer: Optional[Tracer], cache: Optional[FlowCache]
+                ) -> None:
         self.netlist = netlist
-        self.device = get_device(device) if isinstance(device, str) else device
+        self.device = device
         self.seed = seed
         self.tracer = tracer
         self.cache = cache
@@ -183,7 +197,42 @@ class NXmapProject:
         self.bitstream: Optional[Bitstream] = None
         self.stage_keys: Dict[str, Optional[str]] = {}
         self._base_material: Optional[Dict[str, Any]] = None
-        self._validate()
+        #: What the ECO flow derived once from this implementation for
+        #: its edits (``EcoFlow.prepare_base``); edits only read it.
+        self.eco_base: Optional[Any] = None
+
+    @classmethod
+    def for_edit(cls, base: "NXmapProject",
+                 netlist: Netlist) -> "NXmapProject":
+        """A project for ``netlist``, an edited copy of ``base.netlist``
+        (``Netlist.copy``), on the base's device, seed, tracer and cache.
+
+        The base netlist passed the full check when ``base`` was built,
+        so only the edit is checked (``edit_error_messages``: the same
+        findings, found from the written nets and cells), and the
+        resource counts are the base's, adjusted for the edited cells.
+        The validation counts what it visited as ``eco.validate.visited``.
+        """
+        if netlist.parent is not base.netlist:
+            raise FlowError(f"{netlist.name} is not an edit of "
+                            f"{base.netlist.name}")
+        from ..analysis.passes.netlist import edit_error_messages
+        project = cls.__new__(cls)
+        project._attach(netlist, base.device, base.seed, base.tracer,
+                        base.cache)
+        stats = dict(base._stats)
+        for name in netlist.edited_cells:
+            for cell, step in ((base.netlist.cells.get(name), -1),
+                               (netlist.cells.get(name), 1)):
+                key = cell and _STAT_OF_KIND.get(cell.kind)
+                if key:
+                    stats[key] += step
+        stats.update(nets=len(netlist.nets), cells=len(netlist.cells))
+        project._stats = stats
+        counter = (base.tracer.counter("eco.validate.visited", "fabric")
+                   if base.tracer is not None else None)
+        project._check(edit_error_messages(netlist, counter))
+        return project
 
     # -- content addressing ------------------------------------------------
 
@@ -265,11 +314,10 @@ class NXmapProject:
         self.stage_keys[stage] = key
         return value
 
-    def _validate(self) -> None:
-        problems = self.netlist.validate()
+    def _check(self, problems: List[str]) -> None:
         if problems:
             raise FlowError(f"netlist check failed: {problems[0]}")
-        stats = self.netlist.stats()
+        stats = self._stats
         if not self.device.fits(stats["luts"], stats["ffs"], stats["dsps"],
                                 stats["brams"]):
             raise FlowError(
@@ -279,7 +327,7 @@ class NXmapProject:
     # -- flow steps (paper Fig. 3) ----------------------------------------
 
     def run_place(self, effort: float = 1.0) -> PlacementResult:
-        stats = self.netlist.stats()
+        stats = self._stats
         self.placement = self.run_stage(
             "place", None, PlacementResult,
             lambda: place(self.netlist, self.device, seed=self.seed,
@@ -346,7 +394,7 @@ class NXmapProject:
         dynamic = cells × toggle × energy-per-toggle × f.  BRAM/DSP cells
         weigh ~20× a LUT toggle (wide datapaths behind one cell object).
         """
-        stats = self.netlist.stats()
+        stats = self._stats
         weighted = (stats["luts"] + stats["ffs"] * 0.6
                     + stats["dsps"] * 20 + stats["brams"] * 20)
         dynamic_mw = (weighted * toggle_rate * self.device.lut_energy_pj
@@ -374,7 +422,7 @@ class NXmapProject:
         return self.report(target_clock_ns)
 
     def report(self, target_clock_ns: Optional[float] = None) -> FlowReport:
-        stats = self.netlist.stats()
+        stats = dict(self._stats)
         clock_mhz = (self.timing.fmax_mhz if self.timing
                      else 1000.0 / (target_clock_ns or 10.0))
         return FlowReport(

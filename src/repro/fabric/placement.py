@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..telemetry import Tracer
 from .device import Device, LUTS_PER_TILE
@@ -83,6 +83,9 @@ _DECIMALS = 6
 _REFINE_MOVES = 0.3
 _REFINE_TEMPERATURE = 0.2
 _REFINE_WINDOW = 0.3
+
+
+Tile = Tuple[int, int]
 
 
 class PlacementError(Exception):
@@ -223,6 +226,20 @@ class _SiteManager:
                                if grid.is_macro_column(BRAM, t[0])]),
         }
 
+    def copy(self) -> "_SiteManager":
+        """An independent copy, free-list order included."""
+        duplicate = object.__new__(_SiteManager)
+        duplicate.grid = self.grid
+        duplicate.capacity = self.capacity
+        duplicate.used = {cls: dict(table)
+                          for cls, table in self.used.items()}
+        duplicate.free = {}
+        for cls, free in self.free.items():
+            copied = duplicate.free[cls] = object.__new__(_FreeList)
+            copied.items = list(free.items)
+            copied.pos = dict(free.pos)
+        return duplicate
+
     @staticmethod
     def site_class(kind: str) -> str:
         if kind in _LUT_CLASS:
@@ -249,20 +266,27 @@ class _SiteManager:
             self.free[cls].add(tile)
 
 
-def _net_hpwl(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
-              net_name: str) -> float:
+def _net_span(netlist: Netlist, tile_of: Callable[[str], Optional[Tile]],
+              net_name: str) -> Optional[int]:
+    """A net's HPWL from ``tile_of`` (cell -> tile, or None unplaced),
+    or None when it covers fewer than two placed pins."""
     net = netlist.nets[net_name]
     points = []
-    if net.driver and net.driver in locations:
-        points.append(locations[net.driver])
-    for sink in net.sinks:
-        if sink in locations:
-            points.append(locations[sink])
+    for pin in ([net.driver] if net.driver else []) + net.sinks:
+        tile = tile_of(pin)
+        if tile is not None:
+            points.append(tile)
     if len(points) < 2:
-        return 0.0
+        return None
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     return (max(xs) - min(xs)) + (max(ys) - min(ys))
+
+
+def _net_hpwl(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
+              net_name: str) -> float:
+    span = _net_span(netlist, locations.get, net_name)
+    return 0.0 if span is None else span
 
 
 def total_hpwl(netlist: Netlist,
@@ -271,16 +295,14 @@ def total_hpwl(netlist: Netlist,
                for name in netlist.nets)
 
 
-def _connectivity(netlist: Netlist, cell_index: Dict[str, int],
-                  movable: Optional[Set[int]] = None
+def _connectivity(netlist: Netlist, cell_index: Dict[str, int]
                   ) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
     """The nets the annealer tracks, as pin lists (cell indices, with
     multiplicity), and the reverse map cell → [(net, pin count)].
 
     A net whose pins cover fewer than two distinct cells always spans 0,
     so it is left out: its delta, and so every accept decision, is 0
-    whatever moves.  With ``movable`` given, nets without a movable pin
-    are left out too (their span cannot change).
+    whatever moves.
     """
     net_pins: List[List[int]] = []
     nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in cell_index]
@@ -292,8 +314,6 @@ def _connectivity(netlist: Netlist, cell_index: Dict[str, int],
             index = cell_index.get(sink)
             if index is not None:
                 pins.append(index)
-        if movable is not None and movable.isdisjoint(pins):
-            continue
         counts: Dict[int, int] = {}
         for pin in pins:
             counts[pin] = counts.get(pin, 0) + 1

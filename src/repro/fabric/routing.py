@@ -23,7 +23,9 @@ import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from itertools import compress, count
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, \
+    Union
 
 from ..telemetry import Tracer
 from .netlist import Netlist
@@ -249,51 +251,30 @@ def _astar_tree(nodes: Set[int], seeds: List[Tuple[int, int, int]],
 class _NetTree:
     """One net's growing route tree: per-sink path segments (tile ids),
     plus the node set, its ``(tile, col, row)`` seed list and its bbox,
-    kept up to date as segments grow.
-
-    A warm-preserved tree keeps its ``(col, row)`` paths as given and
-    converts them to tile ids on first use; the node set is likewise
-    materialized lazily.  A preserved tree that is never re-routed or
-    scanned (the overwhelming majority in an ECO pass) pays for
-    neither and is returned as it came.
+    kept up to date as segments grow.  The node set is materialized on
+    first use, so a tree rebuilt from warm paths only to be scanned for
+    rip-up pays for none of it.
     """
 
-    __slots__ = ("source", "tables", "_paths", "_warm", "_nodes", "seeds",
-                 "bbox")
+    __slots__ = ("source", "tables", "paths", "_nodes", "seeds", "bbox")
 
     def __init__(self, source: int, tables: _Grid) -> None:
         self.source = source
         self.tables = tables
         # (sink ordinal, path segment) — segment edges are disjoint
         # between segments; their union is the net's route tree.
-        self._paths: List[Tuple[int, List[int]]] = []
-        # Preserved warm paths in ordinal order, until first use.
-        self._warm: Optional[List[List[Tile]]] = None
+        self.paths: List[Tuple[int, List[int]]] = []
         self._nodes: Optional[Set[int]] = None
         # Once the node set is materialized: every node with its
         # coordinates, and [cmin, cmax, rmin, rmax] over them.
         self.seeds: List[Tuple[int, int, int]] = []
         self.bbox: List[int] = []
 
-    def preserve(self, paths: List[List[Tile]]) -> None:
-        self._warm = paths
-
-    @property
-    def paths(self) -> List[Tuple[int, List[int]]]:
-        if self._warm is not None:
-            to_id = self.tables.ids.__getitem__
-            self._paths = [(ordinal, list(map(to_id, path)))
-                           for ordinal, path in enumerate(self._warm)]
-            self._warm = None
-        return self._paths
-
     def tile_paths(self) -> List[List[Tile]]:
         """The segments as ``(col, row)`` lists, in ordinal order."""
-        if self._warm is not None:
-            return self._warm
         to_tile = self.tables.tiles.__getitem__
         return [list(map(to_tile, path))
-                for _ordinal, path in sorted(self._paths)]
+                for _ordinal, path in sorted(self.paths)]
 
     @property
     def nodes(self) -> Set[int]:
@@ -309,8 +290,7 @@ class _NetTree:
     def reset(self, paths: List[Tuple[int, List[int]]]) -> None:
         """Keep only ``paths`` (segments that still hang together from
         the source); the node set and bbox follow on next use."""
-        self._paths = paths
-        self._warm = None
+        self.paths = paths
         self._nodes = None
 
     def add(self, ordinal: int, path: List[int]) -> None:
@@ -337,11 +317,110 @@ class _NetTree:
                 bbox[3] = row
 
 
+def _connections(netlist: Netlist, locations: Dict[str, Tile],
+                 ids: Dict[Tile, int], net_name: str
+                 ) -> Tuple[Optional[int], List[int]]:
+    """A net's driver tile id (None when it has no placed driver) and
+    the tile id of each connection, sinks in sorted order (a sink on
+    the driver's tile needs none)."""
+    net = netlist.nets.get(net_name)
+    if net is None or net.driver is None or net.driver not in locations:
+        return None, []
+    source = ids[locations[net.driver]]
+    targets = []
+    for sink in sorted(net.sinks):
+        if sink in locations:
+            target = ids[locations[sink]]
+            if target != source:
+                targets.append(target)
+    return source, targets
+
+
+class WarmRoutes:
+    """What delta routing needs of a whole base routing: derived once
+    per base (``EcoFlow.prepare_base``, or by :func:`route` from a bare
+    :class:`RoutingResult`) and only read by the routes that start
+    from it.
+
+    It holds the channel usage by edge id, each routed net's paths as
+    tile ids with their edge ids, and the nets that use each edge.
+    Given the ``netlist`` and ``locations`` the base was routed on, it
+    also counts each net's connections there, so a route of an edited
+    copy of that netlist (``Netlist.copy``) sets up only the nets the
+    edit could have changed.
+    """
+
+    def __init__(self, result: RoutingResult, grid: Tuple[int, int],
+                 netlist: Optional[Netlist] = None,
+                 locations: Optional[Dict[str, Tile]] = None) -> None:
+        cols, rows = grid
+        tables = _grid(cols, rows)
+        ids = tables.ids
+        self.result, self.grid = result, grid
+        self.netlist, self.locations = netlist, locations
+        self.usage = [0] * (2 * cols * rows)
+        for (a, b), used in result.edge_usage.items():
+            lo = ids[a]
+            self.usage[2 * lo if b[0] != a[0] else 2 * lo + 1] = used
+        self.paths: Dict[str, List[List[int]]] = {}
+        self.edges: Dict[str, List[List[int]]] = {}
+        self.users: Dict[int, List[str]] = {}
+        # Nets with a segment that does not start on the segments before
+        # it in ordinal order: a rip-up scan tears it up as stranded.
+        self.strays: Set[str] = set()
+        for net_name, paths in result.routes.items():
+            id_paths = self.paths[net_name] = [
+                [ids[tile] for tile in path] for path in paths]
+            edge_lists = self.edges[net_name] = [
+                _path_edges(path, rows) for path in id_paths]
+            for edges in edge_lists:
+                for edge in edges:
+                    self.users.setdefault(edge, []).append(net_name)
+            reached: Set[int] = {id_paths[0][0]} if id_paths else set()
+            for path in id_paths:
+                if path[0] not in reached:
+                    self.strays.add(net_name)
+                    break
+                reached.update(path)
+        self.counts: Dict[str, int] = {}
+        # Nets whose warm paths do not fit even the design they were
+        # routed on (a failed connection leaves a net short of paths, or
+        # without any): every route from this base re-routes them.
+        self.stale: Set[str] = set()
+        if netlist is not None and locations is not None:
+            for net_name in netlist.nets:
+                source, sinks = _connections(netlist, locations, ids,
+                                             net_name)
+                if sinks:
+                    self.counts[net_name] = len(sinks)
+                paths = self.paths.get(net_name)
+                if (sinks or paths is not None) and not (
+                        paths is not None and _fits(paths, source, sinks)):
+                    self.stale.add(net_name)
+            self.stale.update(net_name for net_name in self.paths
+                              if net_name not in netlist.nets)
+        self.connections = sum(self.counts.values())
+
+
+def _fits(paths: List[List[int]], source: Optional[int],
+          sinks: List[int]) -> bool:
+    """Whether a net's warm paths (tile ids) still describe its
+    connections: the first segment starts at the driver tile and every
+    segment ends at its sink tile.  Segment-to-tree continuity is an
+    invariant of the stored artifact — the base run grew the segments on
+    the tree — so endpoint checks alone detect every pin move without
+    materializing the node set."""
+    return bool(sinks) and len(paths) == len(sinks) and bool(paths[0]) \
+        and paths[0][0] == source \
+        and all(path and path[-1] == target
+                for path, target in zip(paths, sinks))
+
+
 def route(netlist: Netlist, locations: Dict[str, Tile],
           grid: Tuple[int, int], channel_width: int = DEFAULT_CHANNEL_WIDTH,
           max_iterations: int = 3,
           tracer: Optional[Tracer] = None,
-          warm: Optional[RoutingResult] = None,
+          warm: Optional[Union[RoutingResult, WarmRoutes]] = None,
           reroute_nets: Optional[Iterable[str]] = None) -> RoutingResult:
     """Route all nets; negotiation loop raises congestion cost each pass.
 
@@ -349,15 +428,28 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     ``route.astar.expanded`` and ``route.ripup.connections`` counters.
 
     ``warm`` enables *delta routing* (the ECO flow): a previous
-    :class:`RoutingResult` whose route trees are preserved for every net
-    **not** named in ``reroute_nets``.  Preserved nets keep their exact
-    paths and their channel usage (seeded from the persisted
-    ``edge_usage`` map); only the named nets — plus anything the
-    overflow cascade rips later — are torn up and re-routed.  A warm net
-    whose preserved paths no longer match the current connection list
-    (a pin moved, a sink appeared) is detected and re-routed as well, so
-    an over-approximate ``reroute_nets`` is a performance choice, never
-    a correctness one.  ``warm`` must have been routed on this ``grid``.
+    :class:`RoutingResult` (or its :class:`WarmRoutes`) whose route
+    trees are preserved for every net **not** named in ``reroute_nets``.
+    Preserved nets keep their exact paths and their channel usage
+    (seeded from the persisted ``edge_usage`` map); only the named nets
+    — plus anything the overflow cascade rips later — are torn up and
+    re-routed.  A warm net whose preserved paths no longer match the
+    current connection list (a pin moved, a sink appeared) is detected
+    and re-routed as well, so an over-approximate ``reroute_nets`` is a
+    performance choice, never a correctness one.  ``warm`` must have
+    been routed on this ``grid``.
+
+    Which nets are checked: with a :class:`WarmRoutes` that knows the
+    netlist and locations it was routed on, and a ``netlist`` that is an
+    edited copy of that netlist, only the named nets, the nets the copy
+    edited and the nets of every cell whose tile differs from the base
+    (one C-level difference of the two location maps) can be stale, so
+    only those are checked; every other net keeps its warm paths
+    unread.  Otherwise every net is checked.  The rip-up between passes
+    reads only the nets on an overflowed edge, and the result is the
+    warm one with the changed nets and edges replaced.  The tracer
+    counter ``eco.route.nets_visited`` counts the nets checked and
+    scanned by such a route.
 
     Internally tiles are integer ids and channel usage is a flat list
     indexed by edge id (see ``_Grid``); ``(col, row)`` tuples appear
@@ -369,74 +461,78 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     # Deterministic connection order: nets sorted by name, then sinks in
     # sorted order — independent of netlist dict insertion order.
     Conn = Tuple[str, int, int]  # (net name, sink ordinal, sink tile id)
+    # The nets routed (or ripped) here; a preserved warm net gets a tree
+    # only when a rip-up reads it.
     trees: Dict[str, _NetTree] = {}
-    sink_tiles: Dict[Tuple[str, int], int] = {}
-    connections: List[Conn] = []
-    for net_name in sorted(netlist.nets):
-        net = netlist.nets[net_name]
-        if net.driver is None or net.driver not in locations:
-            continue
-        source = ids[locations[net.driver]]
-        ordinal = 0
-        for sink in sorted(net.sinks):
-            if sink not in locations:
-                continue
-            target = ids[locations[sink]]
-            if target == source:
-                continue
-            connections.append((net_name, ordinal, target))
-            sink_tiles[(net_name, ordinal)] = target
-            ordinal += 1
-        if ordinal:
-            trees[net_name] = _NetTree(source, tables)
-
-    usage = [0] * (2 * cols * rows)
-    preloaded: Set[str] = set()
-    if warm is not None:
+    targets: Dict[str, List[int]] = {}
+    pending: List[Conn] = []
+    base: Optional[WarmRoutes] = None
+    # Warm nets whose paths were dropped here, and edges whose usage
+    # may differ from the warm result's (None on a cold route).
+    stripped: Set[str] = set()
+    touched: Optional[Set[int]] = None
+    # On a warm route: the nets each edge may carry a path of here.
+    live_users: Dict[int, Set[str]] = {}
+    visited = 0
+    if warm is None:
+        usage = [0] * (2 * cols * rows)
+        candidates = sorted(netlist.nets)
+        connections = 0
+    else:
+        base = warm if isinstance(warm, WarmRoutes) \
+            else WarmRoutes(warm, grid)
+        usage = list(base.usage)
+        touched = set()
         reroute = set(reroute_nets) if reroute_nets is not None else set()
-        counts: Dict[str, int] = {}
-        for name, _ordinal, _tile in connections:
-            counts[name] = counts.get(name, 0) + 1
-        for net_name in sorted(trees):
-            if net_name in reroute:
+        if base.netlist is not None and netlist.parent is base.netlist:
+            moved = {name for name, _tile
+                     in locations.items() - base.locations.items()}
+            moved.update(base.locations.keys() - locations.keys())
+            names = reroute | netlist.edited_nets | base.stale
+            for cell_name in moved:
+                cell = netlist.cells.get(cell_name)
+                if cell is not None:
+                    names.update(cell.inputs)
+                    if cell.output is not None:
+                        names.add(cell.output)
+            candidates = sorted(name for name in names
+                                if name in netlist.nets
+                                or name in base.paths)
+            connections = base.connections - sum(
+                base.counts.get(name, 0) for name in candidates)
+        else:
+            candidates = sorted(set(netlist.nets) | set(base.paths))
+            connections = 0
+        visited = len(candidates)
+    for net_name in candidates:
+        source, sinks = _connections(netlist, locations, ids, net_name)
+        connections += len(sinks)
+        if base is not None:
+            paths = base.paths.get(net_name)
+            if paths is not None and net_name not in reroute \
+                    and _fits(paths, source, sinks):
                 continue
-            paths = warm.routes.get(net_name)
-            if paths is None or len(paths) != counts.get(net_name, 0):
-                continue
-            tree = trees[net_name]
-            # Preserved paths must still describe this net's connection
-            # endpoints: the first segment starts at the (unmoved)
-            # driver tile and every segment ends at its (unmoved) sink
-            # tile.  Segment-to-tree continuity is an invariant of the
-            # stored artifact — the base run grew the segments on the
-            # tree in ordinal order — so endpoint checks alone detect
-            # every pin move without materializing the node set.
-            source_tile = tiles[tree.source]
-            valid = True
-            for ordinal, path in enumerate(paths):
-                if not path \
-                        or path[-1] != tiles[sink_tiles[net_name, ordinal]] \
-                        or (ordinal == 0 and path[0] != source_tile):
-                    valid = False
-                    break
-            if not valid:
-                continue
-            tree.preserve(paths)
-            preloaded.add(net_name)
-        # Seed the congestion state from the persisted occupancy map,
-        # then subtract every warm path that was *not* preserved (ripped
-        # nets, vanished nets, stale nets) so usage stays exactly the
-        # sum of the live trees.
-        for (a, b), used in warm.edge_usage.items():
-            lo = ids[a]
-            usage[2 * lo if b[0] != a[0] else 2 * lo + 1] = used
-        for net_name, paths in warm.routes.items():
-            if net_name in preloaded:
-                continue
-            for path in paths:
-                for edge in _path_edges([ids[tile] for tile in path], rows):
-                    if usage[edge] > 0:
-                        usage[edge] -= 1
+            if paths is not None:
+                # Subtract the dropped warm paths so usage stays exactly
+                # the sum of the live trees.
+                stripped.add(net_name)
+                for edges in base.edges[net_name]:
+                    touched.update(edges)
+                    for edge in edges:
+                        if usage[edge] > 0:
+                            usage[edge] -= 1
+        if sinks:
+            trees[net_name] = _NetTree(source, tables)
+            targets[net_name] = sinks
+            pending.extend((net_name, ordinal, target)
+                           for ordinal, target in enumerate(sinks))
+
+    def sink_tile(net_name: str, ordinal: int) -> int:
+        sinks = targets.get(net_name)
+        if sinks is not None:
+            return sinks[ordinal]
+        return base.paths[net_name][ordinal][-1]
+
     failed: Set[Tuple[str, int]] = set()
     iterations = 0
     expanded_total = 0
@@ -475,17 +571,45 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
             expanded_total += expanded
         if path is None:
             return False
-        for edge in _path_edges(path, rows):
+        edges = _path_edges(path, rows)
+        for edge in edges:
             usage[edge] += 1
+        if touched is not None:
+            touched.update(edges)
+            for edge in edges:
+                live_users.setdefault(edge, set()).add(net_name)
         tree.add(ordinal, path)
         return True
 
+    def tree_of(net_name: str) -> _NetTree:
+        """The net's tree, made from its preserved warm paths on first
+        use."""
+        tree = trees.get(net_name)
+        if tree is None:
+            paths = base.paths[net_name]
+            tree = trees[net_name] = _NetTree(paths[0][0], tables)
+            tree.reset(list(enumerate(paths)))
+        return tree
+
     def rip_targeted(over_edges: Set[int]) -> List[Conn]:
         """Tear up only the path segments crossing overflowed edges (and
-        segments stranded by such a rip); keep all other usage."""
+        segments stranded by such a rip); keep all other usage.  On a
+        warm route only the nets on an overflowed edge (found through
+        the warm and the live users of the edge) and the warm strays
+        can lose a segment, so only those are read."""
+        nonlocal visited
+        if base is None:
+            scan = set(trees)
+        else:
+            scan = set(base.strays)
+            for edge in over_edges:
+                scan.update(base.users.get(edge, ()))
+                scan.update(live_users.get(edge, ()))
+            scan -= stripped - trees.keys()
+        visited += len(scan)
         ripped: List[Conn] = []
-        for net_name in sorted(trees):
-            tree = trees[net_name]
+        for net_name in sorted(scan):
+            tree = tree_of(net_name)
             if not tree.paths:
                 continue
             kept: List[Tuple[int, List[int]]] = []
@@ -496,26 +620,27 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                         or not over_edges.isdisjoint(edges):
                     for edge in edges:
                         usage[edge] -= 1
+                    if touched is not None:
+                        touched.update(edges)
                     ripped.append((net_name, ordinal,
-                                   sink_tiles[(net_name, ordinal)]))
+                                   sink_tile(net_name, ordinal)))
                 else:
                     kept.append((ordinal, path))
                     reached.update(path)
             tree.reset(kept)
         return sorted(ripped)
 
-    pending: List[Conn] = [conn for conn in connections
-                           if conn[0] not in preloaded]
+    threshold = channel_width.__lt__
     for iteration in range(max_iterations):
         if iteration > 0:
             penalty *= 4  # negotiate harder next pass
-            over_edges = {edge for edge, used in enumerate(usage)
-                          if used > channel_width}
+            over_edges = (set(compress(count(), map(threshold, usage)))
+                          if overflow else set())
             ripped = rip_targeted(over_edges)
             ripped_total += len(ripped)
             ripped_keys = {(name, ordinal)
                            for name, ordinal, _tile in ripped}
-            pending = ripped + [(name, ordinal, sink_tiles[(name, ordinal)])
+            pending = ripped + [(name, ordinal, sink_tile(name, ordinal))
                                 for name, ordinal in sorted(failed)
                                 if (name, ordinal) not in ripped_keys]
         iterations += 1
@@ -531,7 +656,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                     failed.add((conn[0], conn[1]))
             # Single overflow computation per pass, reused by the exit
             # check and (on the final pass) the report.
-            overflow = sum(1 for used in usage if used > channel_width)
+            overflow = sum(map(threshold, usage))
             if pass_span is not None:
                 pass_span.attributes["routed"] = routed_now
                 pass_span.attributes["failed"] = len(failed)
@@ -539,24 +664,39 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         if overflow == 0 and not failed:
             break
 
-    routes: Dict[str, List[List[Tile]]] = {}
+    def edge_key(edge: int) -> Edge:
+        lo = edge >> 1
+        return tiles[lo], tiles[lo + (1 if edge & 1 else rows)]
+
+    if base is None:
+        routes: Dict[str, List[List[Tile]]] = {}
+        edge_usage: Dict[Edge, int] = {
+            edge_key(edge): used for edge, used in enumerate(usage) if used}
+    else:
+        routes = dict(base.result.routes)
+        edge_usage = dict(base.result.edge_usage)
+        for edge in touched:
+            if usage[edge]:
+                edge_usage[edge_key(edge)] = usage[edge]
+            else:
+                edge_usage.pop(edge_key(edge), None)
+        for net_name in stripped - trees.keys():
+            del routes[net_name]
     for net_name in sorted(trees):
         paths = trees[net_name].tile_paths()
         if paths:
             routes[net_name] = paths
-    edge_usage: Dict[Edge, int] = {}
-    for edge, used in enumerate(usage):
-        if used:
-            lo = edge >> 1
-            edge_usage[tiles[lo], tiles[lo + (1 if edge & 1 else rows)]] \
-                = used
+        else:
+            routes.pop(net_name, None)
     if tracer is not None:
         tracer.counter("route.astar.expanded", "fabric").add(expanded_total)
         tracer.counter("route.ripup.connections", "fabric").add(ripped_total)
+        if base is not None:
+            tracer.counter("eco.route.nets_visited", "fabric").add(visited)
     return RoutingResult(
         wirelength=sum(usage), max_congestion=max(usage, default=0),
         overflow_edges=overflow,
-        routed_connections=len(connections) - len(failed),
+        routed_connections=connections - len(failed),
         failed_connections=len(failed), iterations=iterations,
         channel_width=channel_width, routes=routes,
         expanded_nodes=expanded_total, ripped_connections=ripped_total,

@@ -13,7 +13,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
+    Set, Tuple
 
 from .device import Device
 from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Cell, Netlist
@@ -143,8 +144,27 @@ def _net_route_lengths(routing: RoutingResult) -> Dict[str, int]:
             for net_name, paths in routing.routes.items()}
 
 
+class _RouteLengths(dict):
+    """:func:`_net_route_lengths`, each net computed on its first lookup:
+    a cone-limited analysis measures only the nets it reads."""
+
+    __slots__ = ("routes",)
+
+    def __init__(self, routing: RoutingResult) -> None:
+        super().__init__()
+        self.routes = routing.routes
+
+    def __contains__(self, net_name: object) -> bool:
+        return net_name in self.routes
+
+    def __missing__(self, net_name: str) -> int:
+        length = self[net_name] = sum(max(0, len(path) - 1)
+                                      for path in self.routes[net_name])
+        return length
+
+
 def _wire_delay(netlist: Netlist, driver: Cell, sink: Cell, device: Device,
-                net_lengths: Optional[Dict[str, int]],
+                net_lengths: Optional[Mapping[str, int]],
                 locations: Optional[Dict[str, Tuple[int, int]]] = None
                 ) -> float:
     driver_tile = _cell_tile(driver, locations)
@@ -164,13 +184,15 @@ def _wire_delay(netlist: Netlist, driver: Cell, sink: Cell, device: Device,
 class StaState:
     """The reusable intermediate state of one full timing analysis.
 
-    ``arrivals``/``parents`` cover every combinational cell;
+    ``arrivals``/``parents``/``levels`` cover every combinational cell;
     ``endpoint_delays``/``endpoint_sources`` cover every timing end
     point, keyed ``cell:<name>`` (a sequential cell's data input) or
-    ``out:<net>`` (a primary output).  The ECO flow caches this state so
-    a later edit re-propagates only the fan-out cone of the changed
-    cells and *merges* the recomputed slacks into it
-    (:func:`analyze_timing_cone`).
+    ``out:<net>`` (a primary output).  ``levels`` orders the
+    combinational cells topologically: each cell's level is above its
+    combinational drivers' (the full analysis stores the Kahn depth).
+    The ECO flow caches this state so a later edit re-propagates only
+    the fan-out cone of the changed cells, in level order, and *merges*
+    the recomputed slacks into it (:func:`analyze_timing_cone`).
     """
 
     arrivals: Dict[str, float] = field(default_factory=dict)
@@ -178,6 +200,7 @@ class StaState:
     endpoint_delays: Dict[str, float] = field(default_factory=dict)
     endpoint_sources: Dict[str, Optional[str]] = \
         field(default_factory=dict)
+    levels: Dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -186,15 +209,19 @@ class StaState:
             "endpoint_delays": dict(sorted(self.endpoint_delays.items())),
             "endpoint_sources": dict(
                 sorted(self.endpoint_sources.items())),
+            "levels": dict(sorted(self.levels.items())),
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "StaState":
+        # A payload without levels (an older cache entry) raises
+        # KeyError, which the flow cache reads as a miss.
         return cls(
             arrivals=dict(payload["arrivals"]),
             parents=dict(payload["parents"]),
             endpoint_delays=dict(payload["endpoint_delays"]),
             endpoint_sources=dict(payload["endpoint_sources"]),
+            levels=dict(payload["levels"]),
         )
 
 
@@ -229,7 +256,7 @@ def _combinational_indegree(netlist: Netlist) -> Dict[str, int]:
 
 
 def _input_arrival(netlist: Netlist, device: Device,
-                   net_lengths: Optional[Dict[str, int]],
+                   net_lengths: Optional[Mapping[str, int]],
                    locations: Optional[Dict[str, Tuple[int, int]]],
                    arrival: Dict[str, float], cell: Cell
                    ) -> Tuple[float, Optional[str]]:
@@ -254,13 +281,16 @@ def _input_arrival(netlist: Netlist, device: Device,
 
 
 def _propagate(netlist: Netlist, device: Device,
-               net_lengths: Optional[Dict[str, int]],
+               net_lengths: Optional[Mapping[str, int]],
                locations: Optional[Dict[str, Tuple[int, int]]]
-               ) -> Tuple[Dict[str, float], Dict[str, Optional[str]]]:
-    """Levelized arrival propagation over combinational cells."""
+               ) -> Tuple[Dict[str, float], Dict[str, Optional[str]],
+                          Dict[str, int]]:
+    """Levelized arrival propagation over combinational cells (Kahn's
+    algorithm); returns the arrivals, parents and Kahn depths."""
     indegree = _combinational_indegree(netlist)
     arrival: Dict[str, float] = {}
     parent: Dict[str, Optional[str]] = {}
+    level = dict.fromkeys(indegree, 0)
     queue = deque(name for name, deg in indegree.items() if deg == 0)
     processed = 0
     while queue:
@@ -272,20 +302,23 @@ def _propagate(netlist: Netlist, device: Device,
         arrival[name] = base + _cell_delay(cell, device)
         parent[name] = source
         if cell.output:
+            depth = level[name] + 1
             for sink_name in netlist.nets[cell.output].sinks:
                 sink = netlist.cells[sink_name]
                 if sink.is_sequential:
                     continue
+                if depth > level[sink_name]:
+                    level[sink_name] = depth
                 indegree[sink_name] -= 1
                 if indegree[sink_name] == 0:
                     queue.append(sink_name)
     if processed < len(indegree):
         raise TimingError("combinational loop detected during STA")
-    return arrival, parent
+    return arrival, parent, level
 
 
 def _endpoint_delay(netlist: Netlist, device: Device,
-                    net_lengths: Optional[Dict[str, int]],
+                    net_lengths: Optional[Mapping[str, int]],
                     locations: Optional[Dict[str, Tuple[int, int]]],
                     arrival: Dict[str, float], key: str
                     ) -> Optional[Tuple[float, str]]:
@@ -326,26 +359,36 @@ def _report_from_state(netlist: Netlist, device: Device,
     """Critical-path selection + report rendering from analysis state."""
     critical = 0.0
     endpoint = None
-    end_source = None
     for key in _endpoint_keys(netlist):
         value = state.endpoint_delays.get(key)
         if value is None:
             continue
         if value > critical:
             critical = value
-            endpoint = key.partition(":")[2]
-            end_source = state.endpoint_sources.get(key)
+            endpoint = key
+    return _path_report(netlist, device, target_clock_ns, critical,
+                        endpoint, state.endpoint_sources,
+                        state.arrivals, state.parents)
 
+
+def _path_report(netlist: Netlist, device: Device,
+                 target_clock_ns: Optional[float], critical: float,
+                 endpoint: Optional[str],
+                 sources: Mapping[str, Optional[str]],
+                 arrivals: Mapping[str, float],
+                 parents: Mapping[str, Optional[str]]) -> TimingReport:
+    """The report of a selected critical ``endpoint`` key (or None):
+    its path traced back through ``parents``."""
     critical = max(critical, device.lut_delay_ns + device.ff_setup_ns)
     segments: List[TimingPathSegment] = []
-    cursor = end_source
+    cursor = sources.get(endpoint) if endpoint is not None else None
     while cursor is not None and cursor in netlist.cells \
             and len(segments) < 256:
         cell = netlist.cells[cursor]
         segments.append(TimingPathSegment(
             cell=cursor, kind=cell.kind,
-            arrival_ns=state.arrivals.get(cursor, 0.0)))
-        cursor = state.parents.get(cursor)
+            arrival_ns=arrivals.get(cursor, 0.0)))
+        cursor = parents.get(cursor)
     segments.reverse()
 
     slack = None
@@ -357,7 +400,8 @@ def _report_from_state(netlist: Netlist, device: Device,
         target_clock_ns=target_clock_ns,
         slack_ns=slack,
         critical_path=segments,
-        endpoint=endpoint)
+        endpoint=(endpoint.partition(":")[2]
+                  if endpoint is not None else None))
 
 
 def analyze_timing_state(netlist: Netlist, device: Device,
@@ -368,7 +412,8 @@ def analyze_timing_state(netlist: Netlist, device: Device,
     """Full analysis returning the report *and* the reusable state."""
     net_lengths = (_net_route_lengths(routing)
                    if routing is not None else None)
-    arrival, parent = _propagate(netlist, device, net_lengths, locations)
+    arrival, parent, levels = _propagate(netlist, device, net_lengths,
+                                         locations)
     delays: Dict[str, float] = {}
     sources: Dict[str, Optional[str]] = {}
     for key in _endpoint_keys(netlist):
@@ -378,7 +423,8 @@ def analyze_timing_state(netlist: Netlist, device: Device,
             delays[key] = found[0]
             sources[key] = found[1]
     state = StaState(arrivals=arrival, parents=parent,
-                     endpoint_delays=delays, endpoint_sources=sources)
+                     endpoint_delays=delays, endpoint_sources=sources,
+                     levels=levels)
     return _report_from_state(netlist, device, target_clock_ns,
                               state), state
 
@@ -400,13 +446,125 @@ def analyze_timing(netlist: Netlist, device: Device,
     return report
 
 
+class _Merged(dict):
+    """The cone's own entries over a base map: a key the cone did not
+    write reads through to ``base``.  The cone never reads a removed
+    cell's entry, so the base need not be pruned."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: Mapping) -> None:
+        super().__init__()
+        self.base = base
+
+    def get(self, key, default=None):
+        if dict.__contains__(self, key):
+            return dict.__getitem__(self, key)
+        return self.base.get(key, default)
+
+    def __contains__(self, key: object) -> bool:
+        return dict.__contains__(self, key) or key in self.base
+
+
+class ConeBase:
+    """What a cone-limited analysis needs of a whole base design,
+    derived once per base (``EcoFlow.prepare_base``) and only read by
+    the edits: the canonical positions of the base cells and outputs
+    (the critical-path tie-break order) and the base endpoints ranked by
+    delay, so an edit finds its critical endpoint by skipping the few
+    ranked endpoints it recomputed or removed."""
+
+    def __init__(self, netlist: Netlist, state: StaState) -> None:
+        self.netlist = netlist
+        self.state = state
+        self.cells = {name: index for index, name in enumerate(netlist.cells)}
+        self.outputs: Dict[str, int] = {}
+        for index, name in enumerate(netlist.outputs):
+            self.outputs.setdefault(name, index)
+        self.ranking = sorted(
+            (-delay, self._rank(key), key)
+            for key, delay in state.endpoint_delays.items() if delay > 0)
+
+    def _rank(self, key: str) -> tuple:
+        kind, _, name = key.partition(":")
+        if kind == "cell":
+            return (0, (0, self.cells[name]))
+        return (1, self.outputs[name])
+
+
+def _kahn_levels(netlist: Netlist) -> Dict[str, int]:
+    """Kahn depth of every combinational cell (no delay arithmetic)."""
+    indegree = _combinational_indegree(netlist)
+    level = dict.fromkeys(indegree, 0)
+    kahn = deque(name for name, deg in indegree.items() if deg == 0)
+    processed = 0
+    while kahn:
+        name = kahn.popleft()
+        processed += 1
+        output = netlist.cells[name].output
+        if not output:
+            continue
+        depth = level[name] + 1
+        for sink in netlist.nets[output].sinks:
+            sink_cell = netlist.cells.get(sink)
+            if sink_cell is None or sink_cell.is_sequential:
+                continue
+            if depth > level[sink]:
+                level[sink] = depth
+            indegree[sink] -= 1
+            if indegree[sink] == 0:
+                kahn.append(sink)
+    if processed < len(indegree):
+        raise TimingError(
+            "combinational loop detected during incremental STA")
+    return level
+
+
+def _edit_levels(netlist: Netlist, levels: Mapping[str, int]
+                 ) -> Tuple[_Merged, int]:
+    """Topological levels of an edited copy's combinational cells, and
+    how many cells were looked at: the base ``levels``, raised where an
+    edge through an edited net (every new edge is one) needs it, and
+    then along the raised cells' fan-out.  A combinational loop raises
+    levels without end; past the cell count it is reported."""
+    cells, nets = netlist.cells, netlist.nets
+    merged = _Merged(levels)
+    work = [net.driver
+            for net in map(nets.__getitem__, sorted(netlist.edited_nets))
+            if net.driver is not None
+            and not cells[net.driver].is_sequential]
+    # An added cell the edit never raises sits at level 0.
+    for name in netlist.added_cells:
+        if name not in levels and not cells[name].is_sequential:
+            merged[name] = 0
+    limit = len(cells)
+    visited = 0
+    while work:
+        name = work.pop()
+        visited += 1
+        output = cells[name].output
+        if output is None:
+            continue
+        depth = merged.get(name, 0) + 1
+        if depth > limit:
+            raise TimingError(
+                "combinational loop detected during incremental STA")
+        for sink in nets[output].sinks:
+            if not cells[sink].is_sequential \
+                    and merged.get(sink, 0) < depth:
+                merged[sink] = depth
+                work.append(sink)
+    return merged, visited
+
+
 def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
                         changed_cells: Iterable[str],
                         changed_nets: Iterable[str],
                         target_clock_ns: Optional[float] = None,
                         routing: Optional[RoutingResult] = None,
                         locations: Optional[Dict[str, Tuple[int, int]]]
-                        = None) -> Tuple[TimingReport, StaState, int]:
+                        = None, prepared: Optional[ConeBase] = None,
+                        tracer=None) -> Tuple[TimingReport, StaState, int]:
     """Cone-limited re-analysis after an incremental edit.
 
     Worklist-driven: seeds with the changed cells and the sinks of the
@@ -421,54 +579,88 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     rip-up set); under that contract the merged report equals a full
     re-analysis of the edited design exactly.
 
+    For an edited copy (``Netlist.copy``) of the design ``base``
+    describes, the analysis pays for the edit only: the levels are the
+    base's, repaired over the edited nets' fan-out, the merged maps are
+    read-through overlays on the base state, and the critical endpoint
+    comes from ``prepared`` (the base's :class:`ConeBase`, derived here
+    when not given) and the recomputed endpoints.  Any other netlist is
+    levelized and scanned in full.  ``tracer`` (optional) receives
+    ``eco.sta.cells_visited``: the cells levelized and the ranked base
+    endpoints read, the work outside the cone itself.
+
     Returns ``(report, merged state, cone size)`` — cone size counts
-    the cells whose arrival was recomputed.
+    the cells whose arrival was recomputed.  The merged state's maps
+    are read-only views over ``base`` and the cone's entries, read
+    lazily; its levels are topological, not necessarily the Kahn
+    depths a full analysis stores.
     """
-    net_lengths = (_net_route_lengths(routing)
+    report, state, cone, visited = _cone(
+        netlist, device, base, changed_cells, changed_nets,
+        target_clock_ns, routing, locations, prepared)
+    if tracer is not None:
+        tracer.counter("eco.sta.cells_visited", "fabric").add(visited)
+    return report, state, cone
+
+
+class _View(Mapping):
+    """A read-only map of ``own``'s entries (a :class:`_Merged`) over the
+    entries of ``base`` that ``keep`` accepts; made in O(1)."""
+
+    def __init__(self, own: dict, base: Mapping,
+                 keep: Callable[[str], bool]) -> None:
+        self.own, self.base, self.keep = own, base, keep
+
+    def __getitem__(self, key: str):
+        if dict.__contains__(self.own, key):
+            return dict.__getitem__(self.own, key)
+        if key in self.base and self.keep(key):
+            return self.base[key]
+        raise KeyError(key)
+
+    def __iter__(self):
+        yield from dict.__iter__(self.own)
+        for key in self.base:
+            if not dict.__contains__(self.own, key) and self.keep(key):
+                yield key
+
+    def __len__(self) -> int:
+        return sum(1 for _key in self)
+
+
+def _cone(netlist: Netlist, device: Device, base: StaState,
+          changed_cells: Iterable[str], changed_nets: Iterable[str],
+          target_clock_ns: Optional[float],
+          routing: Optional[RoutingResult],
+          locations: Optional[Dict[str, Tuple[int, int]]],
+          prepared: Optional[ConeBase]):
+    """:func:`analyze_timing_cone`, plus the cells visited outside the
+    cone: ``(report, merged state, cone size, visited)``."""
+    cells, nets = netlist.cells, netlist.nets
+    net_lengths = (_RouteLengths(routing)
                    if routing is not None else None)
-    changed_cell_set = {name for name in changed_cells
-                        if name in netlist.cells}
-    changed_net_set = {name for name in changed_nets
-                       if name in netlist.nets}
+    changed_cell_set = {name for name in changed_cells if name in cells}
+    changed_net_set = {name for name in changed_nets if name in nets}
+    parent = netlist.parent
+    # A copy increments from the base levels (both maps cover every
+    # combinational cell of the base, so a state without levels has
+    # fewer of them than arrivals).
+    if parent is not None and len(base.levels) == len(base.arrivals):
+        if prepared is None or prepared.netlist is not parent \
+                or prepared.state is not base:
+            prepared = ConeBase(parent, base)
+        level, visited = _edit_levels(netlist, base.levels)
+    else:
+        prepared = None
+        level = _kahn_levels(netlist)
+        visited = len(level)
 
-    # Start from the base state pruned to surviving cells.
-    merged_arrivals: Dict[str, float] = {}
-    merged_parents: Dict[str, Optional[str]] = {}
-    for name, value in base.arrivals.items():
-        if name in netlist.cells:
-            merged_arrivals[name] = value
-            merged_parents[name] = base.parents.get(name)
-
-    # Topological levels of the combinational cells (one cheap Kahn
-    # pass — no delay arithmetic).  Processing the worklist in level
-    # order guarantees every predecessor's final value lands before a
-    # cell is recomputed, so each reached cell is visited exactly once;
-    # a plain FIFO fixpoint would revisit deep cells once per upstream
-    # change.  The pass also detects combinational loops.
-    level: Dict[str, int] = {}
-    indegree = _combinational_indegree(netlist)
-    kahn = deque(name for name, deg in indegree.items() if deg == 0)
-    processed = 0
-    while kahn:
-        name = kahn.popleft()
-        processed += 1
-        output = netlist.cells[name].output
-        if not output:
-            continue
-        depth = level.get(name, 0) + 1
-        for sink in netlist.nets[output].sinks:
-            sink_cell = netlist.cells.get(sink)
-            if sink_cell is None or sink_cell.is_sequential:
-                continue
-            if depth > level.get(sink, 0):
-                level[sink] = depth
-            indegree[sink] -= 1
-            if indegree[sink] == 0:
-                kahn.append(sink)
-    if processed < len(indegree):
-        raise TimingError(
-            "combinational loop detected during incremental STA")
-
+    # Processing the worklist in level order guarantees every
+    # predecessor's final value lands before a cell is recomputed, so
+    # each reached cell is visited exactly once; a plain FIFO fixpoint
+    # would revisit deep cells once per upstream change.
+    arrivals = _Merged(base.arrivals)
+    parents = _Merged(base.parents)
     heap: List[Tuple[int, str]] = []
     queued: Set[str] = set()
 
@@ -478,11 +670,11 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
             heapq.heappush(heap, (level.get(name, 0), name))
 
     for name in sorted(changed_cell_set):
-        if not netlist.cells[name].is_sequential:
+        if not cells[name].is_sequential:
             enqueue(name)
     for net_name in sorted(changed_net_set):
-        for sink in netlist.nets[net_name].sinks:
-            sink_cell = netlist.cells.get(sink)
+        for sink in nets[net_name].sinks:
+            sink_cell = cells.get(sink)
             if sink_cell is not None and not sink_cell.is_sequential:
                 enqueue(sink)
 
@@ -496,61 +688,118 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     while heap:
         _depth, name = heapq.heappop(heap)
         queued.discard(name)
-        cell = netlist.cells[name]
+        cell = cells[name]
         cone.add(name)
         arrival_in, source = _input_arrival(
-            netlist, device, net_lengths, locations, merged_arrivals, cell)
+            netlist, device, net_lengths, locations, arrivals, cell)
         value = arrival_in + _cell_delay(cell, device)
-        known = name in merged_arrivals
-        old = merged_arrivals.get(name)
-        merged_arrivals[name] = value
-        merged_parents[name] = source
+        known = name in arrivals
+        old = arrivals.get(name)
+        arrivals[name] = value
+        parents[name] = source
         if known and old == value:
             continue
         value_changed.add(name)
         if cell.output:
-            for sink in netlist.nets[cell.output].sinks:
-                sink_cell = netlist.cells.get(sink)
+            for sink in nets[cell.output].sinks:
+                sink_cell = cells.get(sink)
                 if sink_cell is not None \
                         and not sink_cell.is_sequential:
                     enqueue(sink)
 
     # Endpoints to recompute: those fed by a changed net or by a cell
     # whose arrival changed (plus the changed cells themselves).
+    if prepared is not None:
+        appended = netlist.outputs[len(parent.outputs):]
+        outputs = prepared.outputs
+
+        def output_index(name: str) -> Optional[int]:
+            if name in outputs:
+                return outputs[name]
+            if name in appended:
+                return len(parent.outputs) + appended.index(name)
+            return None
+    else:
+        outputs = {}
+        for index, name in enumerate(netlist.outputs):
+            outputs.setdefault(name, index)
+        output_index = outputs.get
     affected_nets = set(changed_net_set)
     for name in value_changed:
-        output = netlist.cells[name].output
+        output = cells[name].output
         if output:
             affected_nets.add(output)
-    valid_keys = _endpoint_keys(netlist)
-    recompute: List[str] = []
-    for key in valid_keys:
+    recompute = {f"cell:{name}" for name in changed_cell_set
+                 if cells[name].is_sequential}
+    for net_name in affected_nets:
+        recompute.update(f"cell:{sink}" for sink in nets[net_name].sinks
+                         if cells[sink].is_sequential)
+        if output_index(net_name) is not None:
+            recompute.add(f"out:{net_name}")
+    delays: Dict[str, float] = {}
+    sources: Dict[str, Optional[str]] = {}
+    for key in sorted(recompute):
+        found = _endpoint_delay(netlist, device, net_lengths, locations,
+                                arrivals, key)
+        if found is not None:
+            delays[key], sources[key] = found
+    # Base endpoints that no longer exist.  A copy only appends
+    # outputs, so only its edited cells can have lost theirs.
+    if prepared is not None:
+        dropped = recompute | {f"cell:{name}"
+                               for name in netlist.edited_cells
+                               if name not in cells
+                               or not cells[name].is_sequential}
+    else:
+        current = set(_endpoint_keys(netlist))
+        dropped = recompute | {key for key in base.endpoint_delays
+                               if key not in current}
+
+    live = cells.__contains__
+
+    def valid(key: str) -> bool:
+        return key not in dropped
+
+    state = StaState(
+        arrivals=_View(arrivals, base.arrivals, live),
+        parents=_View(parents, base.parents, live),
+        endpoint_delays=_View(delays, base.endpoint_delays, valid),
+        endpoint_sources=_View(sources, base.endpoint_sources, valid),
+        levels=(_View(level, base.levels, live) if prepared is not None
+                else level))
+    if prepared is None:
+        report = _report_from_state(netlist, device, target_clock_ns,
+                                    state)
+        return report, state, len(cone), visited
+
+    # The critical endpoint: the first still-valid base endpoint in
+    # delay order (ties to the canonical order), against the
+    # recomputed ones.  The canonical order puts sequential cells in
+    # netlist order (the copy's added cells after its parent's), then
+    # primary outputs.
+    tail = {name: index for index, name in enumerate(netlist.added_cells)}
+
+    def rank(key: str) -> tuple:
         kind, _, name = key.partition(":")
         if kind == "cell":
-            cell = netlist.cells[name]
-            if name in changed_cell_set or \
-                    any(net in affected_nets for net in cell.inputs):
-                recompute.append(key)
-        elif name in affected_nets:
-            recompute.append(key)
+            return (0, (1, tail[name]) if name in tail
+                    else (0, prepared.cells[name]))
+        return (1, output_index(name))
 
-    recompute_set = set(recompute)
-    valid_set = set(valid_keys)
-    merged_delays: Dict[str, float] = {}
-    merged_sources: Dict[str, Optional[str]] = {}
-    for key, value in base.endpoint_delays.items():
-        if key in valid_set and key not in recompute_set:
-            merged_delays[key] = value
-            merged_sources[key] = base.endpoint_sources.get(key)
-    for key in recompute:
-        found = _endpoint_delay(netlist, device, net_lengths, locations,
-                                merged_arrivals, key)
-        if found is not None:
-            merged_delays[key] = found[0]
-            merged_sources[key] = found[1]
-
-    state = StaState(arrivals=merged_arrivals, parents=merged_parents,
-                     endpoint_delays=merged_delays,
-                     endpoint_sources=merged_sources)
-    return _report_from_state(netlist, device, target_clock_ns,
-                              state), state, len(cone)
+    best = None
+    for entry in prepared.ranking:
+        visited += 1
+        if entry[2] not in dropped:
+            best = entry
+            break
+    for key, delay in delays.items():
+        if delay > 0:
+            entry = (-delay, rank(key), key)
+            if best is None or entry < best:
+                best = entry
+    critical, endpoint = (-best[0], best[2]) if best else (0.0, None)
+    report = _path_report(
+        netlist, device, target_clock_ns, critical, endpoint,
+        sources if endpoint in sources else base.endpoint_sources,
+        arrivals, parents)
+    return report, state, len(cone), visited
