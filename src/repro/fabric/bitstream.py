@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .device import LUTS_PER_TILE
-from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Netlist
+from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Cell, Netlist
 
 # Per-tile configuration budget (bits).
 _LUT_INIT_BITS = 16
@@ -164,7 +164,7 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
     for col in range(cols):
         bitstream.frames.append(Frame(index=col,
                                       data=bytearray(frame_bytes)))
-    _configure(bitstream, netlist, locations)
+    _configure(bitstream, netlist.cells.items(), locations)
     for frame in bitstream.frames:
         frame.seal()
     bitstream.snapshot_golden()
@@ -174,7 +174,7 @@ def generate_bitstream(netlist: Netlist, locations: Dict[str, Tuple[int, int]],
 def update_bitstream(base: Bitstream, netlist: Netlist,
                      locations: Dict[str, Tuple[int, int]],
                      tiles: Set[Tuple[int, int]],
-                     cells: Optional[Iterable[str]] = None) -> Bitstream:
+                     cells: Iterable[str]) -> Bitstream:
     """The bitstream of an edited design, rebuilt from ``base`` in the
     given ``tiles`` only.
 
@@ -183,9 +183,7 @@ def update_bitstream(base: Bitstream, netlist: Netlist,
     moved from or to, or had its init changed since ``base``: a tile's
     configuration depends only on its own cells, in netlist order.
     Tile ranges are byte-aligned, so a tile is cleared by slicing.
-    ``cells``, when given, names the cells placed on ``tiles`` in
-    netlist order (the ECO flow knows them); otherwise they are found
-    by walking the netlist.
+    ``cells`` names the cells placed on ``tiles``, in netlist order.
     """
     tile_bytes = TILE_CONFIG_BITS // 8
     bitstream = Bitstream(
@@ -201,27 +199,23 @@ def update_bitstream(base: Bitstream, netlist: Netlist,
         first = col * frame_bits + row * TILE_CONFIG_BITS
         bitstream.essential.difference_update(
             range(first, first + TILE_CONFIG_BITS))
-    _configure(bitstream, netlist, locations, tiles, cells)
+    _configure(bitstream, ((name, netlist.cells[name]) for name in cells),
+               locations)
     for col in sorted({col for col, _row in tiles}):
         bitstream.frames[col].seal()
     bitstream.snapshot_golden()
     return bitstream
 
 
-def _configure(bitstream: Bitstream, netlist: Netlist,
-               locations: Dict[str, Tuple[int, int]],
-               tiles: Optional[Set[Tuple[int, int]]] = None,
-               cells: Optional[Iterable[str]] = None) -> None:
-    """Write the placed cells' configuration into ``bitstream``: every
-    cell's, or only those on ``tiles`` (which ``cells``, in netlist
-    order, may name)."""
+def _configure(bitstream: Bitstream, placed: Iterable[Tuple[str, Cell]],
+               locations: Dict[str, Tuple[int, int]]) -> None:
+    """Write the configuration of the ``placed`` cells ((name, cell)
+    pairs in netlist order) into ``bitstream``."""
     # Track per-tile LUT slot allocation.
     slot_of_tile: Dict[Tuple[int, int], int] = {}
-    placed = (netlist.cells.items() if cells is None
-              else [(name, netlist.cells[name]) for name in cells])
     for name, cell in placed:
         tile = locations.get(name)
-        if tile is None or (tiles is not None and tile not in tiles):
+        if tile is None:
             continue
         col, row = tile
         tile_base = row * TILE_CONFIG_BITS

@@ -31,7 +31,8 @@ re-implementation incremental:
 An edit pays for the edit, not the design.  Once per base,
 :meth:`EcoFlow.prepare_base` derives an :class:`EcoBase` and keeps it
 on the base project (``NXmapProject.eco_base``) next to its cached
-results: the site map with every base cell placed and the HPWL
+results (:meth:`EcoBase.of` alone decides when it is stale; the stages
+take it as given): the site map with every base cell placed and the HPWL
 (:class:`WarmPlacement`), the warm routes by tile id with each edge's
 users (:class:`~repro.fabric.routing.WarmRoutes`), and the canonical
 endpoint order with the endpoints ranked by delay
@@ -461,8 +462,6 @@ class WarmPlacement:
 
     def __init__(self, netlist: Netlist, device: Device,
                  base: PlacementResult) -> None:
-        self.netlist = netlist
-        self.base = base
         self.order = {name: index for index, name in enumerate(netlist.cells)}
         self.complete = len(base.locations) == len(self.order) \
             and all(name in self.order for name in base.locations)
@@ -565,8 +564,9 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
 
     When ``netlist`` is an edited copy (``Netlist.copy``) of the design
     ``base`` places, the warm start pays for the edit only: the sites,
-    the cell order and the HPWL come from ``warm``, the base's
-    :class:`WarmPlacement` (derived here when not given), and only the
+    the cell order and the HPWL come from ``warm``, taken as given: the
+    :class:`WarmPlacement` of the copy's ``parent`` and ``base``
+    (derived here when None).  Only the
     movable cells, their nets and pins are indexed for the anneal.  An
     edit that removes a cell re-occupies the sites cell by cell (the
     free-lists' order, which the anneal samples, depends on it); any
@@ -579,7 +579,7 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     parent = netlist.parent
     if parent is None:
         warm = None
-    elif warm is None or warm.netlist is not parent or warm.base is not base:
+    elif warm is None:
         warm = WarmPlacement(parent, device, base)
     if warm is not None and not warm.complete:
         warm = None
@@ -839,21 +839,40 @@ class _ConeTiming(NamedTuple):
 
 class EcoBase(NamedTuple):
     """What every edit of one base implementation needs of the whole
-    design: derived once per base by :meth:`EcoFlow.prepare_base`,
-    carried on the base project next to its cached results, and only
-    read by the edits."""
+    design: derived once per base by :meth:`of`, carried on the base
+    project next to its cached results, and only read by the edits.
+    ``netlist``, ``placed`` and ``state`` (with ``routing.result``) are
+    the base it was derived from; the ECO stages take the derived
+    ``placement``, ``routing`` and ``timing`` as given."""
 
     netlist: Netlist
+    placed: PlacementResult
     state: StaState
     placement: WarmPlacement
     routing: WarmRoutes
     timing: ConeBase
 
-    def serves(self, project: NXmapProject, state: StaState) -> bool:
-        """Whether this was derived from ``project``'s current base."""
-        return (self.netlist is project.netlist and self.state is state
-                and self.placement.base is project.placement
-                and self.routing.result is project.routing)
+    @classmethod
+    def of(cls, project: NXmapProject, state: StaState) -> "EcoBase":
+        """The derived state of ``project``'s base, whose full STA state
+        is ``state``: the one kept as ``project.eco_base`` while it was
+        derived from the project's current netlist, placement, routing
+        and ``state`` (the one staleness rule), else derived anew and
+        kept."""
+        kept = project.eco_base
+        if kept is not None and kept.netlist is project.netlist \
+                and kept.placed is project.placement \
+                and kept.routing.result is project.routing \
+                and kept.state is state:
+            return kept
+        netlist, placement = project.netlist, project.placement
+        project.eco_base = cls(
+            netlist, placement, state,
+            WarmPlacement(netlist, project.device, placement),
+            WarmRoutes(project.routing, placement.grid, netlist,
+                       placement.locations),
+            ConeBase(netlist, state))
+        return project.eco_base
 
 
 class EcoFlow:
@@ -910,17 +929,8 @@ class EcoFlow:
                     routing=project.routing,
                     locations=project.placement.locations)[1],
                 span="eco.sta.base")
-        state = self._base_state
-        if project.eco_base is None \
-                or not project.eco_base.serves(project, state):
-            netlist, placement = project.netlist, project.placement
-            project.eco_base = EcoBase(
-                netlist, state,
-                WarmPlacement(netlist, project.device, placement),
-                WarmRoutes(project.routing, placement.grid, netlist,
-                           placement.locations),
-                ConeBase(netlist, state))
-        return state
+        EcoBase.of(project, self._base_state)
+        return self._base_state
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,
             channel_width: int = DEFAULT_CHANNEL_WIDTH) -> EcoReport:

@@ -441,7 +441,8 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
 
     Which nets are checked: with a :class:`WarmRoutes` that knows the
     netlist and locations it was routed on, and a ``netlist`` that is an
-    edited copy of that netlist, only the named nets, the nets the copy
+    edited copy (taken as given: a copy of that netlist, as the ECO flow
+    passes them), only the named nets, the nets the copy
     edited and the nets of every cell whose tile differs from the base
     (one C-level difference of the two location maps) can be stale, so
     only those are checked; every other net keeps its warm paths
@@ -484,7 +485,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         usage = list(base.usage)
         touched = set()
         reroute = set(reroute_nets) if reroute_nets is not None else set()
-        if base.netlist is not None and netlist.parent is base.netlist:
+        if base.netlist is not None and netlist.parent is not None:
             moved = {name for name, _tile
                      in locations.items() - base.locations.items()}
             moved.update(base.locations.keys() - locations.keys())

@@ -475,8 +475,6 @@ class ConeBase:
     ranked endpoints it recomputed or removed."""
 
     def __init__(self, netlist: Netlist, state: StaState) -> None:
-        self.netlist = netlist
-        self.state = state
         self.cells = {name: index for index, name in enumerate(netlist.cells)}
         self.outputs: Dict[str, int] = {}
         for index, name in enumerate(netlist.outputs):
@@ -583,8 +581,9 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     describes, the analysis pays for the edit only: the levels are the
     base's, repaired over the edited nets' fan-out, the merged maps are
     read-through overlays on the base state, and the critical endpoint
-    comes from ``prepared`` (the base's :class:`ConeBase`, derived here
-    when not given) and the recomputed endpoints.  Any other netlist is
+    comes from ``prepared`` and the recomputed endpoints.  ``prepared``
+    is taken as given: the :class:`ConeBase` of the copy's ``parent``
+    and ``base`` (derived here when None).  Any other netlist is
     levelized and scanned in full.  ``tracer`` (optional) receives
     ``eco.sta.cells_visited``: the cells levelized and the ranked base
     endpoints read, the work outside the cone itself.
@@ -595,59 +594,15 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     lazily; its levels are topological, not necessarily the Kahn
     depths a full analysis stores.
     """
-    report, state, cone, visited = _cone(
-        netlist, device, base, changed_cells, changed_nets,
-        target_clock_ns, routing, locations, prepared)
-    if tracer is not None:
-        tracer.counter("eco.sta.cells_visited", "fabric").add(visited)
-    return report, state, cone
-
-
-class _View(Mapping):
-    """A read-only map of ``own``'s entries (a :class:`_Merged`) over the
-    entries of ``base`` that ``keep`` accepts; made in O(1)."""
-
-    def __init__(self, own: dict, base: Mapping,
-                 keep: Callable[[str], bool]) -> None:
-        self.own, self.base, self.keep = own, base, keep
-
-    def __getitem__(self, key: str):
-        if dict.__contains__(self.own, key):
-            return dict.__getitem__(self.own, key)
-        if key in self.base and self.keep(key):
-            return self.base[key]
-        raise KeyError(key)
-
-    def __iter__(self):
-        yield from dict.__iter__(self.own)
-        for key in self.base:
-            if not dict.__contains__(self.own, key) and self.keep(key):
-                yield key
-
-    def __len__(self) -> int:
-        return sum(1 for _key in self)
-
-
-def _cone(netlist: Netlist, device: Device, base: StaState,
-          changed_cells: Iterable[str], changed_nets: Iterable[str],
-          target_clock_ns: Optional[float],
-          routing: Optional[RoutingResult],
-          locations: Optional[Dict[str, Tuple[int, int]]],
-          prepared: Optional[ConeBase]):
-    """:func:`analyze_timing_cone`, plus the cells visited outside the
-    cone: ``(report, merged state, cone size, visited)``."""
     cells, nets = netlist.cells, netlist.nets
     net_lengths = (_RouteLengths(routing)
                    if routing is not None else None)
     changed_cell_set = {name for name in changed_cells if name in cells}
     changed_net_set = {name for name in changed_nets if name in nets}
     parent = netlist.parent
-    # A copy increments from the base levels (both maps cover every
-    # combinational cell of the base, so a state without levels has
-    # fewer of them than arrivals).
-    if parent is not None and len(base.levels) == len(base.arrivals):
-        if prepared is None or prepared.netlist is not parent \
-                or prepared.state is not base:
+    # A copy increments from the base levels.
+    if parent is not None:
+        if prepared is None:
             prepared = ConeBase(parent, base)
         level, visited = _edit_levels(netlist, base.levels)
     else:
@@ -770,36 +725,62 @@ def _cone(netlist: Netlist, device: Device, base: StaState,
     if prepared is None:
         report = _report_from_state(netlist, device, target_clock_ns,
                                     state)
-        return report, state, len(cone), visited
+    else:
+        # The critical endpoint: the first still-valid base endpoint in
+        # delay order (ties to the canonical order), against the
+        # recomputed ones.  The canonical order puts sequential cells in
+        # netlist order (the copy's added cells after its parent's), then
+        # primary outputs.
+        tail = {name: index for index, name in enumerate(netlist.added_cells)}
 
-    # The critical endpoint: the first still-valid base endpoint in
-    # delay order (ties to the canonical order), against the
-    # recomputed ones.  The canonical order puts sequential cells in
-    # netlist order (the copy's added cells after its parent's), then
-    # primary outputs.
-    tail = {name: index for index, name in enumerate(netlist.added_cells)}
+        def rank(key: str) -> tuple:
+            kind, _, name = key.partition(":")
+            if kind == "cell":
+                return (0, (1, tail[name]) if name in tail
+                        else (0, prepared.cells[name]))
+            return (1, output_index(name))
 
-    def rank(key: str) -> tuple:
-        kind, _, name = key.partition(":")
-        if kind == "cell":
-            return (0, (1, tail[name]) if name in tail
-                    else (0, prepared.cells[name]))
-        return (1, output_index(name))
-
-    best = None
-    for entry in prepared.ranking:
-        visited += 1
-        if entry[2] not in dropped:
-            best = entry
-            break
-    for key, delay in delays.items():
-        if delay > 0:
-            entry = (-delay, rank(key), key)
-            if best is None or entry < best:
+        best = None
+        for entry in prepared.ranking:
+            visited += 1
+            if entry[2] not in dropped:
                 best = entry
-    critical, endpoint = (-best[0], best[2]) if best else (0.0, None)
-    report = _path_report(
-        netlist, device, target_clock_ns, critical, endpoint,
-        sources if endpoint in sources else base.endpoint_sources,
-        arrivals, parents)
-    return report, state, len(cone), visited
+                break
+        for key, delay in delays.items():
+            if delay > 0:
+                entry = (-delay, rank(key), key)
+                if best is None or entry < best:
+                    best = entry
+        critical, endpoint = (-best[0], best[2]) if best else (0.0, None)
+        report = _path_report(
+            netlist, device, target_clock_ns, critical, endpoint,
+            sources if endpoint in sources else base.endpoint_sources,
+            arrivals, parents)
+    if tracer is not None:
+        tracer.counter("eco.sta.cells_visited", "fabric").add(visited)
+    return report, state, len(cone)
+
+
+class _View(Mapping):
+    """A read-only map of ``own``'s entries (a :class:`_Merged`) over the
+    entries of ``base`` that ``keep`` accepts; made in O(1)."""
+
+    def __init__(self, own: dict, base: Mapping,
+                 keep: Callable[[str], bool]) -> None:
+        self.own, self.base, self.keep = own, base, keep
+
+    def __getitem__(self, key: str):
+        if dict.__contains__(self.own, key):
+            return dict.__getitem__(self.own, key)
+        if key in self.base and self.keep(key):
+            return self.base[key]
+        raise KeyError(key)
+
+    def __iter__(self):
+        yield from dict.__iter__(self.own)
+        for key in self.base:
+            if not dict.__contains__(self.own, key) and self.keep(key):
+                yield key
+
+    def __len__(self) -> int:
+        return sum(1 for _key in self)
