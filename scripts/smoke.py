@@ -275,9 +275,11 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
         ("Stop the job server",
          "if [ -f server.pid ]; then kill $(cat server.pid); fi"),
     ]},
-    # Interactive ECO gates: the delta/warm-start/cone test suites, the
-    # delta-chained key + service warm-hit contracts and the pinned cold
-    # and ECO stage keys, then a scripted 1% edit to the 10k design
+    # Interactive ECO gates: the delta/warm-start/cone test suites (edit
+    # sequences, work counts, edit validation, the delta route against
+    # the from-scratch oracle), the delta-chained key + service warm-hit
+    # contracts, the pinned cold and ECO stage keys and the placement
+    # and route identity pins, then a scripted 1% edit to the 10k design
     # through the real CLI — ≥3x over the cold re-run at CI scale, ECO HPWL within 5% of cold's,
     # no timing violation the cold flow doesn't have, and the ECO wire
     # report byte-identical across two fresh runs — and finally the
@@ -285,7 +287,12 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     "eco": {"steps": [
         ("Delta, warm-start, cone-STA and key-chain test suites",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/fabric/test_eco.py tests/cache/test_eco_keys.py "
+         "tests/fabric/test_eco.py tests/fabric/test_eco_sequence.py "
+         "tests/fabric/test_eco_work.py tests/fabric/test_eco_validate.py "
+         "tests/fabric/test_route_delta_property.py "
+         "tests/fabric/test_place_identity.py "
+         "tests/fabric/test_route_identity.py "
+         "tests/cache/test_eco_keys.py "
          "tests/cache/test_stage_key_pins.py "
          "tests/service/test_eco_service.py"),
         ("Scripted 1% edit through the real CLI (speedup + QoR gates)",

@@ -13,7 +13,9 @@ re-implementation incremental:
   (``Netlist.copy``), so the base netlist's content fingerprint stays
   stable, equal (base, delta) pairs yield structurally identical edited
   netlists, and the copy records the cells and nets it wrote.
-* :class:`EcoFlow` — re-implements only what the edit touched:
+* :class:`EcoFlow` — re-implements only what the edit touched.  Each
+  stage has one path: it takes the edited copy and the state derived
+  from its base, and refuses a netlist that is not a copy:
 
   - **warm-start placement** (:func:`eco_place`): the annealer starts
     from the cached base placement; only the changed cells and their
@@ -31,24 +33,28 @@ re-implementation incremental:
 An edit pays for the edit, not the design.  Once per base,
 :meth:`EcoFlow.prepare_base` derives an :class:`EcoBase` and keeps it
 on the base project (``NXmapProject.eco_base``) next to its cached
-results (:meth:`EcoBase.of` alone decides when it is stale; the stages
-take it as given): the site map with every base cell placed and the HPWL
-(:class:`WarmPlacement`), the warm routes by tile id with each edge's
-users (:class:`~repro.fabric.routing.WarmRoutes`), and the canonical
-endpoint order with the endpoints ranked by delay
+results; :meth:`EcoBase.of` alone decides when it is stale.  It holds
+the base cell order (one map: the warm start, the bitstream's cell sort
+and the cone's endpoint rank read it), the site map with every base
+cell placed and the HPWL (:class:`WarmPlacement`), the warm routes by
+tile id with each edge's users
+(:class:`~repro.fabric.routing.WarmRoutes`), and the canonical endpoint
+order with the endpoints ranked by delay
 (:class:`~repro.fabric.timing.ConeBase`); the Kahn levels live in the
-cached :class:`~repro.fabric.timing.StaState`.  Edits only read it.
-Per edit, the flow then touches the changed cells, their nets and the
-overflowed edges: validation checks the written nets and the forward
-cone of new combinational edges (``NXmapProject.for_edit``), the warm
-start copies the site map and indexes the movable cells' nets, the
-route checks the nets the edit could have made stale and rips up only
-nets on overflowed edges, the cone STA repairs the stored levels over
-the edited nets, and the bitstream rebuilds the touched tiles from the
-cells on them.  What remains design-sized are C-level copies of maps
-(the netlist's, the site map's, the result maps) and, in the route, one
-C-level difference of the two location maps and sums over the channel
-usage list.  Every result is bit-identical to the walks it replaced.
+cached :class:`~repro.fabric.timing.StaState`.
+Edits only read it.  Per edit, the flow then touches the changed
+cells, their nets and the overflowed edges: validation checks the
+written nets and the forward cone of new combinational edges
+(``NXmapProject.for_edit``), the warm start copies the site map and
+indexes the movable cells' nets, the route checks the nets the edit
+could have made stale and rips up only nets on overflowed edges, the
+cone STA repairs the stored levels over the edited nets, and the
+bitstream rebuilds the touched tiles from the cells on them.  What
+remains design-sized are C-level copies of maps (the netlist's, the
+site map's, the result maps) and, in the route, one C-level difference
+of the two location maps and sums over the channel usage list.  The
+from-scratch oracles — ``total_hpwl``, ``analyze_timing_state`` and the
+cold ``route`` — check these results in the tests.
 
 Every ECO stage result is content-addressed under a *delta-chained*
 key: ``content_key(base stage key, canonical delta, options)``, made by
@@ -68,8 +74,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, \
-    NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, Mapping, NamedTuple, \
+    Optional, Sequence, Set, Tuple, Union
 
 from ..cache import content_key
 from ..telemetry import Tracer
@@ -78,7 +84,7 @@ from .device import Device
 from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
 from .placement import PlacementResult, Tile, _Grid, _SiteManager, \
-    _anneal, _bbox, _net_span, total_hpwl
+    _anneal, _bbox, _net_span
 from .routing import DEFAULT_CHANNEL_WIDTH, RoutingResult, WarmRoutes, \
     route
 from .timing import ConeBase, StaState, TimingReport, \
@@ -452,42 +458,40 @@ def _occupied_sites(netlist: Netlist, device: Device,
 
 class WarmPlacement:
     """What a warm start needs of a whole base placement: derived once
-    per base (``EcoFlow.prepare_base``) and only read by the edits.
+    per base (:meth:`EcoBase.of`) and only read by the edits.
 
-    It holds the base cells' order, the sites they occupy (free-list
-    order included), the base HPWL, and how many nets cover fewer than
-    two pins (``total_hpwl`` is a float when any does).  An edit of a
-    copy of ``netlist`` then pays for its own cells and nets only.
+    It holds the base cell ``order`` (each base cell's index in the
+    netlist, the map the cone STA ranks by too), the cells on each tile,
+    the sites they occupy (free-list order included), the base HPWL, and
+    how many nets cover fewer than two pins (``total_hpwl`` is a float
+    when any does).  An edit of a copy of ``netlist`` then pays for its
+    own cells and nets only.
     """
 
     def __init__(self, netlist: Netlist, device: Device,
-                 base: PlacementResult) -> None:
-        self.order = {name: index for index, name in enumerate(netlist.cells)}
-        self.complete = len(base.locations) == len(self.order) \
-            and all(name in self.order for name in base.locations)
+                 base: PlacementResult, order: Mapping[str, int]) -> None:
+        self.order = order
         # Base cells by tile, in netlist order.
         self.tiles: Dict[Tile, List[str]] = {}
+        unplaced: List[str] = []
         for name in netlist.cells:
             tile = base.locations.get(name)
-            if tile is not None:
+            if tile is None:
+                unplaced.append(name)
+            else:
                 self.tiles.setdefault(tile, []).append(name)
+        # Why ``base`` is not a placement of exactly ``netlist``'s cells
+        # (None when it is): every warm start from it is refused.
+        self.misfit: Optional[str] = None
+        if unplaced:
+            self.misfit = f"base cell {unplaced[0]!r} has no base tile"
+        elif len(base.locations) != len(netlist.cells):
+            self.misfit = "it places cells the base netlist lacks"
         self.sites, self.overfull = _occupied_sites(netlist, device, base)
         spans = [_net_span(netlist, base.locations.get, name)
                  for name in netlist.nets]
         self.degenerate = spans.count(None)
         self.hpwl = sum(span for span in spans if span is not None)
-
-    def position(self, netlist: Netlist) -> Callable[[str], Tuple[int, int]]:
-        """A sort key giving the cells of ``netlist``, an edited copy of
-        this base's netlist, in its order: the parent's cells in their
-        order, then the cells the copy added."""
-        tail = {name: index for index, name
-                in enumerate(netlist.added_cells)}
-        order = self.order
-
-        def position(name: str) -> Tuple[int, int]:
-            return (1, tail[name]) if name in tail else (0, order[name])
-        return position
 
 
 def _movable_cells(netlist: Netlist, base: PlacementResult,
@@ -550,9 +554,10 @@ def _nearest_free(sites: _SiteManager, cls: str,
 def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
               changed_cells: Set[str], seed: int = 1,
               effort: float = 1.0,
-              tracer: Optional[Tracer] = None,
-              warm: Optional[WarmPlacement] = None) -> PlacementResult:
-    """Warm-start annealing from a cached base placement.
+              tracer: Optional[Tracer] = None, *,
+              warm: WarmPlacement) -> PlacementResult:
+    """Warm-start annealing of ``netlist``, an edited copy
+    (``Netlist.copy``) of the design ``base`` places.
 
     The movable set is the changed cells plus the low-fanout neighbors
     of the added ones (:func:`_movable_cells`); everything else keeps
@@ -562,45 +567,38 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     is the cold placer's (``placement._anneal``), with a disturbance
     penalty on the first move of a pre-existing cell.
 
-    When ``netlist`` is an edited copy (``Netlist.copy``) of the design
-    ``base`` places, the warm start pays for the edit only: the sites,
-    the cell order and the HPWL come from ``warm``, taken as given: the
-    :class:`WarmPlacement` of the copy's ``parent`` and ``base``
-    (derived here when None).  Only the
-    movable cells, their nets and pins are indexed for the anneal.  An
-    edit that removes a cell re-occupies the sites cell by cell (the
-    free-lists' order, which the anneal samples, depends on it); any
-    other netlist is warm-started by walking all of it.  The tracer
-    counter ``eco.place.sites_scanned`` counts the sites looked at,
-    for added cells and by such walks.
+    The warm start pays for the edit only: the sites, the cell order and
+    the HPWL come from ``warm``, the :class:`WarmPlacement` of the
+    copy's ``parent`` and ``base``, taken as given.  Only the movable
+    cells, their nets and pins are indexed for the anneal.  An edit that
+    removes a cell re-occupies the sites cell by cell (the free-lists'
+    order, which the anneal samples, depends on it).  A netlist that is
+    not a copy, or a ``base`` that does not place exactly the parent's
+    cells, is a :class:`FlowError`.  The tracer counter
+    ``eco.place.sites_scanned`` counts the sites looked at, for added
+    cells and by such a re-occupation.
     """
-    rng = random.Random(seed)
-    cells, nets = netlist.cells, netlist.nets
     parent = netlist.parent
     if parent is None:
-        warm = None
-    elif warm is None:
-        warm = WarmPlacement(parent, device, base)
-    if warm is not None and not warm.complete:
-        warm = None
+        raise FlowError(f"eco warm start: {netlist.name} is not an "
+                        f"edited copy of the base design")
+    if warm.misfit is not None:
+        raise FlowError(f"eco warm start: {warm.misfit} "
+                        f"(incompatible base placement)")
+    rng = random.Random(seed)
+    cells, nets = netlist.cells, netlist.nets
+    position = netlist.position(warm.order)
+    added = [name for name in netlist.added_cells
+             if base.locations.get(name) is None]
     scanned = 0
-    if warm is not None:
-        position = warm.position(netlist)
-        added = [name for name in netlist.added_cells
-                 if base.locations.get(name) is None]
-        intact = not any(position(name)[0] == 1 or name not in cells
-                         for name in netlist.edited_cells
-                         if name in warm.order)
-    else:
-        position = {name: index for index, name
-                    in enumerate(cells)}.__getitem__
-        added = [name for name in cells if base.locations.get(name) is None]
-        intact = False
-    if intact:
-        sites, overfull = warm.sites.copy(), warm.overfull
-    else:
+    if any(position(name)[0] == 1 or name not in cells
+           for name in netlist.edited_cells if name in warm.order):
+        # A base cell was removed (or re-added): the free-lists' order
+        # follows the edited cell order, so the sites are re-occupied.
         sites, overfull = _occupied_sites(netlist, device, base)
         scanned += len(cells)
+    else:
+        sites, overfull = warm.sites.copy(), warm.overfull
     cols, rows = sites.grid.cols, sites.grid.rows
     if not cells:
         return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
@@ -641,25 +639,21 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         sites.occupy(cls, tile)
         tiles[name] = tile
 
-    if warm is not None:
-        total, degenerate = warm.hpwl, warm.degenerate
-        for net_name in netlist.edited_nets:
-            if net_name in parent.nets:
-                span = _net_span(parent, base.locations.get, net_name)
-                if span is None:
-                    degenerate -= 1
-                else:
-                    total -= span
-            span = _net_span(netlist, tile_of, net_name)
+    total, degenerate = warm.hpwl, warm.degenerate
+    for net_name in netlist.edited_nets:
+        if net_name in parent.nets:
+            span = _net_span(parent, base.locations.get, net_name)
             if span is None:
-                degenerate += 1
+                degenerate -= 1
             else:
-                total += span
-        # ``total_hpwl`` sums a float 0.0 for each such net.
-        initial = float(total) if degenerate else total
-    else:
-        initial = total_hpwl(netlist, {name: tile_of(name)
-                                       for name in cells})
+                total -= span
+        span = _net_span(netlist, tile_of, net_name)
+        if span is None:
+            degenerate += 1
+        else:
+            total += span
+    # ``total_hpwl`` sums a float 0.0 for each such net.
+    initial = float(total) if degenerate else total
 
     # Index only the movable cells, their tracked nets and those nets'
     # pins, in netlist order for the movable ones (the anneal draws
@@ -735,13 +729,10 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         # full rescan (integer spans), without the O(nets) pass.
         final_hpwl = initial + gain
 
-    if warm is not None:
-        locations = dict(base.locations)
-        for name in netlist.edited_cells:
-            if name not in cells:
-                locations.pop(name, None)
-    else:
-        locations = {name: tile_of(name) for name in cells}
+    locations = dict(base.locations)
+    for name in netlist.edited_cells:
+        if name not in cells:
+            locations.pop(name, None)
     locations.update(tiles)
     for index, name in enumerate(members):
         locations[name] = (xs[index], ys[index])
@@ -866,12 +857,15 @@ class EcoBase(NamedTuple):
                 and kept.state is state:
             return kept
         netlist, placement = project.netlist, project.placement
+        # The one base cell order: the warm start, the bitstream's cell
+        # sort and the cone's endpoint rank all read it.
+        order = {name: index for index, name in enumerate(netlist.cells)}
         project.eco_base = cls(
             netlist, placement, state,
-            WarmPlacement(netlist, project.device, placement),
+            WarmPlacement(netlist, project.device, placement, order),
             WarmRoutes(project.routing, placement.grid, netlist,
                        placement.locations),
-            ConeBase(netlist, state))
+            ConeBase(netlist, state, order))
         return project.eco_base
 
 
@@ -1045,8 +1039,8 @@ class EcoFlow:
                 on_tiles.update(name for name in changed | moved_cells
                                 | impact.resized
                                 if final.get(name) in tiles)
-                cells = sorted(on_tiles,
-                               key=prepared.placement.position(edited))
+                order = prepared.placement.order
+                cells = sorted(on_tiles, key=edited.position(order))
                 if tracer is not None:
                     tracer.counter("eco.bitstream.tiles", "fabric").add(
                         len(tiles))

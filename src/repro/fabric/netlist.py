@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 # Cell kinds of the modelled NG fabric.
 LUT4 = "LUT4"
@@ -180,6 +180,18 @@ class Netlist:
         """Cells a copy added (and kept), in the order they were added:
         they follow every cell of its parent in ``cells``."""
         return list(self._added)
+
+    def position(self, order: Mapping[str, int]
+                 ) -> Callable[[str], Tuple[int, int]]:
+        """A sort key giving a copy's cells in its ``cells`` order, from
+        ``order``, each parent cell's index in the parent's ``cells``:
+        the parent's cells in their order, then the cells the copy
+        added."""
+        tail = {name: index for index, name in enumerate(self._added)}
+
+        def position(name: str) -> Tuple[int, int]:
+            return (1, tail[name]) if name in tail else (0, order[name])
+        return position
 
     def apply_delta(self, delta) -> "Netlist":
         """The netlist with an ECO :class:`~repro.fabric.eco.NetlistDelta`

@@ -24,8 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple, \
-    Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..telemetry import Tracer
 from .netlist import Netlist
@@ -47,6 +46,10 @@ _MARGIN_PER_PASS = 4
 #: channel width: the one default every flow entry point (``route``,
 #: ``NXmapProject``, ``EcoFlow``, the job API and the CLI) reads.
 DEFAULT_CHANNEL_WIDTH = 16
+
+
+class RoutingError(Exception):
+    """A delta route asked to start from routes of another design."""
 
 
 @dataclass
@@ -338,21 +341,18 @@ def _connections(netlist: Netlist, locations: Dict[str, Tile],
 
 class WarmRoutes:
     """What delta routing needs of a whole base routing: derived once
-    per base (``EcoFlow.prepare_base``, or by :func:`route` from a bare
-    :class:`RoutingResult`) and only read by the routes that start
-    from it.
+    per base (``EcoFlow.prepare_base``) and only read by the routes that
+    start from it.
 
     It holds the channel usage by edge id, each routed net's paths as
-    tile ids with their edge ids, and the nets that use each edge.
-    Given the ``netlist`` and ``locations`` the base was routed on, it
-    also counts each net's connections there, so a route of an edited
-    copy of that netlist (``Netlist.copy``) sets up only the nets the
-    edit could have changed.
+    tile ids with their edge ids, the nets that use each edge, and each
+    net's connections on the ``netlist`` and ``locations`` the base was
+    routed on, so a route of an edited copy of that netlist
+    (``Netlist.copy``) sets up only the nets the edit could have changed.
     """
 
     def __init__(self, result: RoutingResult, grid: Tuple[int, int],
-                 netlist: Optional[Netlist] = None,
-                 locations: Optional[Dict[str, Tile]] = None) -> None:
+                 netlist: Netlist, locations: Dict[str, Tile]) -> None:
         cols, rows = grid
         tables = _grid(cols, rows)
         ids = tables.ids
@@ -387,18 +387,16 @@ class WarmRoutes:
         # routed on (a failed connection leaves a net short of paths, or
         # without any): every route from this base re-routes them.
         self.stale: Set[str] = set()
-        if netlist is not None and locations is not None:
-            for net_name in netlist.nets:
-                source, sinks = _connections(netlist, locations, ids,
-                                             net_name)
-                if sinks:
-                    self.counts[net_name] = len(sinks)
-                paths = self.paths.get(net_name)
-                if (sinks or paths is not None) and not (
-                        paths is not None and _fits(paths, source, sinks)):
-                    self.stale.add(net_name)
-            self.stale.update(net_name for net_name in self.paths
-                              if net_name not in netlist.nets)
+        for net_name in netlist.nets:
+            source, sinks = _connections(netlist, locations, ids, net_name)
+            if sinks:
+                self.counts[net_name] = len(sinks)
+            paths = self.paths.get(net_name)
+            if (sinks or paths is not None) and not (
+                    paths is not None and _fits(paths, source, sinks)):
+                self.stale.add(net_name)
+        self.stale.update(net_name for net_name in self.paths
+                          if net_name not in netlist.nets)
         self.connections = sum(self.counts.values())
 
 
@@ -420,37 +418,36 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
           grid: Tuple[int, int], channel_width: int = DEFAULT_CHANNEL_WIDTH,
           max_iterations: int = 3,
           tracer: Optional[Tracer] = None,
-          warm: Optional[Union[RoutingResult, WarmRoutes]] = None,
+          warm: Optional[WarmRoutes] = None,
           reroute_nets: Optional[Iterable[str]] = None) -> RoutingResult:
     """Route all nets; negotiation loop raises congestion cost each pass.
 
     ``tracer`` (optional) receives per-pass ``route.pass`` spans plus the
     ``route.astar.expanded`` and ``route.ripup.connections`` counters.
 
-    ``warm`` enables *delta routing* (the ECO flow): a previous
-    :class:`RoutingResult` (or its :class:`WarmRoutes`) whose route
-    trees are preserved for every net **not** named in ``reroute_nets``.
-    Preserved nets keep their exact paths and their channel usage
-    (seeded from the persisted ``edge_usage`` map); only the named nets
-    — plus anything the overflow cascade rips later — are torn up and
-    re-routed.  A warm net whose preserved paths no longer match the
-    current connection list (a pin moved, a sink appeared) is detected
-    and re-routed as well, so an over-approximate ``reroute_nets`` is a
-    performance choice, never a correctness one.  ``warm`` must have
-    been routed on this ``grid``.
+    ``warm`` enables *delta routing* (the ECO flow): the
+    :class:`WarmRoutes` of a base routing, whose route trees are
+    preserved for every net **not** named in ``reroute_nets``.
+    ``netlist`` must then be an edited copy (``Netlist.copy``) of the
+    netlist ``warm`` was routed on, else :class:`RoutingError`; ``warm``
+    must have been routed on this ``grid``.  Preserved nets keep their
+    exact paths and their channel usage (seeded from the persisted
+    ``edge_usage`` map); only the named nets — plus anything the
+    overflow cascade rips later — are torn up and re-routed.  A warm
+    net whose preserved paths no longer match the current connection
+    list (a pin moved, a sink appeared) is detected and re-routed as
+    well, so an over-approximate ``reroute_nets`` is a performance
+    choice, never a correctness one.
 
-    Which nets are checked: with a :class:`WarmRoutes` that knows the
-    netlist and locations it was routed on, and a ``netlist`` that is an
-    edited copy (taken as given: a copy of that netlist, as the ECO flow
-    passes them), only the named nets, the nets the copy
-    edited and the nets of every cell whose tile differs from the base
-    (one C-level difference of the two location maps) can be stale, so
-    only those are checked; every other net keeps its warm paths
-    unread.  Otherwise every net is checked.  The rip-up between passes
-    reads only the nets on an overflowed edge, and the result is the
-    warm one with the changed nets and edges replaced.  The tracer
-    counter ``eco.route.nets_visited`` counts the nets checked and
-    scanned by such a route.
+    Only the named nets, the nets the copy edited, the nets whose warm
+    paths did not fit the base and the nets of every cell whose tile
+    differs from the base (one C-level difference of the two location
+    maps) can be stale, so only those are checked; every other net
+    keeps its warm paths unread.  The rip-up between passes reads only
+    the nets on an overflowed edge, and the result is the warm one with
+    the changed nets and edges replaced.  The tracer counter
+    ``eco.route.nets_visited`` counts the nets checked and scanned by a
+    delta route.
 
     Internally tiles are integer ids and channel usage is a flat list
     indexed by edge id (see ``_Grid``); ``(col, row)`` tuples appear
@@ -467,7 +464,6 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     trees: Dict[str, _NetTree] = {}
     targets: Dict[str, List[int]] = {}
     pending: List[Conn] = []
-    base: Optional[WarmRoutes] = None
     # Warm nets whose paths were dropped here, and edges whose usage
     # may differ from the warm result's (None on a cold route).
     stripped: Set[str] = set()
@@ -480,36 +476,32 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         candidates = sorted(netlist.nets)
         connections = 0
     else:
-        base = warm if isinstance(warm, WarmRoutes) \
-            else WarmRoutes(warm, grid)
-        usage = list(base.usage)
+        if netlist.parent is not warm.netlist:
+            raise RoutingError(f"delta route: {netlist.name} is not an "
+                               f"edited copy of the warm routes' netlist")
+        usage = list(warm.usage)
         touched = set()
         reroute = set(reroute_nets) if reroute_nets is not None else set()
-        if base.netlist is not None and netlist.parent is not None:
-            moved = {name for name, _tile
-                     in locations.items() - base.locations.items()}
-            moved.update(base.locations.keys() - locations.keys())
-            names = reroute | netlist.edited_nets | base.stale
-            for cell_name in moved:
-                cell = netlist.cells.get(cell_name)
-                if cell is not None:
-                    names.update(cell.inputs)
-                    if cell.output is not None:
-                        names.add(cell.output)
-            candidates = sorted(name for name in names
-                                if name in netlist.nets
-                                or name in base.paths)
-            connections = base.connections - sum(
-                base.counts.get(name, 0) for name in candidates)
-        else:
-            candidates = sorted(set(netlist.nets) | set(base.paths))
-            connections = 0
+        moved = {name for name, _tile
+                 in locations.items() - warm.locations.items()}
+        moved.update(warm.locations.keys() - locations.keys())
+        names = reroute | netlist.edited_nets | warm.stale
+        for cell_name in moved:
+            cell = netlist.cells.get(cell_name)
+            if cell is not None:
+                names.update(cell.inputs)
+                if cell.output is not None:
+                    names.add(cell.output)
+        candidates = sorted(name for name in names
+                            if name in netlist.nets or name in warm.paths)
+        connections = warm.connections - sum(
+            warm.counts.get(name, 0) for name in candidates)
         visited = len(candidates)
     for net_name in candidates:
         source, sinks = _connections(netlist, locations, ids, net_name)
         connections += len(sinks)
-        if base is not None:
-            paths = base.paths.get(net_name)
+        if warm is not None:
+            paths = warm.paths.get(net_name)
             if paths is not None and net_name not in reroute \
                     and _fits(paths, source, sinks):
                 continue
@@ -517,7 +509,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                 # Subtract the dropped warm paths so usage stays exactly
                 # the sum of the live trees.
                 stripped.add(net_name)
-                for edges in base.edges[net_name]:
+                for edges in warm.edges[net_name]:
                     touched.update(edges)
                     for edge in edges:
                         if usage[edge] > 0:
@@ -532,7 +524,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         sinks = targets.get(net_name)
         if sinks is not None:
             return sinks[ordinal]
-        return base.paths[net_name][ordinal][-1]
+        return warm.paths[net_name][ordinal][-1]
 
     failed: Set[Tuple[str, int]] = set()
     iterations = 0
@@ -587,7 +579,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         use."""
         tree = trees.get(net_name)
         if tree is None:
-            paths = base.paths[net_name]
+            paths = warm.paths[net_name]
             tree = trees[net_name] = _NetTree(paths[0][0], tables)
             tree.reset(list(enumerate(paths)))
         return tree
@@ -599,12 +591,12 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         the warm and the live users of the edge) and the warm strays
         can lose a segment, so only those are read."""
         nonlocal visited
-        if base is None:
+        if warm is None:
             scan = set(trees)
         else:
-            scan = set(base.strays)
+            scan = set(warm.strays)
             for edge in over_edges:
-                scan.update(base.users.get(edge, ()))
+                scan.update(warm.users.get(edge, ()))
                 scan.update(live_users.get(edge, ()))
             scan -= stripped - trees.keys()
         visited += len(scan)
@@ -669,13 +661,13 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         lo = edge >> 1
         return tiles[lo], tiles[lo + (1 if edge & 1 else rows)]
 
-    if base is None:
+    if warm is None:
         routes: Dict[str, List[List[Tile]]] = {}
         edge_usage: Dict[Edge, int] = {
             edge_key(edge): used for edge, used in enumerate(usage) if used}
     else:
-        routes = dict(base.result.routes)
-        edge_usage = dict(base.result.edge_usage)
+        routes = dict(warm.result.routes)
+        edge_usage = dict(warm.result.edge_usage)
         for edge in touched:
             if usage[edge]:
                 edge_usage[edge_key(edge)] = usage[edge]
@@ -692,7 +684,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     if tracer is not None:
         tracer.counter("route.astar.expanded", "fabric").add(expanded_total)
         tracer.counter("route.ripup.connections", "fabric").add(ripped_total)
-        if base is not None:
+        if warm is not None:
             tracer.counter("eco.route.nets_visited", "fabric").add(visited)
     return RoutingResult(
         wirelength=sum(usage), max_congestion=max(usage, default=0),

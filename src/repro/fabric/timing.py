@@ -353,24 +353,6 @@ def _endpoint_delay(netlist: Netlist, device: Device,
     return arrival.get(driver.name, _cell_delay(driver, device)), net.driver
 
 
-def _report_from_state(netlist: Netlist, device: Device,
-                       target_clock_ns: Optional[float],
-                       state: StaState) -> TimingReport:
-    """Critical-path selection + report rendering from analysis state."""
-    critical = 0.0
-    endpoint = None
-    for key in _endpoint_keys(netlist):
-        value = state.endpoint_delays.get(key)
-        if value is None:
-            continue
-        if value > critical:
-            critical = value
-            endpoint = key
-    return _path_report(netlist, device, target_clock_ns, critical,
-                        endpoint, state.endpoint_sources,
-                        state.arrivals, state.parents)
-
-
 def _path_report(netlist: Netlist, device: Device,
                  target_clock_ns: Optional[float], critical: float,
                  endpoint: Optional[str],
@@ -425,8 +407,16 @@ def analyze_timing_state(netlist: Netlist, device: Device,
     state = StaState(arrivals=arrival, parents=parent,
                      endpoint_delays=delays, endpoint_sources=sources,
                      levels=levels)
-    return _report_from_state(netlist, device, target_clock_ns,
-                              state), state
+    # The critical endpoint: the largest delay, ties to the first in
+    # the canonical order (``delays`` was filled in that order).
+    critical = 0.0
+    endpoint = None
+    for key, value in delays.items():
+        if value > critical:
+            critical = value
+            endpoint = key
+    return _path_report(netlist, device, target_clock_ns, critical,
+                        endpoint, sources, arrival, parent), state
 
 
 def analyze_timing(netlist: Netlist, device: Device,
@@ -468,14 +458,16 @@ class _Merged(dict):
 
 class ConeBase:
     """What a cone-limited analysis needs of a whole base design,
-    derived once per base (``EcoFlow.prepare_base``) and only read by
-    the edits: the canonical positions of the base cells and outputs
-    (the critical-path tie-break order) and the base endpoints ranked by
-    delay, so an edit finds its critical endpoint by skipping the few
-    ranked endpoints it recomputed or removed."""
+    derived once per base (``EcoBase.of``) and only read by the edits:
+    the canonical positions of the base cells (``order``, the map the
+    warm start reads too) and outputs (the critical-path tie-break
+    order) and the base endpoints ranked by delay, so an edit finds its
+    critical endpoint by skipping the few ranked endpoints it recomputed
+    or removed."""
 
-    def __init__(self, netlist: Netlist, state: StaState) -> None:
-        self.cells = {name: index for index, name in enumerate(netlist.cells)}
+    def __init__(self, netlist: Netlist, state: StaState,
+                 order: Mapping[str, int]) -> None:
+        self.order = order
         self.outputs: Dict[str, int] = {}
         for index, name in enumerate(netlist.outputs):
             self.outputs.setdefault(name, index)
@@ -486,36 +478,8 @@ class ConeBase:
     def _rank(self, key: str) -> tuple:
         kind, _, name = key.partition(":")
         if kind == "cell":
-            return (0, (0, self.cells[name]))
+            return (0, (0, self.order[name]))
         return (1, self.outputs[name])
-
-
-def _kahn_levels(netlist: Netlist) -> Dict[str, int]:
-    """Kahn depth of every combinational cell (no delay arithmetic)."""
-    indegree = _combinational_indegree(netlist)
-    level = dict.fromkeys(indegree, 0)
-    kahn = deque(name for name, deg in indegree.items() if deg == 0)
-    processed = 0
-    while kahn:
-        name = kahn.popleft()
-        processed += 1
-        output = netlist.cells[name].output
-        if not output:
-            continue
-        depth = level[name] + 1
-        for sink in netlist.nets[output].sinks:
-            sink_cell = netlist.cells.get(sink)
-            if sink_cell is None or sink_cell.is_sequential:
-                continue
-            if depth > level[sink]:
-                level[sink] = depth
-            indegree[sink] -= 1
-            if indegree[sink] == 0:
-                kahn.append(sink)
-    if processed < len(indegree):
-        raise TimingError(
-            "combinational loop detected during incremental STA")
-    return level
 
 
 def _edit_levels(netlist: Netlist, levels: Mapping[str, int]
@@ -561,9 +525,10 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
                         target_clock_ns: Optional[float] = None,
                         routing: Optional[RoutingResult] = None,
                         locations: Optional[Dict[str, Tuple[int, int]]]
-                        = None, prepared: Optional[ConeBase] = None,
+                        = None, *, prepared: ConeBase,
                         tracer=None) -> Tuple[TimingReport, StaState, int]:
-    """Cone-limited re-analysis after an incremental edit.
+    """Cone-limited re-analysis of ``netlist``, an edited copy
+    (``Netlist.copy``) of the design ``base`` describes.
 
     Worklist-driven: seeds with the changed cells and the sinks of the
     changed nets, recomputes each reached cell's arrival against the
@@ -577,14 +542,13 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     rip-up set); under that contract the merged report equals a full
     re-analysis of the edited design exactly.
 
-    For an edited copy (``Netlist.copy``) of the design ``base``
-    describes, the analysis pays for the edit only: the levels are the
-    base's, repaired over the edited nets' fan-out, the merged maps are
+    The analysis pays for the edit only: the levels are the base's,
+    repaired over the edited nets' fan-out, the merged maps are
     read-through overlays on the base state, and the critical endpoint
     comes from ``prepared`` and the recomputed endpoints.  ``prepared``
     is taken as given: the :class:`ConeBase` of the copy's ``parent``
-    and ``base`` (derived here when None).  Any other netlist is
-    levelized and scanned in full.  ``tracer`` (optional) receives
+    and ``base``.  A netlist that is not a copy is a
+    :class:`TimingError`.  ``tracer`` (optional) receives
     ``eco.sta.cells_visited``: the cells levelized and the ranked base
     endpoints read, the work outside the cone itself.
 
@@ -594,21 +558,16 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     lazily; its levels are topological, not necessarily the Kahn
     depths a full analysis stores.
     """
+    parent = netlist.parent
+    if parent is None:
+        raise TimingError(f"cone STA: {netlist.name} is not an edited "
+                          f"copy of the base design")
     cells, nets = netlist.cells, netlist.nets
     net_lengths = (_RouteLengths(routing)
                    if routing is not None else None)
     changed_cell_set = {name for name in changed_cells if name in cells}
     changed_net_set = {name for name in changed_nets if name in nets}
-    parent = netlist.parent
-    # A copy increments from the base levels.
-    if parent is not None:
-        if prepared is None:
-            prepared = ConeBase(parent, base)
-        level, visited = _edit_levels(netlist, base.levels)
-    else:
-        prepared = None
-        level = _kahn_levels(netlist)
-        visited = len(level)
+    level, visited = _edit_levels(netlist, base.levels)
 
     # Processing the worklist in level order guarantees every
     # predecessor's final value lands before a cell is recomputed, so
@@ -663,22 +622,17 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
                     enqueue(sink)
 
     # Endpoints to recompute: those fed by a changed net or by a cell
-    # whose arrival changed (plus the changed cells themselves).
-    if prepared is not None:
-        appended = netlist.outputs[len(parent.outputs):]
-        outputs = prepared.outputs
+    # whose arrival changed (plus the changed cells themselves).  A
+    # copy only appends outputs, after its parent's.
+    appended = netlist.outputs[len(parent.outputs):]
+    outputs = prepared.outputs
 
-        def output_index(name: str) -> Optional[int]:
-            if name in outputs:
-                return outputs[name]
-            if name in appended:
-                return len(parent.outputs) + appended.index(name)
-            return None
-    else:
-        outputs = {}
-        for index, name in enumerate(netlist.outputs):
-            outputs.setdefault(name, index)
-        output_index = outputs.get
+    def output_index(name: str) -> Optional[int]:
+        if name in outputs:
+            return outputs[name]
+        if name in appended:
+            return len(parent.outputs) + appended.index(name)
+        return None
     affected_nets = set(changed_net_set)
     for name in value_changed:
         output = cells[name].output
@@ -698,17 +652,11 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
                                 arrivals, key)
         if found is not None:
             delays[key], sources[key] = found
-    # Base endpoints that no longer exist.  A copy only appends
-    # outputs, so only its edited cells can have lost theirs.
-    if prepared is not None:
-        dropped = recompute | {f"cell:{name}"
-                               for name in netlist.edited_cells
-                               if name not in cells
-                               or not cells[name].is_sequential}
-    else:
-        current = set(_endpoint_keys(netlist))
-        dropped = recompute | {key for key in base.endpoint_delays
-                               if key not in current}
+    # Base endpoints that no longer exist: only the copy's edited cells
+    # can have lost theirs.
+    dropped = recompute | {f"cell:{name}" for name in netlist.edited_cells
+                           if name not in cells
+                           or not cells[name].is_sequential}
 
     live = cells.__contains__
 
@@ -720,42 +668,35 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
         parents=_View(parents, base.parents, live),
         endpoint_delays=_View(delays, base.endpoint_delays, valid),
         endpoint_sources=_View(sources, base.endpoint_sources, valid),
-        levels=(_View(level, base.levels, live) if prepared is not None
-                else level))
-    if prepared is None:
-        report = _report_from_state(netlist, device, target_clock_ns,
-                                    state)
-    else:
-        # The critical endpoint: the first still-valid base endpoint in
-        # delay order (ties to the canonical order), against the
-        # recomputed ones.  The canonical order puts sequential cells in
-        # netlist order (the copy's added cells after its parent's), then
-        # primary outputs.
-        tail = {name: index for index, name in enumerate(netlist.added_cells)}
+        levels=_View(level, base.levels, live))
+    # The critical endpoint: the first still-valid base endpoint in
+    # delay order (ties to the canonical order), against the recomputed
+    # ones.  The canonical order puts sequential cells in netlist order
+    # (the copy's added cells after its parent's), then primary outputs.
+    position = netlist.position(prepared.order)
 
-        def rank(key: str) -> tuple:
-            kind, _, name = key.partition(":")
-            if kind == "cell":
-                return (0, (1, tail[name]) if name in tail
-                        else (0, prepared.cells[name]))
-            return (1, output_index(name))
+    def rank(key: str) -> tuple:
+        kind, _, name = key.partition(":")
+        if kind == "cell":
+            return (0, position(name))
+        return (1, output_index(name))
 
-        best = None
-        for entry in prepared.ranking:
-            visited += 1
-            if entry[2] not in dropped:
+    best = None
+    for entry in prepared.ranking:
+        visited += 1
+        if entry[2] not in dropped:
+            best = entry
+            break
+    for key, delay in delays.items():
+        if delay > 0:
+            entry = (-delay, rank(key), key)
+            if best is None or entry < best:
                 best = entry
-                break
-        for key, delay in delays.items():
-            if delay > 0:
-                entry = (-delay, rank(key), key)
-                if best is None or entry < best:
-                    best = entry
-        critical, endpoint = (-best[0], best[2]) if best else (0.0, None)
-        report = _path_report(
-            netlist, device, target_clock_ns, critical, endpoint,
-            sources if endpoint in sources else base.endpoint_sources,
-            arrivals, parents)
+    critical, endpoint = (-best[0], best[2]) if best else (0.0, None)
+    report = _path_report(
+        netlist, device, target_clock_ns, critical, endpoint,
+        sources if endpoint in sources else base.endpoint_sources,
+        arrivals, parents)
     if tracer is not None:
         tracer.counter("eco.sta.cells_visited", "fabric").add(visited)
     return report, state, len(cone)

@@ -26,9 +26,11 @@ from repro.fabric import (
     Cell,
     DeltaError,
     EcoFlow,
+    FlowError,
     Netlist,
     NetlistDelta,
     NXmapProject,
+    PlacementResult,
     ReconnectInput,
     RemoveCell,
     ResizeCell,
@@ -44,8 +46,9 @@ from repro.fabric import (
     synthesize_component,
 )
 from repro.fabric.bitstream import generate_bitstream
+from repro.fabric.eco import EcoBase, WarmPlacement
 from repro.fabric.netlist import DFF, LUT4
-from repro.fabric.routing import _usage_of_paths
+from repro.fabric.routing import RoutingError, WarmRoutes, _usage_of_paths
 from repro.fabric.timing import TimingError
 
 
@@ -183,6 +186,12 @@ class TestDeltaOps:
                                      "bogus_field": 1}])
 
 
+def warm_start(project, placement):
+    """The warm-start state of a placed base project."""
+    order = {name: index for index, name in enumerate(project.netlist.cells)}
+    return WarmPlacement(project.netlist, project.device, placement, order)
+
+
 class TestEcoPlace:
     def _base(self):
         project = base_project()
@@ -194,7 +203,8 @@ class TestEcoPlace:
         delta = random_delta(project.netlist, 0.1, seed=3)
         edited, impact = delta.apply(project.netlist)
         result = eco_place(edited, project.device, placement,
-                           set(impact.changed_cells), seed=1)
+                           set(impact.changed_cells), seed=1,
+                           warm=warm_start(project, placement))
         moved = {name for name, tile in result.locations.items()
                  if placement.locations.get(name) != tile}
         surviving = set(edited.cells) - impact.added
@@ -216,7 +226,8 @@ class TestEcoPlace:
             for i in range(3)))
         edited, impact = delta.apply(project.netlist)
         result = eco_place(edited, project.device, placement,
-                           set(impact.changed_cells), seed=1)
+                           set(impact.changed_cells), seed=1,
+                           warm=warm_start(project, placement))
         cols, rows = result.grid
         for i in range(3):
             col, row = result.locations[f"obs{i}"]
@@ -226,10 +237,11 @@ class TestEcoPlace:
         project, placement = self._base()
         delta = random_delta(project.netlist, 0.1, seed=3)
         edited, impact = delta.apply(project.netlist)
+        warm = warm_start(project, placement)
         one = eco_place(edited, project.device, placement,
-                        set(impact.changed_cells), seed=1)
+                        set(impact.changed_cells), seed=1, warm=warm)
         two = eco_place(edited, project.device, placement,
-                        set(impact.changed_cells), seed=1)
+                        set(impact.changed_cells), seed=1, warm=warm)
         assert one.locations == two.locations
         assert one.hpwl == two.hpwl
 
@@ -239,7 +251,8 @@ class TestEcoPlace:
         delta = random_delta(project.netlist, 0.1, seed=3)
         edited, impact = delta.apply(project.netlist)
         result = eco_place(edited, project.device, placement,
-                           set(impact.changed_cells), seed=1)
+                           set(impact.changed_cells), seed=1,
+                           warm=warm_start(project, placement))
         assert result.hpwl == total_hpwl(edited, result.locations)
 
 
@@ -250,18 +263,24 @@ class TestDeltaRouting:
         routing = project.run_route(channel_width=8)
         return project, placement, routing
 
+    def _warm(self, project, placement, routing):
+        return WarmRoutes(routing, placement.grid, project.netlist,
+                          placement.locations)
+
     def test_rip_everything_equals_cold_route(self):
         project, placement, routing = self._placed()
-        warm = route(project.netlist, placement.locations,
-                     placement.grid, channel_width=8, warm=routing,
+        warm = route(project.netlist.copy(), placement.locations,
+                     placement.grid, channel_width=8,
+                     warm=self._warm(project, placement, routing),
                      reroute_nets=set(project.netlist.nets))
         assert json.dumps(warm.to_json(), sort_keys=True) \
             == json.dumps(routing.to_json(), sort_keys=True)
 
     def test_rip_nothing_preserves_every_tree(self):
         project, placement, routing = self._placed()
-        warm = route(project.netlist, placement.locations,
-                     placement.grid, channel_width=8, warm=routing,
+        warm = route(project.netlist.copy(), placement.locations,
+                     placement.grid, channel_width=8,
+                     warm=self._warm(project, placement, routing),
                      reroute_nets=set())
         assert warm.routes == routing.routes
         assert warm.edge_usage == routing.edge_usage
@@ -290,8 +309,10 @@ class TestDeltaRouting:
         col, row = locations[driver]
         cols, rows = placement.grid
         locations[driver] = ((col + 5) % cols, (row + 3) % rows)
-        warm = route(project.netlist, locations, placement.grid,
-                     channel_width=8, warm=routing, reroute_nets=set())
+        warm = route(project.netlist.copy(), locations, placement.grid,
+                     channel_width=8,
+                     warm=self._warm(project, placement, routing),
+                     reroute_nets=set())
         # The stale tree was detected and re-routed from the new tile.
         assert warm.routes[net_name][0][0] == locations[driver]
         assert warm.failed_connections == 0
@@ -305,11 +326,13 @@ class TestConeSta:
         _report, state = analyze_timing_state(
             project.netlist, project.device, target_clock_ns=10.0,
             routing=routing, locations=placement.locations)
+        prepared = EcoBase.of(project, state)
         for seed in (3, 11, 19):
             delta = random_delta(project.netlist, 0.1, seed=seed)
             edited, impact = delta.apply(project.netlist)
             eco = eco_place(edited, project.device, placement,
-                            set(impact.changed_cells), seed=1)
+                            set(impact.changed_cells), seed=1,
+                            warm=prepared.placement)
             moved = {name for name, tile in eco.locations.items()
                      if placement.locations.get(name) != tile}
             rip = {name for name in impact.touched_nets
@@ -321,13 +344,14 @@ class TestConeSta:
                 if cell.output in edited.nets:
                     rip.add(cell.output)
             rerouted = route(edited, eco.locations, eco.grid,
-                             channel_width=8, warm=routing,
+                             channel_width=8, warm=prepared.routing,
                              reroute_nets=rip)
             cone_report, _state, cone = analyze_timing_cone(
                 edited, project.device, state,
                 changed_cells=set(impact.changed_cells) | moved,
                 changed_nets=rip, target_clock_ns=10.0,
-                routing=rerouted, locations=eco.locations)
+                routing=rerouted, locations=eco.locations,
+                prepared=prepared.timing)
             full_report = analyze_timing(
                 edited, project.device, target_clock_ns=10.0,
                 routing=rerouted, locations=eco.locations)
@@ -375,6 +399,50 @@ class TestConeSta:
                                    target_clock_ns=10.0)
         assert json.dumps(annotated.to_json(), sort_keys=True) \
             == json.dumps(plain.to_json(), sort_keys=True)
+
+
+def _not_an_edit(case):
+    """Call one ECO stage on what is not an edit of its base."""
+    project = base_project()
+    placement = project.run_place(effort=1.0)
+    routing = project.run_route(channel_width=8)
+    _report, state = analyze_timing_state(
+        project.netlist, project.device, routing=routing,
+        locations=placement.locations)
+    prepared = EcoBase.of(project, state)
+    plain = base_netlist()                # the same design, not a copy
+    if case == "place":
+        eco_place(plain, project.device, placement, set(),
+                  warm=prepared.placement)
+    elif case == "place-unplaced-base":
+        first = next(iter(project.netlist.cells))
+        partial = PlacementResult(
+            {name: tile for name, tile in placement.locations.items()
+             if name != first},
+            placement.hpwl, placement.initial_hpwl, placement.iterations,
+            placement.grid)
+        eco_place(project.netlist.copy(), project.device, partial, set(),
+                  warm=warm_start(project, partial))
+    elif case in ("route", "route-foreign-copy"):
+        netlist = plain if case == "route" else plain.copy()
+        route(netlist, placement.locations, placement.grid,
+              channel_width=8, warm=prepared.routing)
+    else:
+        analyze_timing_cone(plain, project.device, state, (), (),
+                            prepared=prepared.timing)
+
+
+@pytest.mark.parametrize("case,error,message", [
+    ("place", FlowError, "not an edited copy"),
+    ("place-unplaced-base", FlowError, "has no base tile"),
+    ("route", RoutingError, "not an edited copy"),
+    ("route-foreign-copy", RoutingError, "not an edited copy"),
+    ("cone", TimingError, "not an edited copy"),
+])
+def test_stages_reject_what_is_not_an_edit_of_their_base(case, error,
+                                                         message):
+    with pytest.raises(error, match=message):
+        _not_an_edit(case)
 
 
 class TestEcoFlowEndToEnd:

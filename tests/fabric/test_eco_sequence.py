@@ -8,8 +8,7 @@ must report byte for byte what it reports on a freshly prepared base,
 and after the sequence the base project's netlist, placement, routing
 and STA state must be what they were before it.  The cone STA's merged
 state, a view over the shared base state, must read as a full analysis
-of the edited design, and every edit-only path must agree with the full
-walk it replaced.
+of the edited design.
 """
 
 import json
@@ -19,7 +18,6 @@ import pytest
 from repro.cache import FlowCache, netlist_fingerprint
 from repro.fabric import (
     NG_ULTRA,
-    Cell,
     EcoFlow,
     NetlistDelta,
     NXmapProject,
@@ -33,8 +31,7 @@ from repro.fabric import (
     scaled_device,
     synthesize_random,
 )
-from repro.fabric.netlist import Net, Netlist
-from repro.fabric.routing import WarmRoutes
+from repro.fabric.eco import EcoBase
 
 CELLS = 300
 EFFORT = 0.3
@@ -120,10 +117,12 @@ def test_cone_merged_state_reads_as_the_full_state():
         project.netlist, project.device, routing=routing,
         locations=placement.locations)
     before = canonical(state)
+    prepared = EcoBase.of(project, state)
     for delta in deltas(project.netlist):
         edited, impact = delta.apply(project.netlist)
         eco = eco_place(edited, project.device, placement,
-                        set(impact.changed_cells), seed=1, effort=EFFORT)
+                        set(impact.changed_cells), seed=1, effort=EFFORT,
+                        warm=prepared.placement)
         moved = {name for name, tile in eco.locations.items()
                  if placement.locations.get(name) != tile}
         rip = {name for name in impact.touched_nets if name in edited.nets}
@@ -133,8 +132,8 @@ def test_cone_merged_state_reads_as_the_full_state():
             if cell.output is not None:
                 rip.add(cell.output)
         rerouted = route(edited, eco.locations, eco.grid,
-                         channel_width=CHANNEL_WIDTH, warm=routing,
-                         reroute_nets=rip)
+                         channel_width=CHANNEL_WIDTH,
+                         warm=prepared.routing, reroute_nets=rip)
         # The cone's contract: every net whose routed length changed,
         # the overflow cascade's included.
         rip.update(name for name in edited.nets
@@ -143,7 +142,8 @@ def test_cone_merged_state_reads_as_the_full_state():
         _cone, merged, _size = analyze_timing_cone(
             edited, project.device, state,
             changed_cells=set(impact.changed_cells) | moved,
-            changed_nets=rip, routing=rerouted, locations=eco.locations)
+            changed_nets=rip, routing=rerouted, locations=eco.locations,
+            prepared=prepared.timing)
         _full, full = analyze_timing_state(
             edited, project.device, routing=rerouted,
             locations=eco.locations)
@@ -158,50 +158,3 @@ def test_cone_merged_state_reads_as_the_full_state():
                 if not edited.cells[sink].is_sequential:
                     assert merged.levels[sink] > merged.levels[name]
     assert canonical(state) == before
-
-
-def plain(netlist):
-    """The same design as a netlist that is not a copy, so the flow's
-    stages walk it in full."""
-    fresh = Netlist(netlist.name)
-    for name, net in netlist.nets.items():
-        fresh.nets[name] = Net(name, net.driver, list(net.sinks))
-    for name, cell in netlist.cells.items():
-        fresh.cells[name] = Cell(name, cell.kind, list(cell.inputs),
-                                 cell.output, cell.init)
-    fresh.inputs, fresh.outputs = list(netlist.inputs), list(netlist.outputs)
-    return fresh
-
-
-def test_edited_copy_and_full_walks_agree():
-    # The edit-only paths (an edited copy and the base-derived state)
-    # give exactly what the full walks give on the same design.
-    project = base_project()
-    placement, routing = project.placement, project.routing
-    _report, state = analyze_timing_state(
-        project.netlist, project.device, routing=routing,
-        locations=placement.locations)
-    warm = WarmRoutes(routing, placement.grid, project.netlist,
-                      placement.locations)
-    for delta in deltas(project.netlist):
-        edited, impact = delta.apply(project.netlist)
-        walked = plain(edited)
-        changed = set(impact.changed_cells)
-        eco = eco_place(edited, project.device, placement, changed,
-                        seed=1, effort=EFFORT)
-        assert canonical(eco) == canonical(eco_place(
-            walked, project.device, placement, changed, seed=1,
-            effort=EFFORT))
-        rip = {name for name in impact.touched_nets if name in edited.nets}
-        rerouted = route(edited, eco.locations, eco.grid,
-                         channel_width=CHANNEL_WIDTH, warm=warm,
-                         reroute_nets=rip)
-        assert canonical(rerouted) == canonical(route(
-            walked, eco.locations, eco.grid, channel_width=CHANNEL_WIDTH,
-            warm=routing, reroute_nets=rip))
-        cones = [analyze_timing_cone(
-            design, project.device, state, changed_cells=changed,
-            changed_nets=rip, target_clock_ns=20.0, routing=rerouted,
-            locations=eco.locations) for design in (edited, walked)]
-        assert canonical(cones[0][0]) == canonical(cones[1][0])
-        assert cones[0][2] == cones[1][2]

@@ -37,6 +37,7 @@ from repro.fabric import (
     scaled_device,
     synthesize_design,
 )
+from repro.fabric.eco import WarmPlacement
 from repro.fabric.placement import total_hpwl
 from repro.hls import synthesize
 
@@ -106,8 +107,10 @@ def test_eco_placement_matches_golden(netlists):
     base = PlacementResult.from_json(json.loads(V3_BASE.read_text()))
     assert digest(base) == V3_BASE_DIGEST
     edited, impact = random_delta(netlist, 0.01, seed=4).apply(netlist)
+    order = {name: index for index, name in enumerate(netlist.cells)}
     result = eco_place(edited, device, base, set(impact.changed_cells),
-                       seed=4)
+                       seed=4, warm=WarmPlacement(netlist, device, base,
+                                                  order))
     assert digest(result, drop=("hpwl",)) == ECO_DIGEST
     # The accepted moves lower the HPWL below the warm start's; the
     # reported value is the final one, exactly.

@@ -9,7 +9,15 @@ Over generated designs (``synthesize_random``) and generated edits
 * the channel usage a result reports (``edge_usage``) is exactly the
   occupancy of the paths it reports — after a cold route, after that
   full warm re-route, and after a delta route that re-routes only the
-  edit's touched nets (so warm trees are kept, subtracted and ripped).
+  edit's touched nets (so warm trees are kept, subtracted and ripped);
+* a delta route fits the edited design computed from scratch: every
+  net's paths connect its driver to each of its sinks (``_connections``
+  over all of the edited nets) unless a connection failed, no net
+  without connections keeps paths, and the routed plus failed
+  connections are all of them.
+  The delta route checks only the nets the edit could have made stale,
+  so this guards that set: it holds for the touched nets named, and
+  for none named (every stale net must then be found by the route).
 """
 
 import json
@@ -26,7 +34,9 @@ from repro.fabric import (
     scaled_device,
     synthesize_random,
 )
-from repro.fabric.routing import _usage_of_paths
+from repro.fabric.eco import WarmPlacement
+from repro.fabric.routing import WarmRoutes, _connections, _grid, \
+    _usage_of_paths
 
 
 def small_device():
@@ -42,6 +52,50 @@ def usage_of_routes(result):
                            for path in paths)
 
 
+def reaches(paths, source, sinks):
+    """Whether ``paths`` (one per sink, in order) connect the driver
+    tile ``source`` to each of ``sinks``: every path is a chain of
+    neighbouring tiles that ends at its sink and starts on the driver
+    or on a path that does.  (``_fits``, the route's own staleness
+    filter, also asks the first path to start on the driver, which a
+    path re-routed after a rip-up need not.)"""
+    if len(paths) != len(sinks) or any(
+            not path or path[-1] != sink
+            or any(abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1
+                   for a, b in zip(path, path[1:]))
+            for path, sink in zip(paths, sinks)):
+        return False
+    reached, pending = {source}, list(paths)
+    while pending:
+        rest = [path for path in pending if path[0] not in reached]
+        if len(rest) == len(pending):
+            return False
+        for path in pending:
+            if path[0] in reached:
+                reached.update(path)
+        pending = rest
+    return True
+
+
+def misfits(result, netlist, placement):
+    """Check ``result`` against ``netlist`` from scratch: the nets whose
+    paths do not connect their connections, and the connection count."""
+    tables = _grid(*placement.grid)
+    unfit, connections = [], 0
+    for net_name in netlist.nets:
+        source, sinks = _connections(netlist, placement.locations,
+                                     tables.ids, net_name)
+        connections += len(sinks)
+        paths = result.routes.get(net_name)
+        if not sinks:
+            if paths is not None:
+                unfit.append(net_name)
+        elif not reaches(paths or [], tables.tiles[source],
+                         [tables.tiles[sink] for sink in sinks]):
+            unfit.append(net_name)
+    return unfit, connections
+
+
 @settings(max_examples=20, deadline=None)
 @given(n_cells=st.integers(min_value=40, max_value=300),
        design_seed=st.integers(min_value=0, max_value=1 << 16),
@@ -55,21 +109,33 @@ def test_delta_route_matches_cold_route(n_cells, design_seed, fraction,
     base_place = place(netlist, device, seed=1, effort=0.05)
     base_route = route(netlist, base_place.locations, base_place.grid,
                        channel_width=channel_width)
+    order = {name: index for index, name in enumerate(netlist.cells)}
+    warm = WarmRoutes(base_route, base_place.grid, netlist,
+                      base_place.locations)
     edited, impact = random_delta(netlist, fraction,
                                   seed=delta_seed).apply(netlist)
     placement = eco_place(edited, device, base_place,
                           set(impact.changed_cells), seed=delta_seed,
-                          effort=0.05)
+                          effort=0.05,
+                          warm=WarmPlacement(netlist, device, base_place,
+                                             order))
 
     cold = route(edited, placement.locations, placement.grid,
                  channel_width=channel_width)
     full = route(edited, placement.locations, placement.grid,
-                 channel_width=channel_width, warm=base_route,
+                 channel_width=channel_width, warm=warm,
                  reroute_nets=set(edited.nets))
     assert canonical(full) == canonical(cold)
 
-    delta = route(edited, placement.locations, placement.grid,
-                  channel_width=channel_width, warm=base_route,
-                  reroute_nets=set(impact.touched_nets))
-    for result in (base_route, cold, full, delta):
+    deltas = [route(edited, placement.locations, placement.grid,
+                    channel_width=channel_width, warm=warm,
+                    reroute_nets=nets)
+              for nets in (set(impact.touched_nets), set())]
+    for result in [base_route, cold, full] + deltas:
         assert result.edge_usage == usage_of_routes(result)
+    for delta in deltas:
+        unfit, connections = misfits(delta, edited, placement)
+        # A failed connection leaves its net short of one path.
+        assert len(unfit) <= delta.failed_connections, unfit[:5]
+        assert delta.routed_connections + delta.failed_connections \
+            == connections
