@@ -151,25 +151,50 @@ def run_eco_race():
     return table, results
 
 
-def test_flow_eco(benchmark):
+def gate_verdicts(results):
+    """``(gate, passed, reading)`` of every QoR and speed gate."""
+    verdicts = []
+    for fraction, metrics in results.items():
+        report = metrics["report"]
+        edit = f"{fraction * 100:.1f}%"
+        # QoR: within 5% of the cold flow's HPWL at every edit size.
+        ratio = metrics["hpwl_ratio"]
+        verdicts.append((f"{edit} ECO HPWL within 5% of cold",
+                         ratio <= 1.05, f"ratio {ratio:.4f}"))
+        # No timing violation the cold flow does not also have.
+        eco_slack, cold_slack = metrics["eco_slack"], metrics["cold_slack"]
+        violated = eco_slack is not None and eco_slack < 0
+        verdicts.append((
+            f"{edit} no timing violation the cold flow lacks",
+            not violated or (cold_slack is not None and cold_slack < 0),
+            f"slack eco {eco_slack} cold {cold_slack}"))
+        failed = report.flow.routing.failed_connections
+        verdicts.append((f"{edit} ECO routes every connection",
+                         failed == 0, f"{failed} failed"))
+        verdicts.append((f"{edit} cold flow routes every connection",
+                         metrics["cold_failed"] == 0,
+                         f"{metrics['cold_failed']} failed"))
+        # The frozen region never drifts from the cached base.
+        drifted = metrics["drifted"]
+        verdicts.append((f"{edit} no frozen cell drifts", not drifted,
+                         f"{len(drifted)} drifted {drifted[:5]}"))
+    # The headline gate: ≥10x at the 1% edit point.
+    speedup = results[0.01]["speedup"]
+    verdicts.append(("1.0% ECO speedup >= 10x", speedup >= 10.0,
+                     f"{speedup:.1f}x"))
+    return verdicts
+
+
+def test_flow_eco(benchmark, capsys):
     table, results = benchmark.pedantic(run_eco_race, rounds=1,
                                         iterations=1)
     save_table(table, "flow_eco")
 
-    for fraction, metrics in results.items():
-        report = metrics["report"]
-        # QoR: within 5% of the cold flow's HPWL at every edit size.
-        assert metrics["hpwl_ratio"] <= 1.05, fraction
-        # No timing violation the cold flow does not also have.
-        if metrics["eco_slack"] is not None \
-                and metrics["eco_slack"] < 0:
-            assert metrics["cold_slack"] is not None \
-                and metrics["cold_slack"] < 0, fraction
-        assert report.flow.routing.failed_connections == 0, fraction
-        assert metrics["cold_failed"] == 0, fraction
-        # The frozen region never drifts from the cached base.
-        assert not metrics["drifted"], (fraction, metrics["drifted"][:5])
-
-    # The headline gate: ≥10x at the 1% edit point.
-    speedup = results[0.01]["speedup"]
-    assert speedup >= 10.0, f"eco speedup {speedup:.1f}x < 10x at 1%"
+    # Every gate is evaluated and printed before any fails the bench.
+    verdicts = gate_verdicts(results)
+    with capsys.disabled():
+        for gate, passed, reading in verdicts:
+            print(f"{'PASS' if passed else 'FAIL'}  {gate}: {reading}")
+    failed = [f"{gate} ({reading})" for gate, passed, reading in verdicts
+              if not passed]
+    assert not failed, f"failed gates: {'; '.join(failed)}"

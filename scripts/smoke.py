@@ -133,9 +133,9 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "assert layers['characterize']['hits'] > 0, layers; "
          "assert layers['radhard']['hits'] > 0, layers; "
          "assert d['entries'] > 0 and d['bytes'] > 0\""),
-        ("Concurrent writers on one cache directory",
+        ("Store tests and concurrent writers on one cache directory",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/cache/test_store_concurrency.py"),
+         "tests/cache/test_store.py tests/cache/test_store_concurrency.py"),
         ("Two SEU campaigns at once share one cache directory",
          "PYTHONPATH=src python -m repro.cli seu --runs 200 --seed 1 "
          "--cache-dir .shared-cache >/dev/null &\n"

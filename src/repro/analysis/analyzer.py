@@ -49,13 +49,11 @@ class TargetResult:
 
     Counters (dataflow solver iterations, widenings, per-domain transfer
     tallies) merge in plan order so the totals are identical at any job
-    count or backend; wall-clock ``timings`` are gauges and excluded
-    from every byte-identity contract.
+    count or backend.
     """
 
     diagnostics: List[Diagnostic] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -162,14 +160,13 @@ class Analyzer:
                  baseline: Optional[Set[str]] = None,
                  jobs: int = 1, backend: str = "auto",
                  registry: Optional[RuleRegistry] = None,
-                 deep: bool = False, tracer=None) -> None:
+                 deep: bool = False) -> None:
         self.registry = registry or DEFAULT_REGISTRY
         self.selected: List[Rule] = self.registry.select(rules, deep=deep)
         self.baseline: Set[str] = set(baseline or ())
         self.jobs = jobs
         self.backend = backend
         self.deep = deep
-        self.tracer = tracer
 
     def rules_for_layer(self, layer: str) -> List[Rule]:
         return [r for r in self.selected if r.layer == layer]
@@ -190,7 +187,7 @@ class Analyzer:
                     location=rule.rule_id,
                     message=f"rule crashed: {type(error).__name__}: "
                             f"{error}"))
-        return TargetResult(found, context.counters(), context.timings())
+        return TargetResult(found, context.counters())
 
     def run(self, targets: Sequence[AnalysisTarget]) -> AnalysisReport:
         targets = list(targets)
@@ -205,7 +202,6 @@ class Analyzer:
             lambda index, _seed: self._lint_target(targets[index]),
             runs=len(targets))
         merged: List[Diagnostic] = []
-        timings: Dict[str, float] = {}
         # Plan-order fold keeps counters deterministic at any job count.
         for result in execution.results:
             outcome = result.value
@@ -214,8 +210,6 @@ class Analyzer:
             merged.extend(outcome.diagnostics)
             for key, value in outcome.counters.items():
                 report.counters[key] = report.counters.get(key, 0) + value
-            for key, value in outcome.timings.items():
-                timings[key] = timings.get(key, 0.0) + value
         kept: List[Diagnostic] = []
         for diag in merged:
             if diag.fingerprint in self.baseline:
@@ -223,11 +217,6 @@ class Analyzer:
             else:
                 kept.append(diag)
         report.diagnostics = sorted(kept, key=Diagnostic.sort_key)
-        if self.tracer is not None:
-            for key in sorted(report.counters):
-                self.tracer.counter(key).add(report.counters[key])
-            for key in sorted(timings):
-                self.tracer.gauge(key).set(timings[key])
         return report
 
 

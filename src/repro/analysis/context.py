@@ -4,8 +4,8 @@ Rules declaring a third parameter (``fn(artifact, emit, context)``)
 receive an :class:`AnalysisContext`.  It carries the ``--deep`` flag and
 memoizes one :class:`~repro.analysis.dataflow.driver.ModuleDataflow` per
 IR module, so every deep rule linting the same module shares the same
-fixpoint solves.  The accumulated solver counters/timings are collected
-by the analyzer after each target and merged deterministically.
+fixpoint solves.  The accumulated solver counters are collected by the
+analyzer after each target and merged deterministically.
 """
 
 from __future__ import annotations
@@ -37,12 +37,4 @@ class AnalysisContext:
         for driver in self._dataflow:
             for key, value in driver.counters.items():
                 merged[key] = merged.get(key, 0) + value
-        return merged
-
-    def timings(self) -> Dict[str, float]:
-        """Wall-clock per-domain seconds (gauges, non-deterministic)."""
-        merged: Dict[str, float] = {}
-        for driver in self._dataflow:
-            for key, value in driver.timings.items():
-                merged[key] = merged.get(key, 0.0) + value
         return merged

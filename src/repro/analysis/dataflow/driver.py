@@ -1,4 +1,4 @@
-"""Per-module dataflow orchestration: memoized solves + telemetry.
+"""Per-module dataflow orchestration: memoized solves + counters.
 
 Lint rules never call :func:`~.solver.solve` directly — they go through a
 :class:`ModuleDataflow`, which memoizes one fixpoint per ``(function,
@@ -6,14 +6,11 @@ domain)`` pair so five rules sharing the interval domain pay for one
 solve, and which aggregates :class:`~.solver.SolverStats` into the
 deterministic counter map the analyzer merges into telemetry
 (``dataflow.solver.iterations``, ``dataflow.widenings``,
-``dataflow.<domain>.transfers``).  Wall-clock per-domain timings are kept
-separate (``timings``) because they are gauges, not part of any
-byte-identity contract.
+``dataflow.<domain>.transfers``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional, Tuple
 
 from ...hls.ir.cfg import Function, Module
@@ -47,8 +44,6 @@ class ModuleDataflow:
         self._views: Dict[str, CfgView] = {}
         # Insertion-ordered, deterministic across runs and job counts.
         self.counters: Dict[str, int] = {}
-        # Wall-clock gauges (never part of deterministic output).
-        self.timings: Dict[str, float] = {}
 
     def view(self, func: Function) -> CfgView:
         """The shared forward CFG traversal of ``func``."""
@@ -62,19 +57,16 @@ class ModuleDataflow:
         if key not in self._results:
             factory = DOMAIN_FACTORIES[domain_name]
             domain = factory(func, self.module)
-            started = time.perf_counter()
             result = solve(domain, func)
-            elapsed = time.perf_counter() - started
             self._results[key] = result
-            self._record(domain_name, result, elapsed)
+            self._record(domain_name, result)
         return self._results[key]
 
     def _bump(self, key: str, amount: int) -> None:
         if amount:
             self.counters[key] = self.counters.get(key, 0) + amount
 
-    def _record(self, domain_name: str, result: DataflowResult,
-                elapsed: float) -> None:
+    def _record(self, domain_name: str, result: DataflowResult) -> None:
         stats = result.stats
         self._bump("dataflow.solver.iterations", stats.iterations)
         self._bump("dataflow.widenings", stats.widenings)
@@ -82,6 +74,3 @@ class ModuleDataflow:
         self._bump(f"dataflow.{domain_name}.transfers", stats.transfers)
         if not stats.converged:
             self._bump(f"dataflow.{domain_name}.unconverged", 1)
-        timing_key = f"dataflow.{domain_name}.seconds"
-        self.timings[timing_key] = \
-            self.timings.get(timing_key, 0.0) + elapsed

@@ -94,11 +94,6 @@ class RuleRegistry:
         self.rules[rule.rule_id] = rule
         return rule
 
-    def for_layer(self, layer: str) -> List[Rule]:
-        return [r for r in sorted(self.rules.values(),
-                                  key=lambda r: r.rule_id)
-                if r.layer == layer]
-
     def select(self, patterns: Optional[List[str]] = None,
                deep: bool = False) -> List[Rule]:
         """Rules whose id matches any glob pattern (all when None).

@@ -141,13 +141,6 @@ def mlp_reference(x, seed: int = 42) -> int:
     return int(np.argmax(scores))
 
 
-def mlp_scores_reference(x, seed: int = 42) -> np.ndarray:
-    w1, b1, w2, b2 = make_weights(seed)
-    x = np.asarray(x, dtype=np.int64)
-    hidden = np.maximum((w1 @ x + b1) >> SHIFT, 0)
-    return (w2 @ hidden + b2) >> SHIFT
-
-
 def sample_inputs(count: int = 16, seed: int = 7) -> List[List[int]]:
     """Deterministic int8 input vectors."""
     rng = np.random.default_rng(seed)

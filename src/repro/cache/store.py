@@ -37,6 +37,11 @@ DEFAULT_MAX_BYTES = 256 * 1024 * 1024
 OBJECTS_DIR = "objects"
 STATS_NAME = "stats.json"
 STATS_LOCK_NAME = "stats.lock"
+#: Age past which a ``*.tmp`` file in ``objects/`` is the leftover of a
+#: writer killed before its rename: ``gc`` and ``clear`` remove it.  A
+#: live write renames its file within milliseconds, so another process's
+#: write in flight is never taken.
+ORPHAN_GRACE_S = 600
 
 Decoder = Callable[[Dict[str, Any]], Any]
 Encoder = Callable[[Any], Dict[str, Any]]
@@ -138,6 +143,16 @@ class DiskStore:
                                         info.st_size))
         entries.sort()
         return entries
+
+    def _remove_orphans(self) -> None:
+        """Unlink the temp files older than ``ORPHAN_GRACE_S``."""
+        cutoff = time.time_ns() - ORPHAN_GRACE_S * 1_000_000_000
+        with os.scandir(self._objects) as found:
+            for item in found:
+                if item.name.endswith(".tmp"):
+                    with suppress(OSError):     # removed meanwhile
+                        if item.stat().st_mtime_ns < cutoff:
+                            os.unlink(item.path)
 
     def _write(self, path: Path, text: str) -> None:
         """Replace ``path`` atomically through a unique temp file."""
@@ -269,8 +284,10 @@ class DiskStore:
                     for layer, counters in sorted(stats.items())}
 
     def clear(self) -> int:
-        """Delete every entry (counters reset too); returns count."""
+        """Delete every entry (counters reset too) and the orphaned temp
+        files; returns the number of entries."""
         with self._lock:
+            self._remove_orphans()
             entries = self._scan()
             for _, key, _ in entries:
                 self._object_path(key).unlink(missing_ok=True)
@@ -280,10 +297,11 @@ class DiskStore:
             return len(entries)
 
     def gc(self, max_bytes: Optional[int] = None) -> int:
-        """Remove unreadable or non-object entries, then evict down to
-        ``max_bytes`` (default: the configured bound); returns the number
-        of entries removed."""
+        """Remove orphaned temp files and unreadable or non-object
+        entries, then evict down to ``max_bytes`` (default: the configured
+        bound); returns the number of entries removed."""
         with self._lock:
+            self._remove_orphans()
             removed = sum(self._load(key)[1] for _, key, _ in self._scan())
             if max_bytes is not None:
                 self.max_bytes = max_bytes

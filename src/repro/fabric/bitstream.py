@@ -72,11 +72,6 @@ class Bitstream:
             raise BitstreamError(f"bit {bit_index} out of range")
         return divmod(bit_index, self.frame_bits)
 
-    def get_bit(self, bit_index: int) -> int:
-        frame_idx, offset = self._locate(bit_index)
-        byte, bit = divmod(offset, 8)
-        return (self.frames[frame_idx].data[byte] >> bit) & 1
-
     def flip_bit(self, bit_index: int) -> None:
         """Inject an SEU: toggle one configuration bit."""
         frame_idx, offset = self._locate(bit_index)

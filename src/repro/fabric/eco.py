@@ -9,7 +9,7 @@ re-implementation incremental:
 * :class:`NetlistDelta` — a typed edit script (add/remove/resize cell,
   reconnect an input pin, retarget an output, constraint change) with a
   canonical JSON form and a content fingerprint.
-  ``Netlist.apply_delta`` applies it to a copy-on-write *copy*
+  :meth:`NetlistDelta.apply` applies it to a copy-on-write *copy*
   (``Netlist.copy``), so the base netlist's content fingerprint stays
   stable, equal (base, delta) pairs yield structurally identical edited
   netlists, and the copy records the cells and nets it wrote.
@@ -33,20 +33,23 @@ re-implementation incremental:
 An edit pays for the edit, not the design.  Once per base,
 :meth:`EcoFlow.prepare_base` derives an :class:`EcoBase` and keeps it
 on the base project (``NXmapProject.eco_base``) next to its cached
-results; :meth:`EcoBase.of` alone decides when it is stale.  It holds
-the base cell order (one map: the warm start, the bitstream's cell sort
-and the cone's endpoint rank read it), the site map with every base
-cell placed and the HPWL (:class:`WarmPlacement`), the warm routes by
-tile id with each edge's users
-(:class:`~repro.fabric.routing.WarmRoutes`), and the canonical endpoint
-order with the endpoints ranked by delay
-(:class:`~repro.fabric.timing.ConeBase`); the Kahn levels live in the
-cached :class:`~repro.fabric.timing.StaState`.
-Edits only read it.  Per edit, the flow then touches the changed
-cells, their nets and the overflowed edges: validation checks the
-written nets and the forward cone of new combinational edges
-(``NXmapProject.for_edit``), the warm start copies the site map and
-indexes the movable cells' nets, the route checks the nets the edit
+results; :meth:`EcoBase.of` alone decides when it is stale: it is
+current while the project's netlist, placement and routing objects are
+the ones it was derived from, so every flow on one base, cached or not,
+shares it, and the base's full STA runs once.  It holds the base's full
+STA state (:class:`~repro.fabric.timing.StaState`, stage ``sta-state``,
+with the Kahn levels), the base cell order (one map: the warm start,
+the bitstream's cell sort and the cone's endpoint rank read it), the
+site map with every base cell placed and the HPWL
+(:class:`WarmPlacement`), the warm routes by tile id with each edge's
+users (:class:`~repro.fabric.routing.WarmRoutes`), and the canonical
+endpoint order with the endpoints ranked by delay
+(:class:`~repro.fabric.timing.ConeBase`).  Edits only read it.  Per
+edit, the flow then touches the changed cells, their nets and the
+overflowed edges: validation checks the written nets and the forward
+cone of new combinational edges (``NXmapProject.for_edit``), the warm
+start copies the site map and indexes the movable cells' nets (with
+the cold placer's ``_connectivity``), the route checks the nets the edit
 could have made stale and rips up only nets on overflowed edges, the
 cone STA repairs the stored levels over the edited nets, and the
 bitstream rebuilds the touched tiles from the cells on them.  What
@@ -84,7 +87,7 @@ from .device import Device
 from .netlist import CELL_KINDS, LUT4, Cell, Netlist, NetlistError
 from .nxmap import FlowError, FlowReport, NXmapProject
 from .placement import PlacementResult, Tile, _Grid, _SiteManager, \
-    _anneal, _bbox, _net_span
+    _anneal, _bbox, _connectivity, _net_span
 from .routing import DEFAULT_CHANNEL_WIDTH, RoutingResult, WarmRoutes, \
     route
 from .timing import ConeBase, StaState, TimingReport, \
@@ -438,12 +441,17 @@ def random_delta(netlist: Netlist, fraction: float,
 # -- warm-start placement ---------------------------------------------------
 
 
+#: Why a warm start refuses its base placement.
+_INCOMPATIBLE = "eco warm start: {} (incompatible base placement)"
+
+
 def _occupied_sites(netlist: Netlist, device: Device,
-                    base: PlacementResult
-                    ) -> Tuple[_SiteManager, Optional[Tuple[str, Tile]]]:
+                    base: PlacementResult) -> _SiteManager:
     """The site manager on ``base``'s grid with every cell of ``netlist``
     that has a base tile placed there, in netlist order (the order fixes
-    the free-lists' order), and the first cell whose tile had no room."""
+    the free-lists' order).  A cell whose base tile has no room left for
+    it is a :class:`FlowError`: on a base that fits, only a removed cell
+    re-added as another site class can meet one."""
     sites = _SiteManager(_Grid(device, netlist, dims=base.grid))
     for name, cell in netlist.cells.items():
         tile = base.locations.get(name)
@@ -451,9 +459,10 @@ def _occupied_sites(netlist: Netlist, device: Device,
             continue
         cls = _SiteManager.site_class(cell.kind)
         if not sites.has_room(cls, tile):
-            return sites, (name, tile)
+            raise FlowError(_INCOMPATIBLE.format(
+                f"base tile {tile} of {name!r} is over capacity"))
         sites.occupy(cls, tile)
-    return sites, None
+    return sites
 
 
 class WarmPlacement:
@@ -465,7 +474,9 @@ class WarmPlacement:
     the sites they occupy (free-list order included), the base HPWL, and
     how many nets cover fewer than two pins (``total_hpwl`` is a float
     when any does).  An edit of a copy of ``netlist`` then pays for its
-    own cells and nets only.
+    own cells and nets only.  ``misfit`` (None when ``base`` fits) is
+    why every warm start from ``base`` is refused: a base cell without
+    a base tile, a placed cell the netlist lacks or an over-full tile.
     """
 
     def __init__(self, netlist: Netlist, device: Device,
@@ -480,14 +491,19 @@ class WarmPlacement:
                 unplaced.append(name)
             else:
                 self.tiles.setdefault(tile, []).append(name)
-        # Why ``base`` is not a placement of exactly ``netlist``'s cells
-        # (None when it is): every warm start from it is refused.
         self.misfit: Optional[str] = None
+        self.sites: Optional[_SiteManager] = None
         if unplaced:
-            self.misfit = f"base cell {unplaced[0]!r} has no base tile"
+            self.misfit = _INCOMPATIBLE.format(
+                f"base cell {unplaced[0]!r} has no base tile")
         elif len(base.locations) != len(netlist.cells):
-            self.misfit = "it places cells the base netlist lacks"
-        self.sites, self.overfull = _occupied_sites(netlist, device, base)
+            self.misfit = _INCOMPATIBLE.format(
+                "it places cells the base netlist lacks")
+        else:
+            try:
+                self.sites = _occupied_sites(netlist, device, base)
+            except FlowError as error:
+                self.misfit = str(error)
         spans = [_net_span(netlist, base.locations.get, name)
                  for name in netlist.nets]
         self.degenerate = spans.count(None)
@@ -573,8 +589,8 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     cells, their nets and pins are indexed for the anneal.  An edit that
     removes a cell re-occupies the sites cell by cell (the free-lists'
     order, which the anneal samples, depends on it).  A netlist that is
-    not a copy, or a ``base`` that does not place exactly the parent's
-    cells, is a :class:`FlowError`.  The tracer counter
+    not a copy, or a ``base`` that does not fit the parent
+    (``warm.misfit``), is a :class:`FlowError`.  The tracer counter
     ``eco.place.sites_scanned`` counts the sites looked at, for added
     cells and by such a re-occupation.
     """
@@ -583,8 +599,7 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         raise FlowError(f"eco warm start: {netlist.name} is not an "
                         f"edited copy of the base design")
     if warm.misfit is not None:
-        raise FlowError(f"eco warm start: {warm.misfit} "
-                        f"(incompatible base placement)")
+        raise FlowError(warm.misfit)
     rng = random.Random(seed)
     cells, nets = netlist.cells, netlist.nets
     position = netlist.position(warm.order)
@@ -595,17 +610,13 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
            for name in netlist.edited_cells if name in warm.order):
         # A base cell was removed (or re-added): the free-lists' order
         # follows the edited cell order, so the sites are re-occupied.
-        sites, overfull = _occupied_sites(netlist, device, base)
+        sites = _occupied_sites(netlist, device, base)
         scanned += len(cells)
     else:
-        sites, overfull = warm.sites.copy(), warm.overfull
+        sites = warm.sites.copy()
     cols, rows = sites.grid.cols, sites.grid.rows
     if not cells:
         return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
-    if overfull is not None:
-        raise FlowError(
-            f"eco warm start: base tile {overfull[1]} of {overfull[0]!r} "
-            f"is over capacity (incompatible base placement)")
 
     movable = _movable_cells(netlist, base, changed_cells)
 
@@ -655,43 +666,20 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     # ``total_hpwl`` sums a float 0.0 for each such net.
     initial = float(total) if degenerate else total
 
-    # Index only the movable cells, their tracked nets and those nets'
-    # pins, in netlist order for the movable ones (the anneal draws
-    # from that list); nets without a movable pin cannot change span.
+    # Index only the movable cells, their nets and those nets' pins, in
+    # netlist order for the movable ones (the anneal draws from that
+    # list); nets without a movable pin cannot change span.
     members = sorted(movable, key=position)
-    local: Dict[str, int] = {name: index
-                             for index, name in enumerate(members)}
     names = list(members)
-    tracked: List[Tuple[List[int], Dict[int, int]]] = []
-    seen: Set[str] = set()
+    member_nets: Dict[str, None] = {}
     for name in members:
         cell = cells[name]
-        for net_name in cell.inputs + ([cell.output] if cell.output
-                                       is not None else []):
-            if net_name in seen:
-                continue
-            seen.add(net_name)
-            net = nets[net_name]
-            pins: List[int] = []
-            for pin in ([net.driver] if net.driver is not None
-                        else []) + net.sinks:
-                if pin not in cells:
-                    continue
-                index = local.get(pin)
-                if index is None:
-                    index = local[pin] = len(names)
-                    names.append(pin)
-                pins.append(index)
-            counts: Dict[int, int] = {}
-            for pin in pins:
-                counts[pin] = counts.get(pin, 0) + 1
-            if len(counts) >= 2:
-                tracked.append((pins, counts))
-    net_pins = [pins for pins, _counts in tracked]
-    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in names]
-    for net_id, (_pins, counts) in enumerate(tracked):
-        for pin, count in counts.items():
-            nets_of_cell[pin].append((net_id, count))
+        member_nets.update(dict.fromkeys(cell.inputs))
+        if cell.output is not None:
+            member_nets[cell.output] = None
+    net_pins, nets_of_cell = _connectivity(
+        map(nets.__getitem__, member_nets), cells,
+        {name: index for index, name in enumerate(members)}, names)
     xs = [tile_of(name)[0] for name in names]
     ys = [tile_of(name)[1] for name in names]
     classes = [_SiteManager.site_class(cells[name].kind) for name in names]
@@ -832,9 +820,10 @@ class EcoBase(NamedTuple):
     """What every edit of one base implementation needs of the whole
     design: derived once per base by :meth:`of`, carried on the base
     project next to its cached results, and only read by the edits.
-    ``netlist``, ``placed`` and ``state`` (with ``routing.result``) are
-    the base it was derived from; the ECO stages take the derived
-    ``placement``, ``routing`` and ``timing`` as given."""
+    ``netlist`` and ``placed`` (with ``routing.result``) are the base it
+    was derived from and ``state`` is that base's full STA state; the
+    ECO stages take the derived ``placement``, ``routing`` and
+    ``timing`` as given."""
 
     netlist: Netlist
     placed: PlacementResult
@@ -844,19 +833,25 @@ class EcoBase(NamedTuple):
     timing: ConeBase
 
     @classmethod
-    def of(cls, project: NXmapProject, state: StaState) -> "EcoBase":
-        """The derived state of ``project``'s base, whose full STA state
-        is ``state``: the one kept as ``project.eco_base`` while it was
-        derived from the project's current netlist, placement, routing
-        and ``state`` (the one staleness rule), else derived anew and
-        kept."""
+    def of(cls, project: NXmapProject) -> "EcoBase":
+        """The derived state of ``project``'s placed and routed base: the
+        one kept as ``project.eco_base`` while the project's netlist,
+        placement and routing are the ones it was derived from (the one
+        staleness rule), else derived anew and kept.  Deriving runs the
+        full STA state through the stage cache (stage ``sta-state``,
+        keyed under the base route key)."""
         kept = project.eco_base
         if kept is not None and kept.netlist is project.netlist \
                 and kept.placed is project.placement \
-                and kept.routing.result is project.routing \
-                and kept.state is state:
+                and kept.routing.result is project.routing:
             return kept
         netlist, placement = project.netlist, project.placement
+        state = project.run_stage(
+            "sta-state", project.stage_keys.get("route"), StaState,
+            lambda: analyze_timing_state(
+                netlist, project.device, routing=project.routing,
+                locations=placement.locations)[1],
+            span="eco.sta.base")
         # The one base cell order: the warm start, the bitstream's cell
         # sort and the cone's endpoint rank all read it.
         order = {name: index for index, name in enumerate(netlist.cells)}
@@ -890,23 +885,23 @@ class EcoFlow:
         self.routing: Optional[RoutingResult] = None
         self.timing: Optional[TimingReport] = None
         self.bitstream: Optional[Bitstream] = None
-        self._base_state: Optional[StaState] = None
 
     def prepare_base(self, effort: float = 1.0,
                      channel_width: int = DEFAULT_CHANNEL_WIDTH
-                     ) -> StaState:
-        """Ensure the base implementation this flow increments from.
+                     ) -> EcoBase:
+        """Ensure the base implementation this flow increments from, and
+        return its :class:`EcoBase`.
 
         Base placement, routing and bitstream warm from the cache when
         present and are recomputed cold when evicted — either way the
         stage keys are rebuilt, so the delta chain stays consistent.
         The edit's bitstream is rebuilt from the base one.  The full-STA
-        propagation state is cached under the base route key (stage
-        ``sta-state``), and the design-wide indexes every edit reads
-        are derived from the base once (:class:`EcoBase`, kept as
-        ``project.eco_base`` until the base changes): in the interactive
-        scenario they are part of the implemented design, so callers
-        may run this outside the timed edit loop.
+        state and the design-wide indexes every edit reads are derived
+        from the base once (:meth:`EcoBase.of`, kept as
+        ``project.eco_base`` until the base changes), however many flows
+        edit it: in the interactive scenario they are part of the
+        implemented design, so callers may run this outside the timed
+        edit loop.
         """
         project = self.project
         if project.placement is None:
@@ -915,16 +910,7 @@ class EcoFlow:
             project.run_route(channel_width=channel_width)
         if project.bitstream is None:
             project.run_bitstream()
-        if self._base_state is None:
-            self._base_state = project.run_stage(
-                "sta-state", project.stage_keys.get("route"), StaState,
-                lambda: analyze_timing_state(
-                    project.netlist, project.device,
-                    routing=project.routing,
-                    locations=project.placement.locations)[1],
-                span="eco.sta.base")
-        EcoBase.of(project, self._base_state)
-        return self._base_state
+        return EcoBase.of(project)
 
     def run(self, target_clock_ns: float = 10.0, effort: float = 1.0,
             channel_width: int = DEFAULT_CHANNEL_WIDTH) -> EcoReport:
@@ -932,9 +918,8 @@ class EcoFlow:
         tracer = base.tracer
 
         with base.span("eco", ops=len(self.delta.ops)):
-            base_state = self.prepare_base(effort=effort,
-                                           channel_width=channel_width)
-            prepared = base.eco_base
+            prepared = self.prepare_base(effort=effort,
+                                         channel_width=channel_width)
             base_place = base.placement
             base_route = base.routing
             base_bitstream = base.bitstream
@@ -1003,7 +988,7 @@ class EcoFlow:
             # (c) Cone-limited STA, merged into the cached base state.
             def compute_sta() -> _ConeTiming:
                 report, _state, size = analyze_timing_cone(
-                    edited, base.device, base_state,
+                    edited, base.device, prepared.state,
                     changed_cells=changed | moved_cells,
                     changed_nets=rip, target_clock_ns=target,
                     routing=routing, locations=placement.locations,

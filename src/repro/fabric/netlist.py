@@ -193,15 +193,6 @@ class Netlist:
             return (1, tail[name]) if name in tail else (0, order[name])
         return position
 
-    def apply_delta(self, delta) -> "Netlist":
-        """The netlist with an ECO :class:`~repro.fabric.eco.NetlistDelta`
-        applied; ``self`` is never mutated, so its content fingerprint
-        stays stable.  Equal (netlist, delta) pairs produce structurally
-        identical results — the property the delta-chained cache keys
-        rely on.  See :mod:`repro.fabric.eco` for the edit taxonomy."""
-        edited, _impact = delta.apply(self)
-        return edited
-
     # -- queries -----------------------------------------------------------
 
     def count(self, kind: str) -> int:

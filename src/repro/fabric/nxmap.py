@@ -57,6 +57,9 @@ _KERNEL_VERSIONS: Dict[str, int] = {
 _STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
                  BRAM: "brams"}
 
+#: Share of cells that toggle per clock in the power estimate.
+_TOGGLE_RATE = 0.125
+
 
 class FlowError(Exception):
     pass
@@ -198,7 +201,7 @@ class NXmapProject:
         self.stage_keys: Dict[str, Optional[str]] = {}
         self._base_material: Optional[Dict[str, Any]] = None
         #: What the ECO flow derived once from this implementation for
-        #: its edits (``EcoFlow.prepare_base``); edits only read it.
+        #: its edits (``EcoBase.of``); edits only read it.
         self.eco_base: Optional[Any] = None
 
     @classmethod
@@ -387,17 +390,17 @@ class NXmapProject:
                 "essential_bits": bitstream.essential_bits})
         return self.bitstream
 
-    def estimate_power(self, clock_mhz: float,
-                       toggle_rate: float = 0.125) -> PowerReport:
+    def estimate_power(self, clock_mhz: float) -> PowerReport:
         """Activity-based dynamic power plus device static power.
 
-        dynamic = cells × toggle × energy-per-toggle × f.  BRAM/DSP cells
-        weigh ~20× a LUT toggle (wide datapaths behind one cell object).
+        dynamic = cells × ``_TOGGLE_RATE`` × energy-per-toggle × f.
+        BRAM/DSP cells weigh ~20× a LUT toggle (wide datapaths behind one
+        cell object).
         """
         stats = self._stats
         weighted = (stats["luts"] + stats["ffs"] * 0.6
                     + stats["dsps"] * 20 + stats["brams"] * 20)
-        dynamic_mw = (weighted * toggle_rate * self.device.lut_energy_pj
+        dynamic_mw = (weighted * _TOGGLE_RATE * self.device.lut_energy_pj
                       * clock_mhz * 1e-6)
         # Static power scales with the occupied fraction of the die.
         occupancy = max(stats["luts"] / self.device.luts, 0.01)

@@ -38,11 +38,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
+    Tuple
 
 from ..telemetry import Tracer
 from .device import Device, LUTS_PER_TILE
-from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Netlist
+from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Cell, Net, Netlist
 
 _LUT_CLASS = {LUT4, CARRY, IOB}
 _DSP_COLUMN_STRIDE = 8
@@ -295,32 +296,41 @@ def total_hpwl(netlist: Netlist,
                for name in netlist.nets)
 
 
-def _connectivity(netlist: Netlist, cell_index: Dict[str, int]
+def _connectivity(nets: Iterable[Net], cells: Mapping[str, Cell],
+                  cell_index: Dict[str, int], names: List[str]
                   ) -> Tuple[List[List[int]], List[List[Tuple[int, int]]]]:
-    """The nets the annealer tracks, as pin lists (cell indices, with
-    multiplicity), and the reverse map cell → [(net, pin count)].
+    """The annealer's tracked nets among ``nets``, in their order, as
+    pin lists (indices of ``names``, with multiplicity), and the reverse
+    map cell index → [(net, pin count)].
 
-    A net whose pins cover fewer than two distinct cells always spans 0,
-    so it is left out: its delta, and so every accept decision, is 0
-    whatever moves.
+    A pin is a driver or sink among ``cells``.  ``cell_index`` maps
+    ``names`` to their indices; a pin cell it lacks is appended to
+    ``names`` and indexed (the fixed pins an ECO warm start reads but
+    never moves).  A net whose pins cover fewer than two distinct cells
+    always spans 0, so it is left out: its delta, and so every accept
+    decision, is 0 whatever moves.
     """
     net_pins: List[List[int]] = []
-    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in cell_index]
-    for net in netlist.nets.values():
+    tracked: List[Dict[int, int]] = []
+    for net in nets:
         pins: List[int] = []
-        if net.driver is not None and net.driver in cell_index:
-            pins.append(cell_index[net.driver])
-        for sink in net.sinks:
-            index = cell_index.get(sink)
-            if index is not None:
-                pins.append(index)
+        for name in ([net.driver] + net.sinks if net.driver is not None
+                     else net.sinks):
+            index = cell_index.get(name)
+            if index is None:
+                if name not in cells:
+                    continue
+                index = cell_index[name] = len(names)
+                names.append(name)
+            pins.append(index)
         counts: Dict[int, int] = {}
         for pin in pins:
             counts[pin] = counts.get(pin, 0) + 1
-        if len(counts) < 2:
-            continue
-        net_id = len(net_pins)
-        net_pins.append(pins)
+        if len(counts) >= 2:
+            net_pins.append(pins)
+            tracked.append(counts)
+    nets_of_cell: List[List[Tuple[int, int]]] = [[] for _ in names]
+    for net_id, counts in enumerate(tracked):
         for pin, count in counts.items():
             nets_of_cell[pin].append((net_id, count))
     return net_pins, nets_of_cell
@@ -672,7 +682,8 @@ def place(netlist: Netlist, device: Device, seed: int = 1,
     if ncells == 0:
         return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
 
-    net_pins, nets_of_cell = _connectivity(netlist, cell_index)
+    net_pins, nets_of_cell = _connectivity(
+        netlist.nets.values(), netlist.cells, cell_index, cell_names)
     xs, ys = _global_placement(rng, grid, classes, net_pins)
     for index in range(ncells):
         sites.occupy(classes[index], (xs[index], ys[index]))

@@ -42,6 +42,9 @@ ROUTE_KERNEL_VERSION = 3
 _BASE_MARGIN = 3
 _MARGIN_PER_PASS = 4
 
+#: Negotiation passes a route runs at most.
+_MAX_PASSES = 3
+
 #: Tracks per channel between neighbouring tiles when a caller names no
 #: channel width: the one default every flow entry point (``route``,
 #: ``NXmapProject``, ``EcoFlow``, the job API and the CLI) reads.
@@ -80,6 +83,8 @@ class RoutingResult:
         return self.failed_connections == 0 and self.overflow_edges == 0
 
     def route_length(self, net_name: str) -> int:
+        """The routed length of a net, in tile hops over its paths (0
+        when it has none): the one definition the STA reads."""
         paths = self.routes.get(net_name, [])
         return sum(max(0, len(p) - 1) for p in paths)
 
@@ -341,7 +346,7 @@ def _connections(netlist: Netlist, locations: Dict[str, Tile],
 
 class WarmRoutes:
     """What delta routing needs of a whole base routing: derived once
-    per base (``EcoFlow.prepare_base``) and only read by the routes that
+    per base (``EcoBase.of``) and only read by the routes that
     start from it.
 
     It holds the channel usage by edge id, each routed net's paths as
@@ -416,7 +421,6 @@ def _fits(paths: List[List[int]], source: Optional[int],
 
 def route(netlist: Netlist, locations: Dict[str, Tile],
           grid: Tuple[int, int], channel_width: int = DEFAULT_CHANNEL_WIDTH,
-          max_iterations: int = 3,
           tracer: Optional[Tracer] = None,
           warm: Optional[WarmRoutes] = None,
           reroute_nets: Optional[Iterable[str]] = None) -> RoutingResult:
@@ -624,7 +628,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         return sorted(ripped)
 
     threshold = channel_width.__lt__
-    for iteration in range(max_iterations):
+    for iteration in range(_MAX_PASSES):
         if iteration > 0:
             penalty *= 4  # negotiate harder next pass
             over_edges = (set(compress(count(), map(threshold, usage)))

@@ -132,34 +132,22 @@ def _cell_tile(cell: Cell,
     return tile
 
 
-def _net_route_lengths(routing: RoutingResult) -> Dict[str, int]:
-    """Routed length of every net, computed once per analysis.
-
-    ``RoutingResult.route_length`` walks the net's path list on every
-    call; the old STA invoked it per *edge*, so a fanout-N net was
-    rescanned N times.  One pass over ``routes`` here makes the per-edge
-    lookup O(1).
-    """
-    return {net_name: sum(max(0, len(path) - 1) for path in paths)
-            for net_name, paths in routing.routes.items()}
-
-
 class _RouteLengths(dict):
-    """:func:`_net_route_lengths`, each net computed on its first lookup:
-    a cone-limited analysis measures only the nets it reads."""
+    """Each routed net's ``RoutingResult.route_length``, computed on its
+    first lookup: a cone-limited analysis measures only the nets it
+    reads.  (The full analysis measures every routed net up front.)"""
 
-    __slots__ = ("routes",)
+    __slots__ = ("routing",)
 
     def __init__(self, routing: RoutingResult) -> None:
         super().__init__()
-        self.routes = routing.routes
+        self.routing = routing
 
     def __contains__(self, net_name: object) -> bool:
-        return net_name in self.routes
+        return net_name in self.routing.routes
 
     def __missing__(self, net_name: str) -> int:
-        length = self[net_name] = sum(max(0, len(path) - 1)
-                                      for path in self.routes[net_name])
+        length = self[net_name] = self.routing.route_length(net_name)
         return length
 
 
@@ -391,8 +379,12 @@ def analyze_timing_state(netlist: Netlist, device: Device,
                          routing: Optional[RoutingResult] = None,
                          locations: Optional[Dict[str, Tuple[int, int]]]
                          = None) -> Tuple[TimingReport, StaState]:
-    """Full analysis returning the report *and* the reusable state."""
-    net_lengths = (_net_route_lengths(routing)
+    """Full analysis returning the report *and* the reusable state.
+
+    Each routed net's length is measured once, before the propagation
+    reads it per edge."""
+    net_lengths = ({name: routing.route_length(name)
+                    for name in routing.routes}
                    if routing is not None else None)
     arrival, parent, levels = _propagate(netlist, device, net_lengths,
                                          locations)

@@ -37,10 +37,6 @@ class BlockDFG:
     block: BasicBlock
     edges: List[DepEdge] = field(default_factory=list)
 
-    @property
-    def node_count(self) -> int:
-        return len(self.block.ops) + (1 if self.block.terminator else 0)
-
     def preds(self, node: int) -> List[DepEdge]:
         return [e for e in self.edges if e.dst == node]
 

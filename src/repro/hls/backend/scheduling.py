@@ -46,13 +46,6 @@ class ScheduledOp:
     def completion(self) -> int:
         return self.start + max(1, self.cycles)
 
-    @property
-    def result_cycle(self) -> int:
-        """First cycle in which the (registered) result can be consumed."""
-        if self.cycles <= 1 and self.ready_delay > 0:
-            return self.start  # combinational: usable within its own cycle
-        return self.start + self.cycles
-
 
 @dataclass
 class BlockSchedule:

@@ -45,10 +45,6 @@ class SimulationTrace:
     block_cycles: Dict[tuple, int] = field(default_factory=dict)
     block_visits: Dict[tuple, int] = field(default_factory=dict)
 
-    @property
-    def states_visited(self) -> int:
-        return self.cycles
-
     def hot_blocks(self, top: int = 5) -> List[tuple]:
         """The costliest (function, block, cycles, visits) entries."""
         ranked = sorted(self.block_cycles.items(), key=lambda kv: -kv[1])

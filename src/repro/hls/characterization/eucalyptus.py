@@ -125,35 +125,15 @@ class Eucalyptus:
             "seed": self.seed, "effort": self.effort,
             "component": component, "width": width, "stages": stages})
 
-    def characterize_one(self, component: str, width: int,
-                         stages: int = 0) -> CharacterizationRun:
-        if self.cache is not None:
-            key = self._config_key(component, width, stages)
-            hit, run = self.cache.get("characterize", key,
-                                      CharacterizationRun.from_json)
-            if not hit:
-                run = self._characterize(component, width, stages,
-                                         tracer=self.tracer)
-                self.cache.put("characterize", key, run,
-                               CharacterizationRun.to_json)
-        else:
-            run = self._characterize(component, width, stages,
-                                     tracer=self.tracer)
-        self.runs.append(run)
-        return run
-
-    def _characterize(self, component: str, width: int, stages: int = 0,
-                      tracer: Optional[Tracer] = None
-                      ) -> CharacterizationRun:
+    def _characterize(self, component: str, width: int,
+                      stages: int) -> CharacterizationRun:
         """Characterize one configuration (pure: no state mutation).
 
-        ``tracer`` is only threaded through on serial paths — sweep
-        workers run untraced, and the sweep emits its deterministic
+        Runs untraced: the sweep emits its deterministic
         per-configuration spans from the merged report instead.
         """
         netlist = synthesize_component(component, width, stages)
-        project = NXmapProject(netlist, self.device, seed=self.seed,
-                               tracer=tracer)
+        project = NXmapProject(netlist, self.device, seed=self.seed)
         project.run_place(effort=self.effort)
         project.run_route()
         timing = project.run_sta()

@@ -131,19 +131,6 @@ class ComponentLibrary:
             self._selected[key] = record
         return record
 
-    def latency_cycles(self, resource_class: str, width: int,
-                       clock_ns: float) -> int:
-        """Cycles consumed by an operation at the given clock.
-
-        Combinational components take 1 cycle (they can additionally chain
-        — the scheduler uses ``delay`` for that); staged components take
-        ``stages`` cycles.
-        """
-        record = self.select(resource_class, width, clock_ns)
-        if record.stages == 0:
-            return 1
-        return record.stages
-
     def delay(self, resource_class: str, width: int, clock_ns: float) -> float:
         """Combinational delay contribution for chaining decisions."""
         record = self.select(resource_class, width, clock_ns)

@@ -98,17 +98,6 @@ class MemObject:
             return ArrayType(self.element, self.dims)
         return PointerType(self.element)
 
-    def flat_index(self, indices) -> int:
-        """Row-major flattening of a multidimensional index."""
-        if not self.dims:
-            (index,) = indices
-            return index
-        assert len(indices) == len(self.dims)
-        flat = 0
-        for idx, dim in zip(indices, self.dims):
-            flat = flat * dim + idx
-        return flat
-
     def __str__(self) -> str:
         return f"@{self.name}"
 

@@ -36,9 +36,6 @@ class OptReport:
     ops_before: Dict[str, int] = field(default_factory=dict)
     ops_after: Dict[str, int] = field(default_factory=dict)
 
-    def total_changes(self) -> int:
-        return sum(p.changes for p in self.passes)
-
     def reduction(self, func_name: str) -> float:
         before = self.ops_before.get(func_name, 0)
         after = self.ops_after.get(func_name, before)

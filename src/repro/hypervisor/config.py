@@ -75,10 +75,6 @@ class Plan:
         return sorted((w for w in self.windows if w.core == core),
                       key=lambda w: w.start_us)
 
-    def partition_budget_us(self, partition: int) -> float:
-        return sum(w.duration_us for w in self.windows
-                   if w.partition == partition)
-
 
 @dataclass
 class PortConfig:

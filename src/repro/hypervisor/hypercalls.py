@@ -9,7 +9,6 @@ code running on the modelled cores can reach the hypervisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict
 
 XM_GET_TIME = 0x01
@@ -108,14 +107,6 @@ class HypercallApi:
         raise HypercallError(
             f"partition {caller_pid} lacks system rights for management "
             f"hypercalls")
-
-
-@dataclass
-class SvcBinding:
-    """Maps an SVC immediate to a hypercall with fixed register ABI."""
-
-    svc_imm: int
-    hypercall: int
 
 
 class SvcBridge:

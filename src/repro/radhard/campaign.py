@@ -70,10 +70,6 @@ class CampaignReport:
     retried_runs: int = 0
     latency: LatencyStats = field(default_factory=LatencyStats)
 
-    @property
-    def total_upsets(self) -> int:
-        return self.runs * self.upsets_per_run
-
     def rate(self, outcome: str) -> float:
         if outcome not in OUTCOMES:
             raise CampaignError(f"unknown outcome {outcome!r}")

@@ -73,10 +73,6 @@ class CoverageTracer:
     # -- metrics -----------------------------------------------------------
 
     @property
-    def statements_total(self) -> int:
-        return self.words
-
-    @property
     def statements_hit(self) -> int:
         return len(self.executed)
 

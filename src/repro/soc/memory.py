@@ -64,10 +64,6 @@ class Mpu:
         self.enabled = True
         self.epoch += 1
 
-    def disable(self) -> None:
-        self.enabled = False
-        self.epoch += 1
-
     def check(self, address: int, access: str, privileged: bool) -> bool:
         """``access`` is 'r', 'w' or 'x'. True when permitted."""
         if not self.enabled:

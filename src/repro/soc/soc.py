@@ -97,9 +97,6 @@ class NgUltraSoc:
         for core in self.secondary_cores():
             core.release(entry_point)
 
-    def run_core(self, core_id: int, max_steps: int = 1_000_000) -> int:
-        return self.cores[core_id].run(max_steps)
-
     def run_all(self, max_steps: int = 1_000_000) -> Dict[int, int]:
         """Round-robin all running cores (simple SMP interleave).
 

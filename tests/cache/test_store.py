@@ -1,6 +1,8 @@
 """Store tiers: LRU bounds, size eviction, corruption tolerance."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.cache import (
     FlowCache,
     MemoryLRU,
 )
+from repro.cache.store import ORPHAN_GRACE_S
 from repro.telemetry import Tracer
 
 
@@ -123,6 +126,23 @@ class TestDiskStore:
         assert store.get("gone") is None
         assert store.get("intact") == {"key": "intact"}
         assert store.entry_count() == 1
+
+    @pytest.mark.parametrize("sweep", ["gc", "clear"])
+    def test_orphaned_temp_files_past_the_grace_period_go(self, tmp_path,
+                                                          sweep):
+        # A writer killed between its temp file and the rename leaves the
+        # temp file behind; a fresh one may be another process's write.
+        store = DiskStore(tmp_path / "cache")
+        store.put("k1", {"x": 1})
+        objects = tmp_path / "cache" / "objects"
+        orphan, fresh = objects / "orphan.tmp", objects / "fresh.tmp"
+        orphan.write_text("{\"x\": ")
+        fresh.write_text("{\"x\": ")
+        past = time.time_ns() - (ORPHAN_GRACE_S + 60) * 1_000_000_000
+        os.utime(orphan, ns=(past, past))
+        getattr(store, sweep)()
+        assert not orphan.exists()
+        assert fresh.exists()
 
     def test_lookup_metadata_is_flat_in_entry_count(self, tmp_path):
         def root_bytes(entries):

@@ -322,11 +322,9 @@ class TestConeSta:
     def test_cone_merge_equals_full_reanalysis(self):
         project = base_project()
         placement = project.run_place(effort=1.0)
-        routing = project.run_route(channel_width=8)
-        _report, state = analyze_timing_state(
-            project.netlist, project.device, target_clock_ns=10.0,
-            routing=routing, locations=placement.locations)
-        prepared = EcoBase.of(project, state)
+        project.run_route(channel_width=8)
+        prepared = EcoBase.of(project)
+        state = prepared.state
         for seed in (3, 11, 19):
             delta = random_delta(project.netlist, 0.1, seed=seed)
             edited, impact = delta.apply(project.netlist)
@@ -405,11 +403,8 @@ def _not_an_edit(case):
     """Call one ECO stage on what is not an edit of its base."""
     project = base_project()
     placement = project.run_place(effort=1.0)
-    routing = project.run_route(channel_width=8)
-    _report, state = analyze_timing_state(
-        project.netlist, project.device, routing=routing,
-        locations=placement.locations)
-    prepared = EcoBase.of(project, state)
+    project.run_route(channel_width=8)
+    prepared = EcoBase.of(project)
     plain = base_netlist()                # the same design, not a copy
     if case == "place":
         eco_place(plain, project.device, placement, set(),
@@ -423,18 +418,25 @@ def _not_an_edit(case):
             placement.grid)
         eco_place(project.netlist.copy(), project.device, partial, set(),
                   warm=warm_start(project, partial))
+    elif case == "place-overfull-base":
+        piled = PlacementResult(
+            dict.fromkeys(placement.locations, (0, 0)), placement.hpwl,
+            placement.initial_hpwl, placement.iterations, placement.grid)
+        eco_place(project.netlist.copy(), project.device, piled, set(),
+                  warm=warm_start(project, piled))
     elif case in ("route", "route-foreign-copy"):
         netlist = plain if case == "route" else plain.copy()
         route(netlist, placement.locations, placement.grid,
               channel_width=8, warm=prepared.routing)
     else:
-        analyze_timing_cone(plain, project.device, state, (), (),
+        analyze_timing_cone(plain, project.device, prepared.state, (), (),
                             prepared=prepared.timing)
 
 
 @pytest.mark.parametrize("case,error,message", [
     ("place", FlowError, "not an edited copy"),
     ("place-unplaced-base", FlowError, "has no base tile"),
+    ("place-overfull-base", FlowError, "is over capacity"),
     ("route", RoutingError, "not an edited copy"),
     ("route-foreign-copy", RoutingError, "not an edited copy"),
     ("cone", TimingError, "not an edited copy"),
@@ -493,6 +495,58 @@ class TestEcoFlowEndToEnd:
         assert report_json_text(warm) == report_json_text(cold)
         assert cache.stats["fabric"].misses == misses_after_cold
         assert warm.eco == cold.eco
+
+    def test_flows_on_one_uncached_base_run_its_full_sta_once(
+            self, monkeypatch):
+        # The base's derived state is current while its netlist,
+        # placement and routing are: a second flow on the same base
+        # reuses it, cache or no cache.  Each edit's report is the one
+        # the flow gave when every flow re-ran the base STA (digests).
+        import hashlib
+
+        from repro.core.report import report_json_text
+        from repro.fabric import eco
+        full_stas = []
+
+        def counted(*args, **kwargs):
+            full_stas.append(args[0].name)
+            return analyze_timing_state(*args, **kwargs)
+        monkeypatch.setattr(eco, "analyze_timing_state", counted)
+        project = base_project()
+        digests = {}
+        for seed in (3, 5):
+            delta = random_delta(project.netlist, 0.1, seed=seed)
+            report = EcoFlow(project, delta).run()
+            digests[seed] = hashlib.sha256(
+                report_json_text(report).encode()).hexdigest()
+        assert full_stas == [project.netlist.name]
+        assert digests == {
+            3: "6d19d8627e5ede2ab8cfdc13052e206a"
+               "dd51e849465f3532eebf3217951770c5",
+            5: "114070b5b777bbd1314cf71be43461e3"
+               "610bebaeeee8b7588167e629d06e3d70"}
+
+    def test_readded_cell_of_another_class_on_a_full_tile_is_refused(self):
+        # A register removed and re-added as a LUT keeps its base tile;
+        # where that tile's LUT sites are full, re-occupying the sites
+        # meets no room and the warm start refuses the edit.
+        from repro.fabric.placement import _CAPACITY, _SiteManager
+        project = base_project()
+        netlist, locations = project.netlist, project.run_place().locations
+        luts = {}
+        for name, cell in netlist.cells.items():
+            if _SiteManager.site_class(cell.kind) == "lut":
+                luts[locations[name]] = luts.get(locations[name], 0) + 1
+        register = next(cell for name, cell in netlist.cells.items()
+                        if cell.kind == DFF
+                        and luts.get(locations[name]) == _CAPACITY["lut"])
+        delta = NetlistDelta(ops=(
+            RemoveCell(name=register.name),
+            AddCell(name=register.name, kind=LUT4,
+                    inputs=tuple(register.inputs), output=register.output,
+                    init=2)))
+        with pytest.raises(FlowError, match="is over capacity"):
+            EcoFlow(project, delta).run()
 
     def test_constraint_delta_changes_target(self):
         project = base_project()

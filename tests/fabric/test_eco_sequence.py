@@ -113,11 +113,9 @@ def test_cone_merged_state_reads_as_the_full_state():
     # to be topological) and leave the base state as it was.
     project = base_project()
     placement, routing = project.placement, project.routing
-    _report, state = analyze_timing_state(
-        project.netlist, project.device, routing=routing,
-        locations=placement.locations)
+    prepared = EcoBase.of(project)
+    state = prepared.state
     before = canonical(state)
-    prepared = EcoBase.of(project, state)
     for delta in deltas(project.netlist):
         edited, impact = delta.apply(project.netlist)
         eco = eco_place(edited, project.device, placement,

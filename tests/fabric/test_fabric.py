@@ -352,7 +352,8 @@ class TestEucalyptus:
     def test_characterize_one(self):
         from repro.hls.characterization.eucalyptus import Eucalyptus
         tool = Eucalyptus(device=small_device(), effort=0.2)
-        run = tool.characterize_one("addsub", 8)
+        [run] = tool.sweep(components=["addsub"], widths=(8,),
+                           stages=(0,))
         assert run.delay_ns > 0
         assert run.luts > 0
 
