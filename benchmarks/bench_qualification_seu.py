@@ -7,8 +7,8 @@ quantifies each mechanism: silent-data-corruption rate under uniform
 random upsets, with and without mitigation, plus the configuration-memory
 scrubbing story on a real generated bitstream.
 
-Campaigns run on the parallel execution engine; pass ``--jobs N`` to fan
-runs out (the counts are bit-identical at any job count, which
+Campaigns run as sharded mega-campaigns; pass ``--jobs N`` to fan
+shards out (the counts are bit-identical at any job count, which
 ``test_seu_parallel_speedup`` asserts while measuring the wall-clock
 gain on a fixture-latency-bound campaign).
 """
@@ -29,7 +29,8 @@ from repro.fabric import (
     scaled_device,
     synthesize_component,
 )
-from repro.radhard import SeuInjector, beam_campaign, memory_scenarios
+from repro.radhard import MegaCampaign, SeuInjector, beam_campaign, \
+    memory_scenarios
 
 RUNS = 400
 SPEEDUP_RUNS = 2000
@@ -83,12 +84,20 @@ def bitstream_scrubbing():
     return table, outcomes
 
 
+def beam_run(jobs, backend):
+    """One invocation of the speedup campaign; its ``wall_s`` is the
+    invocation's elapsed time (the report's sums the shards')."""
+    return MegaCampaign(beam_campaign(words=SPEEDUP_WORDS,
+                                      dwell_s=SPEEDUP_DWELL_S)).run(
+        SPEEDUP_RUNS, seed=29, jobs=jobs, backend=backend)
+
+
 def parallel_speedup():
     """Serial vs parallel wall-clock on a fixture-latency-bound campaign.
 
     The beam scenario's per-run dwell models tester/beam turnaround —
     the regime real campaigns run in — so the thread backend overlaps
-    runs even on one core.  Outcome counts must not move with the job
+    shards even on one core.  Outcome counts must not move with the job
     count: that is the engine's determinism contract.
     """
     table = Table(
@@ -96,20 +105,18 @@ def parallel_speedup():
         f"{SPEEDUP_DWELL_S * 1e3:.0f}ms fixture dwell per run",
         ["jobs", "backend", "wall_s", "speedup", "mean_ms", "p95_ms",
          "counts_match_serial"])
-    baseline = beam_campaign(words=SPEEDUP_WORDS,
-                             dwell_s=SPEEDUP_DWELL_S).run(
-        SPEEDUP_RUNS, seed=29, jobs=1)
-    table.add_row(1, baseline.backend, round(baseline.wall_s, 3), 1.0,
+    serial = beam_run(1, "serial")
+    baseline = serial.report
+    table.add_row(1, "serial", round(serial.wall_s, 3), 1.0,
                   round(baseline.latency.mean_s * 1e3, 3),
                   round(baseline.latency.p95_s * 1e3, 3), True)
     speedups = {1: 1.0}
     for jobs in (2, 4):
-        report = beam_campaign(words=SPEEDUP_WORDS,
-                               dwell_s=SPEEDUP_DWELL_S).run(
-            SPEEDUP_RUNS, seed=29, jobs=jobs, backend="thread")
-        speedup = ratio(baseline.wall_s, report.wall_s)
+        parallel = beam_run(jobs, "thread")
+        report = parallel.report
+        speedup = ratio(serial.wall_s, parallel.wall_s)
         speedups[jobs] = speedup
-        table.add_row(jobs, report.backend, round(report.wall_s, 3),
+        table.add_row(jobs, "thread", round(parallel.wall_s, 3),
                       round(speedup, 2),
                       round(report.latency.mean_s * 1e3, 3),
                       round(report.latency.p95_s * 1e3, 3),

@@ -98,9 +98,9 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "&& python tests/telemetry/chrome_schema.py boot_trace.json"),
         ("Trace determinism across job counts",
          "PYTHONPATH=src python -m repro.cli seu --runs 60 --words 32 "
-         "--jobs 1 --trace seu1.jsonl "
+         "--shard-size 15 --jobs 1 --trace seu1.jsonl "
          "&& PYTHONPATH=src python -m repro.cli seu --runs 60 --words 32 "
-         "--jobs 4 --trace seu4.jsonl "
+         "--shard-size 15 --jobs 4 --trace seu4.jsonl "
          "&& cmp seu1.jsonl seu4.jsonl"),
     ]},
     # Warm-run bit-identity gate for the content-addressed flow cache: a
@@ -131,7 +131,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "| python -c \"import json,sys; d=json.load(sys.stdin); "
          "layers=d['layers']; "
          "assert layers['characterize']['hits'] > 0, layers; "
-         "assert layers['radhard']['hits'] > 0, layers; "
+         "assert layers['mega']['hits'] > 0, layers; "
          "assert d['entries'] > 0 and d['bytes'] > 0\""),
         ("Store tests and concurrent writers on one cache directory",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
@@ -148,7 +148,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "PYTHONPATH=src python -m repro.cli cache stats "
          "--cache-dir .shared-cache "
          "| python -c \"import json,sys; d=json.load(sys.stdin); "
-         "assert d['layers']['radhard']['stores'] >= 2, d['layers']\"\n"),
+         "assert d['layers']['mega']['stores'] >= 2, d['layers']\"\n"),
         ("Cold-vs-warm speedup benchmark",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_cache_warm.py"),
@@ -160,8 +160,9 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     # then the same contracts through the real CLI — sharded runs
     # byte-identical to serial, a runs-extension resumed from the
     # checkpoint store byte-identical to a from-scratch run, the
-    # early-stop run-savings gate on a 50k-run campaign, and the
-    # distinct exit code for statistically insufficient campaigns.
+    # early-stop run-savings gate on a 50k-run campaign, the same
+    # early-stop point at any job count on the default shard plan, and
+    # the distinct exit code for statistically insufficient campaigns.
     "mega-campaign": {"steps": [
         ("Sharding, statistics and kill/resume tests",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
@@ -196,6 +197,12 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "&& python -c \"import json; "
          "rs=[r['runs'] for r in json.load(open('stopped.json'))]; "
          "assert all(r < 25000 for r in rs), rs\""),
+        ("Early stop on the default plan is the same at any job count",
+         "PYTHONPATH=src python -m repro.cli seu --runs 3000 "
+         "--stop-ci 0.02 --jobs 1 --json-deterministic stop1.json "
+         "&& PYTHONPATH=src python -m repro.cli seu --runs 3000 "
+         "--stop-ci 0.02 --jobs 4 --json-deterministic stop4.json "
+         "&& cmp stop1.json stop4.json"),
         ("Unreachable CI target exits with the evidence code (4)",
          "code=0\n"
          "PYTHONPATH=src python -m repro.cli seu --runs 200 --shards 4 \\\n"

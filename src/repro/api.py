@@ -1,8 +1,8 @@
 """Unified job API: one typed :class:`JobSpec` + :func:`submit` facade.
 
 The four flow producers of the ecosystem — HLS synthesis, the NXmap
-backend flow, Eucalyptus characterization and the SEU campaigns (flat
-and mega) — historically each grew their own entry-point signature,
+backend flow, Eucalyptus characterization and the SEU campaigns —
+historically each grew their own entry-point signature,
 JSON shape and exit-code convention.  This module gives them one job
 description and one way to run it:
 
@@ -23,11 +23,14 @@ description and one way to run it:
 Each runner builds its live objects (netlists, projects, campaign
 closures) from ``params`` alone and calls the producer's public entry
 point — ``repro.hls.synthesize``, ``NXmapProject.run_all``,
-``EcoFlow.run``, ``Eucalyptus.sweep``, ``Campaign.run``,
-``MegaCampaign.run`` — so a job computes exactly what its content key
-names.  Library callers call those entry points directly; the job
-service and the CLI (``repro hls``/``eco``/``characterize``/``seu``)
-run every job through this facade.  Each kind's exit rule therefore
+``EcoFlow.run``, ``Eucalyptus.sweep``, ``MegaCampaign.run`` — so a job
+computes exactly what its content key names.  The ``seu`` and ``mega``
+kinds are one runner that differs only in the report it serves: the
+merged :class:`~repro.radhard.CampaignReport` or the whole
+:class:`~repro.radhard.MegaReport`.  Library callers call those entry
+points directly; the job service and the CLI
+(``repro hls``/``eco``/``characterize``/``seu``) run every job through
+this facade.  Each kind's exit rule therefore
 lives once, in its runner, and both front doors map a runner's
 :class:`JobSpecError` (an input it cannot build from) to ``USAGE``.
 
@@ -137,12 +140,15 @@ class JobSpec:
     def content_key(self) -> str:
         """Content-addressed identity of this computation.
 
-        Covers kind, params and seed — everything that determines the
-        result — and nothing about who asked or how urgently.
+        Covers kind, params, seed and the kind's runner version —
+        everything that determines the result — and nothing about who
+        asked or how urgently.
         """
-        return content_key("job", {"kind": self.kind,
-                                   "params": self.params,
-                                   "seed": self.seed})
+        material = {"kind": self.kind, "params": self.params,
+                    "seed": self.seed}
+        if self.kind in _RUNNER_VERSIONS:
+            material["runner"] = _RUNNER_VERSIONS[self.kind]
+        return content_key("job", material)
 
     def to_json(self) -> Dict[str, Any]:
         return {"kind": self.kind, "params": self.params,
@@ -232,6 +238,16 @@ class JobOutcome:
 Runner = Callable[[JobSpec, JobContext], JobOutcome]
 
 _RUNNERS: Dict[str, Runner] = {}
+
+#: Runner versions salted into a kind's job keys; a kind not listed is
+#: at version 1, whose keys predate runner versions.  Bump a kind's
+#: version when its runner starts computing a different answer for an
+#: unchanged spec, so a persisted service entry of the older runner
+#: misses.  ``seu``/``mega`` 2: one engine with a plan from ``runs``
+#: alone.  Before it, a ``mega`` job without plan params split into
+#: ``jobs * 4`` shards (its early-stop point followed the job count)
+#: and a ``seu`` job ignored ``shards`` and ``stop_ci``.
+_RUNNER_VERSIONS: Dict[str, int] = {"seu": 2, "mega": 2}
 
 
 def register_kind(kind: str, runner: Optional[Runner] = None):
@@ -539,24 +555,15 @@ def _campaign_from(spec: JobSpec):
     return campaign
 
 
-@register_kind("seu")
-def _run_seu(spec: JobSpec, ctx: JobContext) -> JobOutcome:
-    """params: the scenario (see :func:`_campaign_from`) + runs."""
-    _require(spec.params, "runs")
-    report = _campaign_from(spec).run(
-        int(spec.params["runs"]), seed=spec.seed, jobs=ctx.jobs,
-        backend=ctx.backend, timeout_s=ctx.timeout_s,
-        retries=ctx.retries, progress=ctx.progress,
-        tracer=ctx.tracer, cache=ctx.cache)
-    code = ExitCode.FAILURE if report.counts.get("crash", 0) \
-        else ExitCode.OK
-    return JobOutcome(report=report, exit_code=code, artifact=report)
+def _run_campaign(spec: JobSpec, ctx: JobContext) -> JobOutcome:
+    """The ``seu`` and ``mega`` kinds.  params: the scenario (see
+    :func:`_campaign_from`) + runs + [shards, shard_size, stop_ci,
+    stop_outcomes, min_stop_shards].
 
-
-@register_kind("mega")
-def _run_mega(spec: JobSpec, ctx: JobContext) -> JobOutcome:
-    """params: the scenario (see :func:`_campaign_from`) + runs +
-    [shards, shard_size, stop_ci, stop_outcomes, min_stop_shards]."""
+    Both run :meth:`MegaCampaign.run` (the artifact is its
+    :class:`~repro.radhard.MegaReport`); ``seu`` reports the merged
+    campaign report, ``mega`` the mega report.
+    """
     from .radhard.mega import FAILURE_OUTCOMES, MegaCampaign
     params = spec.params
     _require(params, "runs")
@@ -579,7 +586,12 @@ def _run_mega(spec: JobSpec, ctx: JobContext) -> JobOutcome:
         code = ExitCode.INSUFFICIENT_EVIDENCE
     else:
         code = ExitCode.OK
-    return JobOutcome(report=result, exit_code=code, artifact=result)
+    report = result if spec.kind == "mega" else result.report
+    return JobOutcome(report=report, exit_code=code, artifact=result)
+
+
+register_kind("seu", _run_campaign)
+register_kind("mega", _run_campaign)
 
 
 __all__ = [

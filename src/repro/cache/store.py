@@ -312,16 +312,14 @@ class FlowCache:
     """Layered content-addressed artifact cache for the HERMES flows.
 
     ``get``/``put`` are namespaced by producer *layer* ("hls", "fabric",
-    "characterize", "radhard").  Values live in the in-memory LRU; when
-    the cache has a directory and the caller supplies an encoder, a JSON
-    payload is also persisted so later processes can warm-start.  Every
+    "characterize", "mega", "service"...).  Values live in the in-memory
+    LRU; when the cache has a directory and the caller supplies an
+    encoder, a JSON payload is also persisted so later processes can
+    warm-start.  Every
     lookup result is counted per layer, both on this object (``stats``)
     and — when a tracer is attached — as ``cache.hit`` / ``cache.miss``
     / ``cache.evict`` telemetry counters.
     """
-
-    LAYERS = ("hls", "fabric", "characterize", "radhard", "mega",
-              "service")
 
     def __init__(self, directory: Optional[Path] = None,
                  max_entries: int = DEFAULT_MAX_ENTRIES,

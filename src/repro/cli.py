@@ -23,11 +23,12 @@ telemetry of the run they do; there is no separate tracing command, so
 a trace is always the telemetry of a real job.  Most commands take
 ``--cache`` or ``--cache-dir DIR`` to reuse content-addressed flow
 artifacts (warm results are byte-identical to cold ones).  ``seu``
-scales to sharded, checkpointed mega-campaigns (``--shards``/
-``--shard-size``, ``--resume`` after a kill or a ``--runs``
-extension), stops each scenario early at a Wilson-CI target
-(``--stop-ci``; exit 4 when a campaign misses it) and writes the
-execution-independent payloads CI diffs with ``--json-deterministic``.
+runs every scenario as a sharded, checkpointed mega-campaign (shards
+of 100 runs unless ``--shards``/``--shard-size`` say otherwise;
+``--resume`` after a kill or a ``--runs`` extension), stops each
+scenario early at a Wilson-CI target (``--stop-ci``; exit 4 when a
+campaign misses it) and writes the execution-independent payloads CI
+diffs with ``--json-deterministic``.
 
 The flow-as-a-service surface rides on the same tools:
 
@@ -339,12 +340,13 @@ def _cmd_seu(args) -> int:
     if args.resume and not options.cache_enabled:
         raise JobSpecError("--resume needs --cache-dir (or --cache) to "
                            "resume from")
-    sharded = bool(args.shards) or args.shard_size is not None \
-        or args.stop_ci is not None
-    params = {"scenario_params": {"words": args.words}, "runs": args.runs}
-    if sharded:
-        params.update(shards=args.shards or None,
-                      shard_size=args.shard_size, stop_ci=args.stop_ci)
+    # Unset plan options stay out of the spec, so `seu --runs N` is the
+    # same job (content key) as a service `seu` job naming only runs.
+    plan = {"shards": args.shards or None, "shard_size": args.shard_size,
+            "stop_ci": args.stop_ci}
+    params = {"scenario_params": {"words": args.words}, "runs": args.runs,
+              **{name: value for name, value in plan.items()
+                 if value is not None}}
     context = options.job_context(timeout_s=args.timeout,
                                   retries=args.retries)
     table = Table(
@@ -354,19 +356,17 @@ def _cmd_seu(args) -> int:
     codes = set()
     reports = []
     for scenario in MEMORY_SCENARIOS:
-        result = submit(JobSpec(kind="mega" if sharded else "seu",
+        result = submit(JobSpec(kind="seu",
                                 params=dict(params, scenario=scenario),
                                 seed=options.seed), context)
         codes.add(result.exit_code)
-        report = result.report
-        if sharded:
-            print(f"mega: {report.summary()}", file=sys.stderr)
-            report = report.report
+        mega, report = result.artifact, result.report
+        print(f"mega: {mega.summary()}", file=sys.stderr)
         reports.append(report)
         table.add_row(report.name,
                       *(report.counts.get(name, 0) for name in OUTCOMES),
                       round(report.failure_rate, 4),
-                      round(report.wall_s, 3),
+                      round(mega.wall_s, 3),
                       round(report.latency.mean_s * 1e3, 3),
                       round(report.latency.p95_s * 1e3, 3))
     print(table.render())
@@ -718,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     seu.add_argument("--json", metavar="PATH",
                      help="also export the reports as canonical JSON")
     seu.add_argument("--shards", type=int, default=0,
-                     help="run as a sharded mega-campaign with this "
-                          "many shards (0 = unsharded)")
+                     help="split each campaign into this many shards "
+                          "(0 = shards of 100 runs)")
     seu.add_argument("--shard-size", type=int, default=None,
                      metavar="RUNS",
                      help="runs per shard (keep fixed across "
@@ -734,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "below this (exit 4 if never reached)")
     seu.add_argument("--json-deterministic", metavar="PATH",
                      help="export the execution-independent report "
-                          "payloads (byte-identical across "
-                          "serial/sharded/resumed runs)")
+                          "payloads (byte-identical at any job count, "
+                          "shard plan or resume)")
     seu.set_defaults(func=_cmd_seu)
 
     boot = sub.add_parser("boot", parents=[trace_p],

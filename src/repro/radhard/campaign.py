@@ -20,10 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..cache import FlowCache, content_key
-from ..exec.engine import ParallelEngine
 from ..exec.metrics import LatencyStats
-from ..telemetry import Tracer
 
 OUTCOMES = ("masked", "corrected", "detected", "sdc", "crash")
 
@@ -47,9 +44,8 @@ def classify_result(run_result) -> tuple:
     """``(outcome, description)`` of one engine :class:`RunResult`.
 
     A run whose callbacks raised or timed out (after its retry budget)
-    is classified ``crash`` with the error text as description — the
-    same rule whether the run executed on a flat engine map or inside a
-    mega-campaign shard.
+    is classified ``crash`` with the error text as description, whatever
+    shard, worker or backend executed it.
     """
     if run_result.ok:
         return run_result.value
@@ -63,9 +59,8 @@ class CampaignReport:
     upsets_per_run: int
     counts: Dict[str, int] = field(default_factory=dict)
     results: List[InjectionResult] = field(default_factory=list)
-    # Execution accounting (filled in by Campaign.run).
-    backend: str = "serial"
-    jobs: int = 1
+    # Execution accounting, summed or pooled over the shard records the
+    # report was merged from (see repro.radhard.mega).
     wall_s: float = 0.0
     retried_runs: int = 0
     latency: LatencyStats = field(default_factory=LatencyStats)
@@ -88,11 +83,6 @@ class CampaignReport:
         visible = self.runs - self.counts.get("masked", 0)
         return effective / visible if visible else 1.0
 
-    def timing_row(self) -> str:
-        return (f"{self.name:<28} backend={self.backend:<8} "
-                f"jobs={self.jobs:<3} wall={self.wall_s:.3f}s  "
-                f"{self.latency.summary()}")
-
     def summary(self) -> str:
         """One-line report summary (the :class:`~repro.core.Report`
         protocol method)."""
@@ -108,8 +98,8 @@ class CampaignReport:
         how it was executed.  This is the byte-identity contract of the
         sharded/resumed/parallel paths: any execution shape of the same
         (scenario, runs, seed) produces these bytes exactly.  The
-        wall-clock accounting (backend, jobs, wall_s, latency) is
-        honest measurement of one particular execution and is excluded.
+        wall-clock accounting (wall_s, retried_runs, latency) is honest
+        measurement of the shards' execution and is excluded.
         """
         return {
             "name": self.name,
@@ -125,8 +115,6 @@ class CampaignReport:
     def to_json(self) -> Dict[str, Any]:
         payload = self.deterministic_json()
         payload.update({
-            "backend": self.backend,
-            "jobs": self.jobs,
             "wall_s": self.wall_s,
             "retried_runs": self.retried_runs,
             "latency": self.latency.to_json(),
@@ -143,8 +131,6 @@ class CampaignReport:
             results=[InjectionResult(run=r["run"], outcome=r["outcome"],
                                      description=r["description"])
                      for r in payload["results"]],
-            backend=payload["backend"],
-            jobs=payload["jobs"],
             wall_s=payload["wall_s"],
             retried_runs=payload["retried_runs"],
             latency=LatencyStats.from_json(payload["latency"]),
@@ -181,14 +167,6 @@ class Campaign:
         # they must be part of the content-addressed cache key.
         self.scenario_params = dict(scenario_params or {})
 
-    def cache_key(self, runs: int, seed: int) -> str:
-        """Content key of one campaign execution's report."""
-        return content_key("radhard", {
-            "scenario": self.name,
-            "params": self.scenario_params,
-            "upsets_per_run": self.upsets_per_run,
-            "runs": runs, "seed": seed})
-
     def _one_run(self, index: int, run_seed: int) -> tuple:
         rng = random.Random(run_seed)
         context = self.setup()
@@ -200,93 +178,19 @@ class Campaign:
             raise CampaignError(f"unknown outcome {outcome!r}")
         return outcome, description
 
-    def run(self, runs: int, seed: int = 1, jobs: int = 1,
-            backend: str = "auto", timeout_s: Optional[float] = None,
-            retries: int = 0,
-            progress: Optional[Callable[[int, int], None]] = None,
-            tracer: Optional[Tracer] = None,
-            cache: Optional[FlowCache] = None) -> CampaignReport:
-        """Execute ``runs`` injection runs, optionally in parallel.
+    def run(self, runs: int, seed: int = 1, *, cache=None, tracer=None,
+            **options: Any) -> CampaignReport:
+        """The merged report of :meth:`MegaCampaign.run
+        <repro.radhard.mega.MegaCampaign.run>` over this campaign.
 
-        A run whose callbacks raise or overrun ``timeout_s`` is retried
-        up to ``retries`` times and classified ``crash`` on exhaustion;
-        a malformed campaign (unknown outcome string) raises
-        :class:`CampaignError` regardless of backend.  ``tracer``
-        records per-run injection/outcome spans and mitigation tallies,
-        derived from the merged run-ordered report so the trace is
-        identical at any job count.
-
-        ``cache`` keys the whole report on (scenario, params, upsets,
-        runs, seed) — the execution accounting (backend/jobs/wall time)
-        is restored from the cold run, so warm output is byte-identical
-        to the run that populated the cache.
+        ``cache`` and ``tracer`` are the mega-campaign's checkpoint store
+        and telemetry sink; ``options`` (``jobs``, ``backend``,
+        ``shards``, ``shard_size``, ``timeout_s``, ``retries``,
+        ``progress``...) go to its ``run`` unchanged.
         """
-        key = None
-        if cache is not None:
-            key = self.cache_key(runs, seed)
-            hit, cached = cache.get("radhard", key,
-                                    CampaignReport.from_json)
-            if hit:
-                if tracer is not None:
-                    self._emit_telemetry(tracer, cached)
-                return cached
-        engine = ParallelEngine(jobs=jobs, backend=backend,
-                                timeout_s=timeout_s, retries=retries,
-                                progress=progress,
-                                fatal_types=(CampaignError,),
-                                tracer=tracer)
-        exec_report = engine.map_seeded(self._one_run, runs, seed)
-        report = CampaignReport(name=self.name, runs=runs,
-                                upsets_per_run=self.upsets_per_run,
-                                backend=exec_report.backend,
-                                jobs=exec_report.jobs,
-                                wall_s=exec_report.wall_s,
-                                retried_runs=exec_report.retried_runs,
-                                latency=exec_report.latency_stats())
-        for run_result in exec_report.results:
-            outcome, description = classify_result(run_result)
-            result = InjectionResult(run=run_result.index, outcome=outcome,
-                                     description=description)
-            report.results.append(result)
-            report.counts[outcome] = report.counts.get(outcome, 0) + 1
-        if cache is not None and key is not None:
-            cache.put("radhard", key, report, CampaignReport.to_json)
-        if tracer is not None:
-            self._emit_telemetry(tracer, report)
-        return report
-
-    def _emit_telemetry(self, tracer: Tracer,
-                        report: CampaignReport) -> None:
-        """Per-run injection/outcome spans plus mitigation tallies."""
-        runs_counter = tracer.counter("radhard.runs", "radhard")
-        base = runs_counter.value
-        runs_counter.add(report.runs)
-        for result in report.results:
-            tracer.add_span(f"inject:{result.outcome}", "radhard",
-                            base + result.run, base + result.run + 1,
-                            campaign=self.name, run=result.run,
-                            outcome=result.outcome,
-                            description=result.description)
-        for outcome in OUTCOMES:
-            count = report.counts.get(outcome, 0)
-            if count:
-                tracer.counter(f"radhard.{outcome}", "radhard").add(count)
-                tracer.counter(f"radhard.{self.name}.{outcome}",
-                               "radhard").add(count)
-        # The "masked by mitigation" tally the beam-test report quotes:
-        # upsets a mitigation repaired or flagged before they could
-        # propagate (ECC corrections, TMR out-votes, CRC detections).
-        mitigated = report.counts.get("corrected", 0) + \
-            report.counts.get("detected", 0)
-        tracer.counter("radhard.mitigated", "radhard").add(mitigated)
-        tracer.gauge(f"radhard.{self.name}.failure_rate",
-                     "radhard").set(round(report.failure_rate, 6))
-        tracer.add_span(f"campaign:{self.name}", "radhard", base,
-                        base + report.runs, runs=report.runs,
-                        upsets_per_run=self.upsets_per_run,
-                        counts={o: report.counts.get(o, 0)
-                                for o in OUTCOMES
-                                if report.counts.get(o, 0)})
+        from .mega import MegaCampaign
+        return MegaCampaign(self, cache=cache, tracer=tracer).run(
+            runs, seed=seed, **options).report
 
 
 @dataclass

@@ -1,21 +1,25 @@
-"""Sharded, resumable, early-stoppable SEU mega-campaigns.
+"""Sharded, resumable, early-stoppable SEU campaigns: the one engine.
 
-:class:`MegaCampaign` wraps a plain :class:`~repro.radhard.Campaign`
-and scales it from "one flat job list" to qualification-sized evidence
-accumulation:
+:class:`MegaCampaign` is the only way a
+:class:`~repro.radhard.Campaign` executes (``Campaign.run`` returns the
+merged report of a ``MegaCampaign`` run).  It scales from a five-run
+service job to qualification-sized evidence accumulation:
 
 * **Sharding** — the run range is split into fixed-size seed-range
   shards (:func:`repro.exec.plan_shards`); every run keeps its global
   index and therefore its ``seed_for(seed, index)`` sub-stream, so the
-  merged report's deterministic payload is byte-identical to the serial
-  ``Campaign.run`` at any shard count, worker count or backend.
+  merged report's deterministic payload is byte-identical at any shard
+  count, worker count or backend.  With no plan arguments the plan is
+  ``DEFAULT_SHARD_SIZE`` runs a shard: it depends on ``runs`` alone, so
+  checkpoints, the early-stop point and the trace never depend on
+  ``jobs``.
 * **Checkpointing** — each completed shard is written through the
   content-addressed flow cache the moment it finishes (key = scenario
   fingerprint + seed + shard range).  A SIGKILLed campaign loses at
   most its in-flight shards; re-running the same invocation against the
   same cache directory replays only the missing shards.  Extending
-  ``runs`` with the same ``shard_size`` reuses every old shard and
-  computes only the gap.
+  ``runs`` with the same ``shard_size`` (the default plan included)
+  reuses every old shard and computes only the gap.
 * **Streaming statistics** — shards fold into a
   :class:`~repro.exec.StreamingStats` accumulator *in shard index
   order* (a reorder buffer absorbs out-of-order completions), keeping
@@ -26,6 +30,12 @@ accumulation:
   Because the stop decision consumes shards in index order, the folded
   prefix — and thus the early-stopped report — is deterministic at any
   job count; it just takes wall-clock longer with fewer workers.
+
+The merged :class:`CampaignReport` is a function of its shard records
+alone (payload, pooled latency, summed retries and shard wall time), so
+a campaign served from checkpoints reports exactly what the run that
+computed them reported.  The elapsed time of one invocation is
+:attr:`MegaReport.wall_s`.
 """
 
 from __future__ import annotations
@@ -46,6 +56,18 @@ from .campaign import Campaign, CampaignError, CampaignReport, \
 #: effects (silent corruption or crash) — the "failure rate" of the
 #: paper's mitigation matrix.
 FAILURE_OUTCOMES: Tuple[str, ...] = ("sdc", "crash")
+
+#: Runs per shard when a caller gives neither ``shards`` nor
+#: ``shard_size``: a five-run service job is one shard (one checkpoint
+#: put), a qualification campaign has enough shards to spread over
+#: workers and to stop early on.  A campaign uses at most
+#: ``runs / DEFAULT_SHARD_SIZE`` workers, which is where another one
+#: stops paying: on a 2-CPU host a process worker costs ~6 ms a
+#: campaign, about what 80 runs of a 64-word memory scenario compute.
+#: Timed there over 60-1000 runs at jobs 2/4/8, shards of 100 were as
+#: fast as or faster than shards of 25 or 50, and than splitting by
+#: job count as before.
+DEFAULT_SHARD_SIZE = 100
 
 
 @dataclass
@@ -107,14 +129,13 @@ class ShardRecord:
 
 
 def merge_shard_records(name: str, upsets_per_run: int,
-                        records: List[ShardRecord],
-                        backend: str = "shard", jobs: int = 1,
-                        wall_s: float = 0.0) -> CampaignReport:
+                        records: List[ShardRecord]) -> CampaignReport:
     """Merge shard records into one :class:`CampaignReport`.
 
-    Order-invariant by construction: shards are sorted by range start
-    before anything is accumulated, counts are integer sums, and the
-    latency summary is rebuilt from the pooled samples
+    The report is a function of the records alone.  Order-invariant by
+    construction: shards are sorted by range start before anything is
+    accumulated, counts, retries and wall time are sums in that order,
+    and the latency summary is rebuilt from the pooled samples
     (:meth:`LatencyStats.from_sample_groups`), never from per-shard
     summaries — so any completion order, and any shuffling of
     ``records``, produces byte-identical report JSON.  Merging zero
@@ -134,9 +155,7 @@ def merge_shard_records(name: str, upsets_per_run: int,
         upsets_per_run=upsets_per_run,
         counts=counts,
         results=results,
-        backend=backend,
-        jobs=jobs,
-        wall_s=wall_s,
+        wall_s=sum(record.wall_s for record in ordered),
         retried_runs=sum(record.retried_runs for record in ordered),
         latency=LatencyStats.from_sample_groups(
             [record.latency_s for record in ordered]),
@@ -145,7 +164,11 @@ def merge_shard_records(name: str, upsets_per_run: int,
 
 @dataclass
 class MegaReport:
-    """A merged campaign report plus the sharding/statistics evidence."""
+    """A merged campaign report plus the sharding/statistics evidence.
+
+    ``wall_s`` is the elapsed time of this invocation (the report's own
+    ``wall_s`` sums the shards' execution times, cached ones included).
+    """
 
     report: CampaignReport
     runs_requested: int
@@ -223,9 +246,9 @@ class MegaCampaign:
 
     ``cache`` (a :class:`FlowCache`) is the checkpoint store: pass one
     with a directory to make campaigns survive kills and extend across
-    processes.  ``tracer`` records per-shard spans and outcome counters
-    on the run-index timeline, derived from the folded, index-ordered
-    records — identical at any job count.
+    processes.  ``tracer`` records per-shard spans, outcome counters and
+    the mitigation tally on the run-index timeline, derived from the
+    folded, index-ordered records — identical at any job count.
     """
 
     def __init__(self, campaign: Campaign,
@@ -262,24 +285,25 @@ class MegaCampaign:
         """Execute up to ``runs`` injection runs in shards.
 
         Give ``shards`` (count) or ``shard_size`` (runs per shard;
-        required for extension-friendly keys); with neither, a default
-        of 4 shards per worker is planned.  ``stop_ci`` arms early
+        extension-friendly keys); with neither, shards of
+        ``DEFAULT_SHARD_SIZE`` runs are planned.  ``stop_ci`` arms early
         stopping at the given Wilson-CI half-width on the
         ``stop_outcomes`` rate (never before ``min_stop_shards`` shards
         have folded).  ``progress`` is called as ``(folded_shards,
         planned_shards)``.
         """
         if shards is None and shard_size is None:
-            shards = max(1, jobs or 1) * 4
+            shard_size = DEFAULT_SHARD_SIZE
         plan = plan_shards(runs, shards=shards, shard_size=shard_size)
         start = time.perf_counter()
 
         completed: Dict[int, ShardRecord] = {}
+        keys: Dict[int, str] = {}  # shard index -> checkpoint key
         if self.cache is not None:
             for spec in plan.specs:
+                keys[spec.index] = self.shard_key(seed, spec)
                 hit, record = self.cache.get(
-                    "mega", self.shard_key(seed, spec),
-                    ShardRecord.from_json)
+                    "mega", keys[spec.index], ShardRecord.from_json)
                 if hit and record.spec == spec:
                     # Copy before marking: the memory tier returns the
                     # stored object itself, which an earlier report may
@@ -294,9 +318,8 @@ class MegaCampaign:
         def on_computed(shard: ShardResult) -> ShardRecord:
             record = ShardRecord.from_shard_result(shard)
             if self.cache is not None:
-                self.cache.put("mega",
-                               self.shard_key(seed, record.spec),
-                               record, ShardRecord.to_json)
+                self.cache.put("mega", keys[record.spec.index], record,
+                               ShardRecord.to_json)
             return record
 
         def consume(record: ShardRecord) -> bool:
@@ -317,26 +340,26 @@ class MegaCampaign:
                     completed=completed, on_computed=on_computed,
                     consume=consume)
 
-        wall_s = time.perf_counter() - start
         report = merge_shard_records(
-            self.campaign.name, self.campaign.upsets_per_run, folded,
-            backend=f"shard/{backend}", jobs=jobs, wall_s=wall_s)
+            self.campaign.name, self.campaign.upsets_per_run, folded)
         mega = MegaReport(report=report, runs_requested=runs, plan=plan,
                           shards=folded, stats=stats,
                           early_stopped=early_stopped, stop_ci=stop_ci,
                           stop_outcomes=tuple(stop_outcomes),
-                          wall_s=wall_s)
+                          wall_s=time.perf_counter() - start)
         if self.tracer is not None:
             self._emit_telemetry(self.tracer, mega)
         return mega
 
     def _emit_telemetry(self, tracer: Tracer, mega: MegaReport) -> None:
-        """Per-shard spans + outcome counters on a run-index timeline.
+        """Per-shard spans, outcome counters and the mitigation tally on
+        a run-index timeline.
 
         Derived from the folded, index-ordered records — never from
         worker completion order — so the trace is byte-identical at any
         ``jobs``/backend (cache hit/miss state being equal).
         """
+        name = self.campaign.name
         runs_counter = tracer.counter("mega.runs", "mega")
         base = runs_counter.value
         runs_counter.add(mega.runs_executed)
@@ -350,7 +373,7 @@ class MegaCampaign:
             tracer.add_span(
                 f"shard:{record.spec.index}", "mega",
                 base + record.spec.start, base + record.spec.stop,
-                campaign=self.campaign.name, cached=record.cached,
+                campaign=name, cached=record.cached,
                 retried_runs=record.retried_runs,
                 counts={o: record.counts.get(o, 0)
                         for o in OUTCOMES if record.counts.get(o, 0)})
@@ -358,16 +381,23 @@ class MegaCampaign:
             amount = mega.report.counts.get(outcome, 0)
             if amount:
                 tracer.counter(f"mega.{outcome}", "mega").add(amount)
+                tracer.counter(f"mega.{name}.{outcome}", "mega").add(amount)
+        # The "masked by mitigation" tally the beam-test report quotes:
+        # upsets a mitigation repaired or flagged before they could
+        # propagate (ECC corrections, TMR out-votes, CRC detections).
+        tracer.counter("radhard.mitigated", "radhard").add(
+            mega.report.counts.get("corrected", 0)
+            + mega.report.counts.get("detected", 0))
         low, high = mega.ci()
-        tracer.gauge(f"mega.{self.campaign.name}.ci_half_width",
+        tracer.gauge(f"mega.{name}.ci_half_width",
                      "mega").set(round(mega.ci_half_width, 9))
         if mega.early_stopped:
             tracer.counter("mega.early_stops", "mega").add()
             tracer.event("mega.early_stop", "mega",
                          at=base + mega.runs_executed,
-                         campaign=self.campaign.name,
+                         campaign=name,
                          ci_low=round(low, 9), ci_high=round(high, 9))
-        tracer.add_span(f"mega:{self.campaign.name}", "mega", base,
+        tracer.add_span(f"mega:{name}", "mega", base,
                         base + mega.runs_executed,
                         runs_requested=mega.runs_requested,
                         runs_executed=mega.runs_executed,

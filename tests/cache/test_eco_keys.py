@@ -15,7 +15,6 @@ the three properties the interactive flow relies on:
 
 import json
 
-import pytest
 
 from repro.api import JobSpec, submit
 from repro.cache import FlowCache

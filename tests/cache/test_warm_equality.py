@@ -10,13 +10,15 @@ import json
 import pytest
 
 from repro.cache import FlowCache
+from repro.exec import plan_shards
 from repro.fabric.device import NG_MEDIUM, scaled_device
 from repro.fabric.nxmap import NXmapProject
 from repro.fabric.routing import route
 from repro.fabric.synthesis import synthesize_component
 from repro.hls import synthesize
 from repro.hls.characterization.eucalyptus import Eucalyptus
-from repro.radhard import memory_scenarios
+from repro.radhard import MegaCampaign, memory_scenarios
+from repro.radhard.mega import DEFAULT_SHARD_SIZE
 
 
 def _flow_json(report):
@@ -126,29 +128,40 @@ class TestCharacterizeWarmEquality:
         assert layer.misses == 3    # 2 cold + 1 new logic config
 
 
+def default_plan_keys(campaign, runs, seed):
+    """Checkpoint keys of a campaign run with the default shard plan."""
+    mega = MegaCampaign(campaign)
+    return [mega.shard_key(seed, spec) for spec in
+            plan_shards(runs, shard_size=DEFAULT_SHARD_SIZE).specs]
+
+
 class TestCampaignWarmEquality:
     @pytest.mark.parametrize("jobs", [1, 4])
     def test_cold_then_warm_reports_identical(self, tmp_path, jobs):
         cache = FlowCache(directory=tmp_path / "cache")
-        cold = [c.run(50, seed=13, jobs=1, cache=cache)
+        cold = [c.run(50, seed=13, jobs=1, shard_size=10, cache=cache)
                 for c in memory_scenarios(words=32)]
         warm_cache = FlowCache(directory=tmp_path / "cache")
-        warm = [c.run(50, seed=13, jobs=jobs, cache=warm_cache)
+        warm = [c.run(50, seed=13, jobs=jobs, shard_size=10,
+                      cache=warm_cache)
                 for c in memory_scenarios(words=32)]
         assert [r.to_json() for r in cold] == [r.to_json() for r in warm]
-        assert warm_cache.hit_count("radhard") == len(cold)
+        # Every shard of every campaign is served from the disk tier.
+        assert warm_cache.hit_count("mega") == 5 * len(cold)
+        assert warm_cache.stats["mega"].misses == 0
 
     def test_scenario_params_split_the_key_space(self, tmp_path):
-        cache = FlowCache(directory=tmp_path / "cache")
         small = memory_scenarios(words=16)[0]
         large = memory_scenarios(words=64)[0]
         assert small.name == large.name
-        assert small.cache_key(50, 13) != large.cache_key(50, 13)
+        assert default_plan_keys(small, 50, 13) != \
+            default_plan_keys(large, 50, 13)
 
     def test_run_or_seed_change_misses(self, tmp_path):
         campaign = memory_scenarios(words=16)[0]
-        assert campaign.cache_key(50, 13) != campaign.cache_key(51, 13)
-        assert campaign.cache_key(50, 13) != campaign.cache_key(50, 14)
+        keys = default_plan_keys(campaign, 50, 13)
+        assert keys != default_plan_keys(campaign, 51, 13)
+        assert keys != default_plan_keys(campaign, 50, 14)
 
 
 class TestHlsWarmEquality:

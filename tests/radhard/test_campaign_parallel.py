@@ -1,4 +1,10 @@
-"""Parallel/serial campaign equivalence and failure handling."""
+"""Parallel/serial campaign equivalence and failure handling.
+
+Campaigns run as shards of ``DEFAULT_SHARD_SIZE`` runs unless told
+otherwise; a parallel case whose run count fits one default shard gives
+a ``shard_size`` that yields at least ``jobs`` shards, so its workers
+really share the campaign.
+"""
 
 import time
 
@@ -23,20 +29,23 @@ class TestParallelSerialEquivalence:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_backends_bit_identical(self, backend):
         reference = ecc_campaign().run(120, seed=13)
-        report = ecc_campaign().run(120, seed=13, jobs=4, backend=backend)
+        report = ecc_campaign().run(120, seed=13, jobs=4, backend=backend,
+                                    shard_size=30)
         assert report.counts == reference.counts
         assert fingerprint(report) == fingerprint(reference)
 
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     def test_job_counts_bit_identical(self, jobs):
         reference = raw_sram_campaign().run(100, seed=7)
-        report = raw_sram_campaign().run(100, seed=7, jobs=jobs)
+        report = raw_sram_campaign().run(100, seed=7, jobs=jobs,
+                                         shard_size=10)
         assert fingerprint(report) == fingerprint(reference)
 
     def test_all_scenarios_invariant_under_parallelism(self):
         for make in (raw_sram_campaign, ecc_campaign, tmr_campaign):
             serial = make().run(60, seed=3)
-            parallel = make().run(60, seed=3, jobs=8, backend="thread")
+            parallel = make().run(60, seed=3, jobs=8, backend="thread",
+                                  shard_size=6)
             assert serial.counts == parallel.counts, make.__name__
             assert fingerprint(serial) == fingerprint(parallel)
 
@@ -60,7 +69,7 @@ class TestFailurePaths:
                             lambda ctx: time.sleep(60))
         start = time.perf_counter()
         report = campaign.run(6, seed=1, jobs=3, backend="thread",
-                              timeout_s=0.05, retries=1)
+                              shard_size=2, timeout_s=0.05, retries=1)
         assert time.perf_counter() - start < 10  # pool never wedges
         assert report.counts == {"crash": 6}
         assert report.retried_runs == 6
@@ -74,7 +83,7 @@ class TestFailurePaths:
         campaign = Campaign("raises", lambda: {}, bad_inject,
                             lambda ctx: "masked")
         report = campaign.run(4, seed=1, jobs=2, backend="process",
-                              retries=2)
+                              shard_size=2, retries=2)
         assert report.counts == {"crash": 4}
         assert all("beam glitch" in r.description for r in report.results)
 
@@ -100,25 +109,27 @@ class TestFailurePaths:
         campaign = Campaign("bad", lambda: {}, lambda ctx, rng: "",
                             lambda ctx: "exploded")
         with pytest.raises(CampaignError):
-            campaign.run(3, jobs=2, backend=backend)
+            campaign.run(3, jobs=2, backend=backend, shard_size=1)
 
 
 class TestReportAccounting:
     def test_timing_fields_populated(self):
-        report = ecc_campaign().run(30, seed=13, jobs=2, backend="thread")
-        assert report.backend == "thread"
-        assert report.jobs == 2
+        report = ecc_campaign().run(30, seed=13, jobs=2, backend="thread",
+                                    shard_size=15)
         assert report.wall_s > 0
         assert report.latency.count == 30
         assert report.latency.max_s >= report.latency.p50_s > 0
-        assert "backend=thread" in report.timing_row()
+        # The accounting describes the runs, not the invocation.
+        assert "backend" not in report.to_json()
+        assert "jobs" not in report.to_json()
 
     def test_progress_hook(self):
+        # Progress counts folded shards, in shard order at any job count.
         updates = []
         raw_sram_campaign().run(
-            40, seed=1, jobs=2, backend="thread",
+            40, seed=1, jobs=2, backend="thread", shard_size=10,
             progress=lambda done, total: updates.append((done, total)))
-        assert updates[-1] == (40, 40)
+        assert updates == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_scenarios_cover_mitigation_matrix(self):
         names = [c.name for c in memory_scenarios()]

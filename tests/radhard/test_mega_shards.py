@@ -133,6 +133,19 @@ class TestEarlyStopDeterminism:
             payloads[jobs] = payload_bytes(mega.report)
         assert payloads[1] == payloads[4]
 
+    def test_default_plan_stops_at_the_same_run_at_any_job_count(self):
+        # Regression: with no plan arguments the plan was jobs * 4
+        # shards, so `--stop-ci` stopped a 3 000-run campaign after
+        # 1 500 runs at jobs=1 and 750 at jobs=2 under one job key.
+        runs = {}
+        for jobs in (1, 2):
+            mega = MegaCampaign(raw_sram_campaign(words=16)).run(
+                3000, seed=13, jobs=jobs, stop_ci=0.02)
+            assert mega.early_stopped
+            runs[jobs] = (json.dumps(mega.plan.manifest()),
+                          mega.runs_executed, payload_bytes(mega.report))
+        assert runs[1] == runs[2]
+
     def test_never_stops_on_the_first_shard(self):
         mega = MegaCampaign(raw_sram_campaign(words=32)).run(
             200, seed=13, shard_size=100, stop_ci=0.49)

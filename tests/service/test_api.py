@@ -13,7 +13,7 @@ from repro.api import (
     job_kinds,
     submit,
 )
-from repro.cache import FlowCache
+from repro.cache import FlowCache, content_key
 from repro.core import (
     SCHEMA_VERSION,
     GenericReport,
@@ -24,6 +24,7 @@ from repro.core import (
     report_kind,
     registered_kinds,
 )
+from repro.service import JobScheduler, JobState
 
 SOURCE = """
 int scale(int x) { return (x * 3) >> 1; }
@@ -48,6 +49,29 @@ class TestJobSpec:
         assert base.content_key() != \
             JobSpec(kind="seu", params={"runs": 10},
                     seed=99).content_key()
+
+    def test_stale_campaign_entry_of_an_older_runner_misses(self):
+        # A persisted service entry keyed as the campaign runner keyed
+        # jobs before its version bump is never served for the spec.
+        spec = JobSpec(kind="seu", params={
+            "scenario": "raw-sram", "runs": 5,
+            "scenario_params": {"words": 16}})
+        stale_key = content_key("job", {"kind": spec.kind,
+                                        "params": spec.params,
+                                        "seed": spec.seed})
+        assert spec.content_key() != stale_key
+        cache = FlowCache()
+        cache.put("service", stale_key,
+                  {"exit_code": 0, "report": "stale"}, dict)
+        scheduler = JobScheduler(workers=1, cache=cache).start()
+        try:
+            record = scheduler.submit(spec)
+            assert record.done.wait(timeout=30.0)
+            assert not record.cache_hit
+            assert record.state is JobState.SUCCEEDED
+            assert record.report_text != "stale"
+        finally:
+            scheduler.stop()
 
     def test_params_canonicalized_at_construction(self):
         spec = JobSpec(kind="seu", params={"b": 2, "a": (1, 2)})
@@ -288,7 +312,7 @@ class TestShimEquivalence:
         cold = tmr_campaign(8).run(20, seed=3, cache=cache)
         warm = tmr_campaign(8).run(20, seed=3, cache=cache)
         assert report_json_text(cold) == report_json_text(warm)
-        assert cache.hit_count("radhard") == 1
+        assert cache.hit_count("mega") == 1
 
     def test_mega_run_matches_facade(self):
         from repro.radhard import MegaCampaign

@@ -15,7 +15,7 @@ from repro.telemetry import Tracer, to_chrome, to_jsonl
 def seu_trace(jobs):
     tracer = Tracer()
     for campaign in memory_scenarios(words=32):
-        campaign.run(50, seed=13, jobs=jobs, tracer=tracer)
+        campaign.run(50, seed=13, jobs=jobs, shard_size=10, tracer=tracer)
     return tracer
 
 
@@ -38,18 +38,20 @@ class TestParallelEquivalence:
 
     def test_seu_trace_content(self):
         tracer = seu_trace(2)
-        campaigns = [s for s in tracer.spans_in("radhard")
-                     if s.name.startswith("campaign:")]
+        campaigns = [s for s in tracer.spans_in("mega")
+                     if s.name.startswith("mega:")]
         assert len(campaigns) == len(memory_scenarios(words=32))
         # Campaign timelines tile consecutively on the shared run index.
         for earlier, later in zip(campaigns, campaigns[1:]):
             assert later.start == earlier.end
-        injections = [s for s in tracer.spans_in("radhard")
-                      if s.name.startswith("inject:")]
-        assert len(injections) == 50 * len(campaigns)
-        assert tracer.counters["radhard.runs"].value == len(injections)
+        shards = [s for s in tracer.spans_in("mega")
+                  if s.name.startswith("shard:")]
+        assert len(shards) == 5 * len(campaigns)
+        assert tracer.counters["mega.runs"].value == 50 * len(campaigns)
+        # No per-run spans: each run's outcome is in the report.
+        assert not tracer.spans_in("radhard")
         mitigated = tracer.counters["radhard.mitigated"].value
-        corrected = tracer.counters.get("radhard.corrected")
-        detected = tracer.counters.get("radhard.detected")
+        corrected = tracer.counters.get("mega.corrected")
+        detected = tracer.counters.get("mega.detected")
         assert mitigated == (corrected.value if corrected else 0) + \
             (detected.value if detected else 0)

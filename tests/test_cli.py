@@ -92,15 +92,18 @@ class TestCliQualify:
         assert sys.path == path
 
 
-# sha256 of the traces the removed ``repro trace boot|mission|seu --out``
+# sha256 of the traces the removed ``repro trace boot|mission --out``
 # scenarios wrote (JSON-lines, plus boot in Chrome format), taken before
-# the scenarios were removed.  The commands that do the same work must
-# reproduce them byte for byte, the SEU campaigns at any job count.
+# the scenarios were removed; the commands that do the same work must
+# reproduce them byte for byte.  The SEU trace (shard spans, outcome
+# counters, mitigation tally) must be the same at any job count, so
+# its four shards are also spread over four workers.
+SEU_TRACE = ["seu", "--runs", "60", "--words", "32", "--shard-size", "15"]
 SCENARIO_TRACES = [
-    (["seu", "--runs", "60", "--words", "32"], "json",
-     "9be61bd565ff968e22db8bf2c9b6abeda16206a0e0761dfcab558d0b1e3204d9"),
-    (["seu", "--runs", "60", "--words", "32", "--jobs", "4"], "json",
-     "9be61bd565ff968e22db8bf2c9b6abeda16206a0e0761dfcab558d0b1e3204d9"),
+    (SEU_TRACE, "json",
+     "a2bc054defd577b56f772584fb635ef99e8a7386d766ca33d070b471d90dc96b"),
+    (SEU_TRACE + ["--jobs", "4"], "json",
+     "a2bc054defd577b56f772584fb635ef99e8a7386d766ca33d070b471d90dc96b"),
     (["mission", "--frames", "20"], "json",
      "e6f89b0577ccf38e3d1a79fac6b6a5406827563c8fb6c67e82feca8e3e3f35b3"),
     (["boot", "--engine", "interp"], "json",
@@ -181,6 +184,14 @@ class TestCliCache:
         assert cold.read_bytes() == warm.read_bytes()
         err = capsys.readouterr().err
         assert "cache:" in err and "hit" in err
+        # The plan does not depend on --jobs, so a warm run at another
+        # job count is served whole from the cold run's checkpoints.
+        assert main(args + ["--jobs", "2", "--json", str(warm)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
+        summaries = [line for line in capsys.readouterr().err.splitlines()
+                     if line.startswith("mega: ")]
+        assert len(summaries) == 3
+        assert all("(1 cached, 0 computed)" in line for line in summaries)
 
     def test_characterize_cold_then_warm_identical(self, tmp_path,
                                                    capsys):
@@ -209,7 +220,7 @@ class TestCliCache:
                      str(cache_dir)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] > 0
-        assert stats["layers"]["radhard"]["stores"] > 0
+        assert stats["layers"]["mega"]["stores"] > 0
         assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
         assert main(["cache", "clear", "--cache-dir",
                      str(cache_dir)]) == 0
@@ -296,6 +307,21 @@ class TestCliLint:
         assert main(["lint", str(source), "--baseline",
                      str(baseline)]) == 0
         assert "suppressed by baseline" in capsys.readouterr().out
+
+
+class TestCliSeuPlan:
+    def test_stop_ci_payload_is_the_same_at_any_job_count(self, tmp_path,
+                                                          capsys):
+        # Regression: the default plan was jobs * 4 shards, so the
+        # early-stop point (and the payload) moved with --jobs.
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(["seu", "--runs", "3000", "--words", "16",
+                         "--stop-ci", "0.02", "--jobs", jobs,
+                         "--json-deterministic", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestCliExitCodes:
