@@ -1,11 +1,12 @@
 """The analysis driver: run selected rules over artifacts, concurrently.
 
-The :class:`Analyzer` maps (target, rule) work over the PR-1 parallel
-execution engine: each *target* (one artifact of one layer) is an
-independent job, so independent pass packs — an HLS module, a netlist, a
-hypervisor configuration and a boot flash — lint concurrently with the
-same determinism contract as every other campaign in the repo: results
-are merged in a fixed order regardless of backend or job count.
+The :class:`Analyzer` fans (target, rule) work out over the execution
+engine's one dispatcher, :func:`~repro.exec.run_sharded`, one target per
+shard: each *target* (one artifact of one layer) is an independent job,
+so independent pass packs — an HLS module, a netlist, a hypervisor
+configuration and a boot flash — lint concurrently with the same
+determinism contract as every other campaign in the repo: results are
+folded in plan order regardless of backend or job count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from ..exec import ParallelEngine
+from ..exec import plan_shards, run_sharded
 from .context import AnalysisContext
 from .diagnostics import Diagnostic, Severity, max_severity
 from .registry import DEFAULT_REGISTRY, Rule, RuleRegistry
@@ -153,7 +154,7 @@ class Analyzer:
 
     ``rules`` is a list of glob patterns over rule ids (None = all);
     ``baseline`` a set of diagnostic fingerprints to suppress; ``jobs``
-    fans independent targets out over the parallel execution engine.
+    fans independent targets out over the execution engine's dispatcher.
     """
 
     def __init__(self, rules: Optional[List[str]] = None,
@@ -196,15 +197,14 @@ class Analyzer:
             deep=self.deep)
         report.rules_run = sum(len(self.rules_for_layer(t.layer))
                                for t in targets)
-        engine = ParallelEngine(jobs=self.jobs, backend=self.backend,
-                                chunk_size=1)
-        execution = engine.map_seeded(
+        shards = run_sharded(
             lambda index, _seed: self._lint_target(targets[index]),
-            runs=len(targets))
+            plan_shards(len(targets), shard_size=1), jobs=self.jobs,
+            backend=self.backend)
         merged: List[Diagnostic] = []
         # Plan-order fold keeps counters deterministic at any job count.
-        for result in execution.results:
-            outcome = result.value
+        for shard in shards:
+            outcome = shard.results[0].value
             if outcome is None:
                 continue
             merged.extend(outcome.diagnostics)

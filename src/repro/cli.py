@@ -135,6 +135,20 @@ def _write_json(path: str, payload, what: str) -> None:
     print(f"{what} written to {path}", file=sys.stderr)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _parent(*specs) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     for flags, kwargs in specs:
@@ -144,7 +158,8 @@ def _parent(*specs) -> argparse.ArgumentParser:
 
 def _jobs_parent() -> argparse.ArgumentParser:
     return _parent((("--jobs",), dict(
-        type=int, default=1, help="parallel jobs (0 = all cores)")))
+        type=_non_negative_int, default=1,
+        help="parallel jobs (0 = all cores)")))
 
 
 def _backend_parent() -> argparse.ArgumentParser:
@@ -312,8 +327,7 @@ def _cmd_characterize(args) -> int:
     context = options.job_context()
     result = submit(_characterize_spec(args), context)
     tool = result.artifact
-    if options.jobs != 1 and tool.last_sweep_report is not None:
-        print(f"sweep: {tool.last_sweep_report.summary()}")
+    print(f"sweep: {result.report.summary()}", file=sys.stderr)
     options.finish(context)
     library = tool.build_library()
     xml_text = library.to_xml()
@@ -711,9 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
     seu.add_argument("--runs", type=int, default=400)
     seu.add_argument("--words", type=int, default=64,
                      help="memory size per campaign target")
-    seu.add_argument("--timeout", type=float, default=None,
+    seu.add_argument("--timeout", type=_positive_float, default=None,
                      help="per-run timeout (seconds)")
-    seu.add_argument("--retries", type=int, default=0,
+    seu.add_argument("--retries", type=_non_negative_int, default=0,
                      help="retry budget before classifying crash")
     seu.add_argument("--json", metavar="PATH",
                      help="also export the reports as canonical JSON")

@@ -4,9 +4,10 @@ The seed-derivation contract (:func:`seed_for`) plus the one
 dispatcher, :func:`run_sharded`, guarantee that serial, thread-pool and
 process-pool executions of the same campaign are bit-identical.  The
 dispatcher runs deterministic seed-range shards (resumable, extensible,
-early-stoppable mega-campaigns); :class:`ParallelEngine` is the flat map
-over it, and :mod:`repro.exec.stats` accumulates streaming outcome
-statistics with Wilson confidence intervals.
+early-stoppable mega-campaigns; one shard per lint target or
+characterization configuration), and :mod:`repro.exec.stats`
+accumulates streaming outcome statistics with Wilson confidence
+intervals.
 """
 
 from .cancel import (
@@ -16,7 +17,6 @@ from .cancel import (
     check_cancelled,
     current_token,
 )
-from .engine import ExecutionReport, ParallelEngine
 from .metrics import LatencyStats, percentile
 from .seeding import rng_for, seed_for
 from .sharding import (
@@ -38,8 +38,8 @@ from .stats import Z95, StreamingStats, wilson_interval
 __all__ = [
     "CancelToken", "ExecCancelled", "cancel_scope", "check_cancelled",
     "current_token",
-    "BACKENDS", "ExecError", "ExecutionReport", "ParallelEngine",
-    "RunResult", "RunTimeout", "default_jobs", "resolve_backend",
+    "BACKENDS", "ExecError", "RunResult", "RunTimeout", "default_jobs",
+    "resolve_backend",
     "LatencyStats", "percentile", "rng_for", "seed_for",
     "ShardPlan", "ShardResult", "ShardSpec", "plan_shards", "run_shard",
     "run_sharded",

@@ -3,12 +3,12 @@
 The job service must be able to abandon a queued or running job without
 killing worker processes mid-write.  The mechanism is a context-local
 :class:`CancelToken`: the scheduler installs one around a job with
-:func:`cancel_scope`, producer loops (the parallel engine between
-chunks, the flow runner between P&R stages) call
+:func:`cancel_scope`, producer loops (the shard dispatcher between
+runs and shards, the flow runner between P&R stages) call
 :func:`check_cancelled` at safe points, and anyone holding the token —
 typically an HTTP cancel request on another thread — trips it with
 ``token.cancel()``.  Tripping raises :class:`ExecCancelled` at the next
-checkpoint; in-flight pool chunks are left to finish (their results are
+checkpoint; in-flight pool shards are left to finish (their results are
 discarded) rather than killed.
 
 Tokens travel through a ``contextvars.ContextVar``, so nested scopes

@@ -43,9 +43,10 @@ bounded in-flight window (workers steal the next shard as they free up),
 buffers out-of-order completions, and **folds results strictly in shard
 index order**.  The fold callback may stop the campaign; since folding
 order never depends on completion order, an early-stopped campaign
-covers a deterministic prefix of the plan at any job count.  The flat
-:class:`~repro.exec.engine.ParallelEngine` map is a thin adapter over
-it.
+covers a deterministic prefix of the plan at any job count.  Every
+fan-out in the repo calls it directly: SEU campaigns plan shards of
+runs, while lint targets and Eucalyptus configurations are planned one
+per shard (``plan_shards(n, shard_size=1)``).
 """
 
 from __future__ import annotations
@@ -264,9 +265,9 @@ def run_shard(fn: RunFn, spec: ShardSpec, seed: int,
               ) -> ShardResult:
     """Execute one shard serially with the engine's per-run semantics.
 
-    Run *i* executes ``fn(i, seed_for(seed, i))`` under the same
-    timeout/retry envelope as a flat ``ParallelEngine`` map, so a shard
-    is exactly the corresponding slice of the serial campaign.
+    Run *i* executes ``fn(i, seed_for(seed, i))`` under the per-run
+    timeout/retry envelope, so a shard is exactly the corresponding
+    slice of the serial campaign at any shard size.
     """
     start = time.perf_counter()
     results = []
@@ -343,6 +344,10 @@ def run_sharded(fn: RunFn, plan: ShardPlan, seed: int = 1,
     """
     if jobs < 0:
         raise ExecError("jobs must be >= 0 (0 means all cores)")
+    if retries < 0:
+        raise ExecError("retries must be >= 0")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ExecError("timeout_s must be positive")
     jobs = jobs or default_jobs()
     resolved = resolve_backend(backend, jobs)
     known: Dict[int, Any] = dict(completed or {})

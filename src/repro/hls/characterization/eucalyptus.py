@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ...cache import FlowCache, content_key, device_fingerprint
-from ...exec.engine import ExecError, ExecutionReport, ParallelEngine
+from ...exec import ExecError, RunResult, ShardResult, plan_shards, \
+    run_sharded
 from ...fabric.device import Device, NG_ULTRA
 from ...fabric.nxmap import NXmapProject
 from ...fabric.synthesis import supported_components, synthesize_component
@@ -116,7 +117,6 @@ class Eucalyptus:
         self.tracer = tracer
         self.cache = cache
         self.runs: List[CharacterizationRun] = []
-        self.last_sweep_report: Optional[ExecutionReport] = None
 
     def _config_key(self, component: str, width: int, stages: int) -> str:
         """Content key of one configuration (requested, not effective)."""
@@ -190,57 +190,51 @@ class Eucalyptus:
         matter the backend or job count.  A configuration that fails to
         synthesize aborts the sweep with :class:`~repro.exec.ExecError`
         naming the configuration — characterization must be complete to
-        be usable as an HLS library.
+        be usable as an HLS library.  ``progress`` is called as
+        ``(folded, planned)`` configurations, cached ones included.
         """
         configs = self.configurations(components, tuple(widths),
                                       tuple(stages))
+        keys = [self._config_key(*config) for config in configs]
 
-        # Cache lookups (and later stores) happen parent-side: worker
-        # threads/processes never touch the cache, so there are no
-        # lost-update races and fork backends need no shared state.
-        found: Dict[int, CharacterizationRun] = {}
-        missing: List[int] = []
+        # One configuration per shard.  The cache is read and written
+        # parent-side only: worker threads/processes never touch it, so
+        # there are no lost-update races and fork backends need no
+        # shared state.  Each configuration is checkpointed as soon as
+        # it is computed, so a killed or failed sweep keeps the
+        # configurations it finished.
+        completed: Dict[int, RunResult] = {}
         if self.cache is not None:
-            for index, (component, width, stage) in enumerate(configs):
+            for index, key in enumerate(keys):
                 hit, value = self.cache.get(
-                    "characterize", self._config_key(component, width,
-                                                     stage),
-                    CharacterizationRun.from_json)
+                    "characterize", key, CharacterizationRun.from_json)
                 if hit:
-                    found[index] = value
-                else:
-                    missing.append(index)
-        else:
-            missing = list(range(len(configs)))
+                    completed[index] = RunResult(index=index, value=value)
 
-        def characterize_config(index: int, _run_seed: int
-                                ) -> CharacterizationRun:
-            component, width, stage = configs[missing[index]]
-            return self._characterize(component, width, stage)
+        def on_computed(shard: ShardResult) -> RunResult:
+            result = shard.results[0]
+            if result.ok and self.cache is not None:
+                self.cache.put("characterize", keys[result.index],
+                               result.value, CharacterizationRun.to_json)
+            return result
 
-        engine = ParallelEngine(jobs=jobs, backend=backend,
-                                timeout_s=timeout_s, retries=retries,
-                                progress=progress, tracer=self.tracer)
-        report = engine.map_seeded(characterize_config, len(missing),
-                                   self.seed)
-        self.last_sweep_report = report
-        failures = report.failures
-        if failures:
-            first = failures[0]
-            raise ExecError(
-                f"characterization of {configs[missing[first.index]]} "
-                f"failed after {first.attempts} attempt(s): {first.error}")
-        computed = [run_result.value for run_result in report.results]
-        if self.cache is not None:
-            for position, index in enumerate(missing):
-                component, width, stage = configs[index]
-                self.cache.put(
-                    "characterize",
-                    self._config_key(component, width, stage),
-                    computed[position], CharacterizationRun.to_json)
-        for position, index in enumerate(missing):
-            found[index] = computed[position]
-        results = [found[index] for index in range(len(configs))]
+        results: List[CharacterizationRun] = []
+
+        def consume(result: RunResult) -> bool:
+            if not result.ok:
+                raise ExecError(
+                    f"characterization of {configs[result.index]} failed "
+                    f"after {result.attempts} attempt(s): {result.error}")
+            results.append(result.value)
+            if progress is not None:
+                progress(len(results), len(configs))
+            return False
+
+        run_sharded(lambda index, _seed: self._characterize(*configs[index]),
+                    plan_shards(len(configs), shard_size=1), seed=self.seed,
+                    jobs=jobs, backend=backend, timeout_s=timeout_s,
+                    retries=retries, completed=completed,
+                    on_computed=on_computed, consume=consume)
         if self.tracer is not None:
             self._emit_telemetry(configs, results)
         self.runs.extend(results)

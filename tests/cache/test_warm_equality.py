@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.cache import FlowCache
-from repro.exec import plan_shards
+from repro.exec import ExecError, plan_shards
 from repro.fabric.device import NG_MEDIUM, scaled_device
 from repro.fabric.nxmap import NXmapProject
 from repro.fabric.routing import route
@@ -126,6 +126,46 @@ class TestCharacterizeWarmEquality:
         layer = cache.stats["characterize"]
         assert layer.hits == 2      # addsub w8 s0 and s2 reused
         assert layer.misses == 3    # 2 cold + 1 new logic config
+
+    def test_failed_sweep_keeps_its_finished_configurations(
+            self, tmp_path, monkeypatch):
+        # Each configuration is checkpointed as soon as it is computed,
+        # so a sweep that fails on its last configuration still leaves
+        # the two before it in the cache.
+        directory = tmp_path / "cache"
+        kwargs = dict(components=["addsub", "logic"], widths=(8,), jobs=1)
+        characterize = Eucalyptus._characterize
+
+        def fails_on_logic(self, component, width, stages):
+            if component == "logic":
+                raise RuntimeError("injected synthesis fault")
+            return characterize(self, component, width, stages)
+
+        monkeypatch.setattr(Eucalyptus, "_characterize", fails_on_logic)
+        with pytest.raises(ExecError, match=r"\('logic', 8, 0\)"):
+            Eucalyptus(device=small_device(), effort=0.15,
+                       cache=FlowCache(directory=directory)).sweep(**kwargs)
+        monkeypatch.undo()
+
+        cache = FlowCache(directory=directory)
+        updates = []
+        Eucalyptus(device=small_device(), effort=0.15, cache=cache).sweep(
+            progress=lambda done, total: updates.append((done, total)),
+            **kwargs)
+        layer = cache.stats["characterize"]
+        assert (layer.hits, layer.misses) == (2, 1)
+        # Cached configurations count towards progress.
+        assert updates == [(1, 3), (2, 3), (3, 3)]
+
+    def test_fully_warm_sweep_reports_progress(self, tmp_path):
+        cache = FlowCache(directory=tmp_path / "cache")
+        tool = Eucalyptus(device=small_device(), effort=0.15, cache=cache)
+        tool.sweep(components=["addsub", "logic"], widths=(8,))
+        updates = []
+        tool.sweep(components=["addsub", "logic"], widths=(8,),
+                   progress=lambda done, total: updates.append((done, total)))
+        assert cache.stats["characterize"].hits == 3
+        assert updates[-1] == (3, 3)
 
 
 def default_plan_keys(campaign, runs, seed):

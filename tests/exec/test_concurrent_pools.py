@@ -2,8 +2,8 @@
 
 The fork backend hands each pool's task closure to its own workers.  Two
 callers dispatching at once (the job service running two jobs) must each
-get back only their own results, through both the flat engine map and
-the sharded dispatcher.
+get back only their own results from the sharded dispatcher, whether
+their plans run one task per shard or many.
 """
 
 import multiprocessing
@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.exec import ParallelEngine, plan_shards, run_sharded
+from repro.exec import plan_shards, run_sharded
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -21,31 +21,25 @@ RUNS = 40
 MAPS_PER_CALLER = 5
 
 
-def engine_map(tag):
-    report = ParallelEngine(jobs=2, backend="process").map_seeded(
-        lambda index, run_seed: tag, RUNS, seed=1)
-    return [result.value for result in report.results]
-
-
-def sharded_map(tag):
+def sharded_map(tag, shard_size):
     shards = run_sharded(lambda index, run_seed: tag,
-                         plan_shards(RUNS, shard_size=5), seed=1, jobs=2,
-                         backend="process")
+                         plan_shards(RUNS, shard_size=shard_size), seed=1,
+                         jobs=2, backend="process")
     return [result.value for shard in shards for result in shard.results]
 
 
 def test_concurrent_process_maps_keep_their_own_payload():
-    callers = [("engine-a", engine_map), ("engine-b", engine_map),
-               ("sharded-a", sharded_map), ("sharded-b", sharded_map)]
+    callers = [("single-a", 1), ("single-b", 1),
+               ("sharded-a", 5), ("sharded-b", 5)]
     barrier = threading.Barrier(len(callers))
     seen = {tag: [] for tag, _ in callers}
     errors = []
 
-    def caller(tag, map_fn):
+    def caller(tag, shard_size):
         try:
             for _ in range(MAPS_PER_CALLER):
                 barrier.wait(timeout=60)
-                seen[tag].append(map_fn(tag))
+                seen[tag].append(sharded_map(tag, shard_size))
         except BaseException as error:  # noqa: BLE001 - reported below
             errors.append(f"{tag}: {type(error).__name__}: {error}")
             barrier.abort()

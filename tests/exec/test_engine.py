@@ -1,4 +1,6 @@
-"""Engine determinism, timeout/retry and seed-derivation contract."""
+"""Execution-engine contract on its one dispatcher, ``run_sharded``:
+seed derivation, backend resolution, determinism across backends and
+job counts, and the per-run timeout/retry envelope."""
 
 import random
 import threading
@@ -9,12 +11,14 @@ import pytest
 from repro.exec import (
     BACKENDS,
     ExecError,
-    ParallelEngine,
-    default_jobs,
+    LatencyStats,
+    plan_shards,
     resolve_backend,
     rng_for,
+    run_sharded,
     seed_for,
 )
+from repro.exec import sharding
 
 
 def square_task(index, run_seed):
@@ -23,6 +27,17 @@ def square_task(index, run_seed):
 
 def seeded_draw(index, run_seed):
     return random.Random(run_seed).randrange(1 << 30)
+
+
+def run_all(fn, runs, seed=1, shard_size=4, **kwargs):
+    """Every run result of a sharded execution, in run order."""
+    shards = run_sharded(fn, plan_shards(runs, shard_size=shard_size),
+                         seed=seed, **kwargs)
+    return [result for shard in shards for result in shard.results]
+
+
+def values(results):
+    return [result.value for result in results]
 
 
 class TestSeedDerivation:
@@ -70,55 +85,48 @@ class TestBackendResolution:
         with pytest.raises(ExecError):
             resolve_backend("gpu", 2)
 
-    def test_zero_jobs_means_all_cores(self):
-        engine = ParallelEngine(jobs=0)
-        assert engine.jobs == default_jobs()
+    def test_zero_jobs_means_all_cores(self, monkeypatch):
+        # Three runs meet at a three-party barrier: only a pool of
+        # default_jobs() == 3 workers can run them all at once.
+        monkeypatch.setattr(sharding, "default_jobs", lambda: 3)
+        barrier = threading.Barrier(3)
 
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ExecError):
-            ParallelEngine(jobs=-1)
-        with pytest.raises(ExecError):
-            ParallelEngine(retries=-1)
-        with pytest.raises(ExecError):
-            ParallelEngine(timeout_s=0)
-        with pytest.raises(ExecError):
-            ParallelEngine(chunk_size=0)
+        def meet(index, run_seed):
+            return barrier.wait(timeout=10)
+
+        results = run_all(meet, 3, shard_size=1, jobs=0, backend="thread")
+        assert all(result.ok for result in results)
 
 
 class TestDeterminism:
     def reference(self, runs, seed):
-        return [r.value for r in
-                ParallelEngine(jobs=1, backend="serial")
-                .map_seeded(seeded_draw, runs, seed).results]
+        return values(run_all(seeded_draw, runs, seed, jobs=1,
+                              backend="serial"))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     def test_backends_and_jobs_agree(self, backend, jobs):
-        report = ParallelEngine(jobs=jobs, backend=backend).map_seeded(
-            seeded_draw, 64, seed=17)
-        assert [r.value for r in report.results] == self.reference(64, 17)
+        results = run_all(seeded_draw, 64, seed=17, jobs=jobs,
+                          backend=backend)
+        assert values(results) == self.reference(64, 17)
 
     def test_results_in_run_order(self):
-        report = ParallelEngine(jobs=4, backend="thread",
-                                chunk_size=3).map_seeded(
-            square_task, 50, seed=1)
-        assert [r.index for r in report.results] == list(range(50))
-        assert [r.value for r in report.results] == \
-            [i * i for i in range(50)]
+        results = run_all(square_task, 50, shard_size=3, jobs=4,
+                          backend="thread")
+        assert [r.index for r in results] == list(range(50))
+        assert values(results) == [i * i for i in range(50)]
 
-    def test_chunk_size_is_invisible(self):
-        for chunk in (1, 7, 100):
-            report = ParallelEngine(jobs=3, backend="thread",
-                                    chunk_size=chunk).map_seeded(
-                seeded_draw, 40, seed=3)
-            assert [r.value for r in report.results] == \
-                self.reference(40, 3)
+    def test_shard_size_is_invisible(self):
+        for size in (1, 7, 100):
+            results = run_all(seeded_draw, 40, seed=3, shard_size=size,
+                              jobs=3, backend="thread")
+            assert values(results) == self.reference(40, 3)
 
     def test_zero_runs(self):
-        report = ParallelEngine(jobs=4, backend="thread").map_seeded(
-            square_task, 0, seed=1)
-        assert report.results == []
-        assert report.latency_stats().count == 0
+        results = run_all(square_task, 0, jobs=4, backend="thread")
+        assert results == []
+        assert LatencyStats.from_samples(
+            [r.latency_s for r in results]).count == 0
 
 
 class TestTimeoutAndRetry:
@@ -126,10 +134,11 @@ class TestTimeoutAndRetry:
         def hang(index, run_seed):
             time.sleep(30)
 
-        report = ParallelEngine(jobs=2, backend="thread",
-                                timeout_s=0.05).map_seeded(hang, 4, 1)
-        assert len(report.failures) == 4
-        for result in report.results:
+        results = run_all(hang, 4, shard_size=1, jobs=2,
+                          backend="thread", timeout_s=0.05)
+        assert len(results) == 4
+        for result in results:
+            assert not result.ok
             assert result.timed_out
             assert result.attempts == 1
             assert "exceeded" in result.error
@@ -141,24 +150,22 @@ class TestTimeoutAndRetry:
             return index
 
         start = time.perf_counter()
-        report = ParallelEngine(jobs=2, backend="thread",
-                                timeout_s=0.05, chunk_size=1).map_seeded(
-            hang_some, 12, 1)
+        results = run_all(hang_some, 12, shard_size=1, jobs=2,
+                          backend="thread", timeout_s=0.05)
         assert time.perf_counter() - start < 10
-        good = [r for r in report.results if r.ok]
-        assert len(good) == 9
-        assert len(report.failures) == 3
+        assert sum(1 for r in results if r.ok) == 9
+        assert [r.index for r in results if not r.ok] == [0, 4, 8]
 
     def test_retry_exhaustion_counts_attempts(self):
         def always_fails(index, run_seed):
             raise RuntimeError("flaky forever")
 
-        report = ParallelEngine(retries=3).map_seeded(always_fails, 2, 1)
-        for result in report.results:
+        results = run_all(always_fails, 2, retries=3)
+        assert len(results) == 2
+        for result in results:
             assert not result.ok
             assert result.attempts == 4
             assert "flaky forever" in result.error
-        assert report.retried_runs == 2
 
     def test_retry_recovers_transient_failure(self):
         attempts_seen = {}
@@ -171,48 +178,53 @@ class TestTimeoutAndRetry:
                     raise RuntimeError("transient")
             return "ok"
 
-        report = ParallelEngine(jobs=2, backend="thread",
-                                retries=2).map_seeded(flaky, 6, 1)
-        assert all(r.ok and r.value == "ok" for r in report.results)
-        assert all(r.attempts == 2 for r in report.results)
+        results = run_all(flaky, 6, jobs=2, backend="thread", retries=2)
+        assert all(r.ok and r.value == "ok" for r in results)
+        assert all(r.attempts == 2 for r in results)
 
     def test_fatal_types_propagate(self):
         class Misconfigured(Exception):
             pass
 
+        attempts = []
+
         def broken(index, run_seed):
+            attempts.append(index)
             raise Misconfigured("campaign bug")
 
-        engine = ParallelEngine(jobs=2, backend="thread", retries=5,
-                                fatal_types=(Misconfigured,))
         with pytest.raises(Misconfigured):
-            engine.map_seeded(broken, 4, 1)
+            run_all(broken, 4, shard_size=1, jobs=2, backend="thread",
+                    retries=5, fatal_types=(Misconfigured,))
+        # A fatal aborts at once: it is never retried.
+        assert len(attempts) <= 2
 
 
 class TestReporting:
     def test_progress_hook(self):
+        # Callers report progress from the in-order fold.
         updates = []
-        engine = ParallelEngine(jobs=2, backend="thread", chunk_size=5,
-                                progress=lambda done, total:
-                                updates.append((done, total)))
-        engine.map_seeded(square_task, 20, 1)
-        assert updates[-1] == (20, 20)
-        assert all(total == 20 for _, total in updates)
-        assert [done for done, _ in updates] == \
-            sorted(done for done, _ in updates)
+        folded = []
+
+        def progress(shard):
+            folded.extend(shard.results)
+            updates.append((len(folded), 20))
+
+        run_sharded(square_task, plan_shards(20, shard_size=5), jobs=2,
+                    backend="thread", consume=progress)
+        assert updates == [(5, 20), (10, 20), (15, 20), (20, 20)]
 
     def test_latency_and_wall_recorded(self):
         def work(index, run_seed):
             time.sleep(0.002)
 
-        report = ParallelEngine(jobs=2, backend="thread").map_seeded(
-            work, 8, 1)
-        stats = report.latency_stats()
+        shards = run_sharded(work, plan_shards(8, shard_size=2), jobs=2,
+                             backend="thread")
+        stats = LatencyStats.from_samples(
+            [r.latency_s for shard in shards for r in shard.results])
         assert stats.count == 8
         assert stats.mean_s >= 0.002
         assert stats.max_s >= stats.p95_s >= stats.p50_s > 0
-        assert report.wall_s > 0
-        assert "8 runs on thread backend" in report.summary()
+        assert all(shard.wall_s >= 0.004 for shard in shards)
 
     def test_process_backend_runs_closures(self):
         # fork inheritance: a closure over local state must reach workers.
@@ -221,7 +233,5 @@ class TestReporting:
         def task(index, run_seed):
             return index + offset
 
-        report = ParallelEngine(jobs=2, backend="process").map_seeded(
-            task, 10, 1)
-        assert [r.value for r in report.results] == \
-            [i + 1000 for i in range(10)]
+        results = run_all(task, 10, jobs=2, backend="process")
+        assert values(results) == [i + 1000 for i in range(10)]

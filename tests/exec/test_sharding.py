@@ -170,3 +170,9 @@ class TestRunSharded:
     def test_rejects_negative_jobs(self):
         with pytest.raises(ExecError):
             run_sharded(echo_run, plan_shards(10, shards=2), jobs=-1)
+
+    def test_rejects_negative_retries_and_non_positive_timeout(self):
+        for bad in (dict(retries=-1), dict(timeout_s=0),
+                    dict(timeout_s=-1.0)):
+            with pytest.raises(ExecError):
+                run_sharded(echo_run, plan_shards(10, shards=2), **bad)

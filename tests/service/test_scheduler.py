@@ -301,16 +301,17 @@ class TestCancellation:
 
 class TestEngineCancellation:
     def test_engine_serial_checkpoint_raises(self):
-        from repro.exec import ExecCancelled, ParallelEngine, cancel_scope
-        engine = ParallelEngine(jobs=1, backend="serial", chunk_size=1)
+        from repro.exec import ExecCancelled, cancel_scope
+        from repro.exec.sharding import plan_shards, run_sharded
         with cancel_scope() as token:
             token.cancel("stop now")
             with pytest.raises(ExecCancelled):
-                engine.map_seeded(lambda i, s: i, 10, seed=1)
+                run_sharded(lambda i, s: i, plan_shards(10, shard_size=1),
+                            seed=1, jobs=1)
 
     def test_engine_pooled_cancel_mid_run(self):
-        from repro.exec import ExecCancelled, ParallelEngine, cancel_scope
-        engine = ParallelEngine(jobs=2, backend="thread", chunk_size=1)
+        from repro.exec import ExecCancelled, cancel_scope
+        from repro.exec.sharding import plan_shards, run_sharded
 
         def slow_run(index, run_seed):
             time.sleep(0.02)
@@ -321,7 +322,8 @@ class TestEngineCancellation:
             killer.start()
             try:
                 with pytest.raises(ExecCancelled):
-                    engine.map_seeded(slow_run, 500, seed=1)
+                    run_sharded(slow_run, plan_shards(500, shard_size=1),
+                                seed=1, jobs=2, backend="thread")
             finally:
                 killer.cancel()
 
@@ -348,10 +350,11 @@ class TestEngineCancellation:
         assert len(executed) < 200    # abandoned mid-campaign
 
     def test_engine_unaffected_outside_scope(self):
-        from repro.exec import ParallelEngine
-        engine = ParallelEngine(jobs=2, backend="thread", chunk_size=5)
-        report = engine.map_seeded(lambda i, s: i * 2, 20, seed=1)
-        assert [r.value for r in report.results] == \
+        from repro.exec.sharding import plan_shards, run_sharded
+        shards = run_sharded(lambda i, s: i * 2,
+                             plan_shards(20, shard_size=5), seed=1,
+                             jobs=2, backend="thread")
+        assert [r.value for shard in shards for r in shard.results] == \
             [i * 2 for i in range(20)]
 
 

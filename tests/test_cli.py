@@ -56,6 +56,20 @@ class TestCliCharacterize:
         library = ComponentLibrary.from_xml(out.read_text())
         assert library.lookup("addsub", 8).luts > 0
 
+    def test_stdout_xml_is_the_same_at_any_job_count(self, capsys):
+        # Regression: --jobs 2 printed a wall-clock sweep line to stdout
+        # ahead of the XML, so the library no longer parsed.
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["characterize", "--components", "addsub,logic",
+                         "--widths", "8", "--effort", "0.1",
+                         "--grid-luts", "1024", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out.encode())
+        assert outputs[0] == outputs[1]
+        from repro.hls.characterization import ComponentLibrary
+        library = ComponentLibrary.from_xml(outputs[1].decode())
+        assert library.lookup("addsub", 8).luts > 0
+
 
 class TestCliBoot:
     def test_boot_nominal(self, capsys):
@@ -345,6 +359,15 @@ class TestCliExitCodes:
         if crash:
             request.getfixturevalue("crashing_sram")
         assert main(self.SEU + extra) == expected
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--timeout", "0"), ("--timeout", "-1"), ("--retries", "-1"),
+        ("--jobs", "-1")])
+    def test_seu_invalid_run_envelope_is_usage(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.SEU + [flag, value])
+        assert exit_info.value.code == ExitCode.USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
 
     HLS_OK = "int f(int x) { return x * 3; }\n"
 
