@@ -283,9 +283,10 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "if [ -f server.pid ]; then kill $(cat server.pid); fi"),
     ]},
     # Interactive ECO gates: the delta/warm-start/cone test suites (edit
-    # sequences, work counts, edit validation, the delta route against
-    # the from-scratch oracle), the delta-chained key + service warm-hit
-    # contracts, the pinned cold and ECO stage keys and the placement
+    # sequences, work counts, edit validation, the delta route and the
+    # ECO timing report against their from-scratch oracles), the
+    # delta-chained key + service warm-hit contracts, the pinned cold
+    # and ECO stage keys and the placement
     # and route identity pins, then a scripted 1% edit to the 10k design
     # through the real CLI — ≥3x over the cold re-run at CI scale, ECO HPWL within 5% of cold's,
     # no timing violation the cold flow doesn't have, and the ECO wire
@@ -297,6 +298,7 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "tests/fabric/test_eco.py tests/fabric/test_eco_sequence.py "
          "tests/fabric/test_eco_work.py tests/fabric/test_eco_validate.py "
          "tests/fabric/test_route_delta_property.py "
+         "tests/fabric/test_eco_timing_property.py "
          "tests/fabric/test_place_identity.py "
          "tests/fabric/test_route_identity.py "
          "tests/cache/test_eco_keys.py "

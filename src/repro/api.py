@@ -246,8 +246,9 @@ _RUNNERS: Dict[str, Runner] = {}
 #: misses.  ``seu``/``mega`` 2: one engine with a plan from ``runs``
 #: alone.  Before it, a ``mega`` job without plan params split into
 #: ``jobs * 4`` shards (its early-stop point followed the job count)
-#: and a ``seu`` job ignored ``shards`` and ``stop_ci``.
-_RUNNER_VERSIONS: Dict[str, int] = {"seu": 2, "mega": 2}
+#: and a ``seu`` job ignored ``shards`` and ``stop_ci``.  ``eco`` 2:
+#: ``ECO_KERNEL_VERSION`` 3, whose cone STA is exact.
+_RUNNER_VERSIONS: Dict[str, int] = {"seu": 2, "mega": 2, "eco": 2}
 
 
 def register_kind(kind: str, runner: Optional[Runner] = None):

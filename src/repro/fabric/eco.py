@@ -21,43 +21,29 @@ re-implementation incremental:
     from the cached base placement; only the changed cells and their
     net neighborhood are movable, annealed at low temperature inside a
     VPR-style range limit — every other cell is frozen bit-identical.
-  - **delta routing**: only route trees whose nets touch changed cells
-    (plus whatever the overflow cascade rips) are torn up; the router
-    seeds its negotiation from the base result's persisted
-    ``edge_usage`` congestion state (``route(warm=..., reroute_nets=...)``).
+  - **delta routing** (``route(warm=...)``): only the route trees the
+    edit made stale, plus whatever the overflow cascade rips, are torn
+    up, on the base's persisted ``edge_usage`` congestion state.  Each
+    stage names what it changed (``PlacementResult.moved``,
+    ``RoutingResult.rerouted``) for the stages after it.
   - **cone-limited STA** (:func:`~repro.fabric.timing.analyze_timing_cone`):
-    arrivals are re-propagated only over the fan-out cone of the
-    changed cells and the re-routed nets, then merged into the cached
-    full-timing state.
+    arrivals are re-propagated only over the fan-out cone of the moved
+    and changed cells, the touched nets and the re-routed nets of
+    another length, merged into the cached state: it equals a full STA.
 
 An edit pays for the edit, not the design.  Once per base,
-:meth:`EcoFlow.prepare_base` derives an :class:`EcoBase` and keeps it
-on the base project (``NXmapProject.eco_base``) next to its cached
-results; :meth:`EcoBase.of` alone decides when it is stale: it is
-current while the project's netlist, placement and routing objects are
-the ones it was derived from, so every flow on one base, cached or not,
-shares it, and the base's full STA runs once.  It holds the base's full
-STA state (:class:`~repro.fabric.timing.StaState`, stage ``sta-state``,
-with the Kahn levels), the base cell order (one map: the warm start,
-the bitstream's cell sort and the cone's endpoint rank read it), the
-site map with every base cell placed and the HPWL
-(:class:`WarmPlacement`), the warm routes by tile id with each edge's
-users (:class:`~repro.fabric.routing.WarmRoutes`), and the canonical
-endpoint order with the endpoints ranked by delay
-(:class:`~repro.fabric.timing.ConeBase`).  Edits only read it.  Per
-edit, the flow then touches the changed cells, their nets and the
-overflowed edges: validation checks the written nets and the forward
-cone of new combinational edges (``NXmapProject.for_edit``), the warm
-start copies the site map and indexes the movable cells' nets (with
-the cold placer's ``_connectivity``), the route checks the nets the edit
-could have made stale and rips up only nets on overflowed edges, the
-cone STA repairs the stored levels over the edited nets, and the
-bitstream rebuilds the touched tiles from the cells on them.  What
-remains design-sized are C-level copies of maps (the netlist's, the
-site map's, the result maps) and, in the route, one C-level difference
-of the two location maps and sums over the channel usage list.  The
-from-scratch oracles — ``total_hpwl``, ``analyze_timing_state`` and the
-cold ``route`` — check these results in the tests.
+:meth:`EcoFlow.prepare_base` derives an :class:`EcoBase` (the base's
+full STA state, cell order, site map, warm routes and endpoint ranking)
+that edits only read.  Per edit, the flow touches the changed cells,
+their nets and the overflowed edges: validation checks the written nets
+and the forward cone of new combinational edges, the warm start indexes
+the movable cells' nets, the route checks the nets the edit could have
+made stale, the cone STA repairs the stored levels over the edited nets,
+and the bitstream rebuilds the touched tiles.  What remains design-sized
+are C-level copies of maps and, in the route, one C-level difference of
+the two location maps and sums over the channel usage list.  The
+from-scratch oracles (``total_hpwl``, ``analyze_timing_state`` and the
+cold ``route``) check these results in the tests.
 
 Every ECO stage result is content-addressed under a *delta-chained*
 key: ``content_key(base stage key, canonical delta, options)``, made by
@@ -76,7 +62,7 @@ Telemetry counters: ``eco.cells.moved``, ``eco.nets.ripped``,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, FrozenSet, List, Mapping, NamedTuple, \
     Optional, Sequence, Set, Tuple, Union
 
@@ -98,13 +84,13 @@ _CONSTRAINT_NAMES = ("target_clock_ns",)
 
 #: Warm-start neighborhood expansion stops at nets above this fanout:
 #: unfreezing a high-fanout net's whole sink cloud would cascade into
-#: the rip-up set and the STA cone (see :func:`eco_place`).
+#: the re-routed nets and the STA cone (see :func:`eco_place`).
 _NEIGHBOR_FANOUT_CAP = 4
 
 #: HPWL a move of a pre-existing cell must win before it is considered.
-#: Every moved cell forces its nets into the rip-up set and their cones
-#: into the STA re-run, so churn moves (tiny HPWL wins) cost far more
-#: downstream than they save; cells the delta *added* carry no penalty.
+#: Every moved cell's nets are re-routed and their cones re-timed, so
+#: churn moves (tiny HPWL wins) cost far more downstream than they
+#: save; cells the delta *added* carry no penalty.
 _DISTURB_PENALTY = 8.0
 
 
@@ -450,8 +436,8 @@ def _occupied_sites(netlist: Netlist, device: Device,
     """The site manager on ``base``'s grid with every cell of ``netlist``
     that has a base tile placed there, in netlist order (the order fixes
     the free-lists' order).  A cell whose base tile has no room left for
-    it is a :class:`FlowError`: on a base that fits, only a removed cell
-    re-added as another site class can meet one."""
+    it is a :class:`FlowError`: only a base that does not fit its design
+    can meet one."""
     sites = _SiteManager(_Grid(device, netlist, dims=base.grid))
     for name, cell in netlist.cells.items():
         tile = base.locations.get(name)
@@ -473,11 +459,9 @@ class WarmPlacement:
     netlist, the map the cone STA ranks by too), the cells on each tile,
     the sites they occupy (free-list order included), the base HPWL, and
     how many nets cover fewer than two pins (``total_hpwl`` is a float
-    when any does).  An edit of a copy of ``netlist`` then pays for its
-    own cells and nets only.  ``misfit`` (None when ``base`` fits) is
-    why every warm start from ``base`` is refused: a base cell without
-    a base tile, a placed cell the netlist lacks or an over-full tile.
-    """
+    when any does).  ``misfit`` (None when ``base`` fits) is why every
+    warm start from ``base`` is refused: a base cell without a base
+    tile, a placed cell the netlist lacks or an over-full tile."""
 
     def __init__(self, netlist: Netlist, device: Device,
                  base: PlacementResult, order: Mapping[str, int]) -> None:
@@ -517,12 +501,9 @@ def _movable_cells(netlist: Netlist, base: PlacementResult,
 
     A fresh cell needs its neighbors to shuffle locally so it can
     legalize near them.  Neighbors of merely-reconnected cells stay
-    frozen: they still take part in the cost function as fixed pins.
-    Every cell the anneal moves cascades into the rip-up set and the
-    STA cone, so unfreezing a reconnect source's whole sink cloud
-    (often a register feeding dozens of sinks) would defeat
-    incrementality.
-    """
+    frozen (fixed pins of the cost function): every moved cell's nets
+    are re-routed and re-timed, so unfreezing a reconnect source's sink
+    cloud would defeat incrementality."""
     cells = netlist.cells
     movable = {name for name in changed_cells if name in cells}
     hot_nets: Set[str] = set()
@@ -576,11 +557,13 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     (``Netlist.copy``) of the design ``base`` places.
 
     The movable set is the changed cells plus the low-fanout neighbors
-    of the added ones (:func:`_movable_cells`); everything else keeps
-    its base tile *bit-identically*.  The anneal runs at a fraction of
-    the cold starting temperature inside a reduced range limit, on the
-    base placement's grid (so frozen tiles stay legal).  The move loop
-    is the cold placer's (``placement._anneal``), with a disturbance
+    of the added ones (:func:`_movable_cells`; a cell re-added as
+    another site class is placed as an added cell); everything else
+    keeps its base tile *bit-identically*, and the result's ``moved``
+    names the cells whose tile changed.  The anneal runs at a fraction
+    of the cold starting temperature inside a reduced range limit, on
+    the base placement's grid (so frozen tiles stay legal), with the
+    cold placer's move loop (``placement._anneal``) and a disturbance
     penalty on the first move of a pre-existing cell.
 
     The warm start pays for the edit only: the sites, the cell order and
@@ -603,6 +586,13 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     rng = random.Random(seed)
     cells, nets = netlist.cells, netlist.nets
     position = netlist.position(warm.order)
+    parent_tile, kind = base.locations.get, _SiteManager.site_class
+    reclassed = {name for name in parent.cells.keys() & netlist.added_cells
+                 if kind(parent.cells[name].kind) != kind(cells[name].kind)}
+    if reclassed:
+        base = replace(base, locations={
+            name: tile for name, tile in base.locations.items()
+            if name not in reclassed})
     added = [name for name in netlist.added_cells
              if base.locations.get(name) is None]
     scanned = 0
@@ -616,7 +606,7 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
         sites = warm.sites.copy()
     cols, rows = sites.grid.cols, sites.grid.rows
     if not cells:
-        return PlacementResult({}, 0.0, 0.0, 0, (cols, rows))
+        return PlacementResult({}, 0.0, 0.0, 0, (cols, rows), {}, frozenset())
 
     movable = _movable_cells(netlist, base, changed_cells)
 
@@ -653,7 +643,7 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     total, degenerate = warm.hpwl, warm.degenerate
     for net_name in netlist.edited_nets:
         if net_name in parent.nets:
-            span = _net_span(parent, base.locations.get, net_name)
+            span = _net_span(parent, parent_tile, net_name)
             if span is None:
                 degenerate -= 1
             else:
@@ -724,10 +714,10 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
     locations.update(tiles)
     for index, name in enumerate(members):
         locations[name] = (xs[index], ys[index])
-    moved = sum(1 for name in movable.union(added)
-                if base.locations.get(name) != locations[name])
+    moved = frozenset(name for name in movable.union(added)
+                      if base.locations.get(name) != locations[name])
     stats.update(annealed=len(members), frozen=len(cells) - len(members),
-                 moved=moved, added=len(added))
+                 moved=len(moved), added=len(added))
     if tracer is not None:
         tracer.counter("place.moves.total", "fabric").add(stats["moves"])
         tracer.counter("place.moves.accepted", "fabric").add(
@@ -737,7 +727,7 @@ def eco_place(netlist: Netlist, device: Device, base: PlacementResult,
                            hpwl=final_hpwl,
                            initial_hpwl=initial,
                            iterations=stats["moves"],
-                           grid=(cols, rows), stats=stats)
+                           grid=(cols, rows), stats=stats, moved=moved)
 
 
 # -- the ECO report ---------------------------------------------------------
@@ -816,6 +806,24 @@ class _ConeTiming(NamedTuple):
                    int(payload["cone"]))
 
 
+class _Reported(NamedTuple):
+    """The codec of a cached ``eco-place`` or ``eco-route`` value: the
+    result's payload plus the names the stage reports changing, which
+    that payload leaves out (``moved`` cells, ``rerouted`` nets), so a
+    hit still feeds the stages downstream."""
+
+    result: Any
+    names: str
+
+    def to_json(self, value: Any) -> Dict[str, Any]:
+        return {"result": value.to_json(),
+                self.names: sorted(getattr(value, self.names))}
+
+    def from_json(self, payload: Mapping[str, Any]) -> Any:
+        return replace(self.result.from_json(payload["result"]),
+                       **{self.names: frozenset(payload[self.names])})
+
+
 class EcoBase(NamedTuple):
     """What every edit of one base implementation needs of the whole
     design: derived once per base by :meth:`of`, carried on the base
@@ -889,19 +897,16 @@ class EcoFlow:
     def prepare_base(self, effort: float = 1.0,
                      channel_width: int = DEFAULT_CHANNEL_WIDTH
                      ) -> EcoBase:
-        """Ensure the base implementation this flow increments from, and
-        return its :class:`EcoBase`.
+        """Ensure the base implementation this flow increments from and
+        return its :class:`EcoBase` (:meth:`EcoBase.of`: derived once
+        per base, however many flows edit it).
 
         Base placement, routing and bitstream warm from the cache when
-        present and are recomputed cold when evicted — either way the
-        stage keys are rebuilt, so the delta chain stays consistent.
-        The edit's bitstream is rebuilt from the base one.  The full-STA
-        state and the design-wide indexes every edit reads are derived
-        from the base once (:meth:`EcoBase.of`, kept as
-        ``project.eco_base`` until the base changes), however many flows
-        edit it: in the interactive scenario they are part of the
-        implemented design, so callers may run this outside the timed
-        edit loop.
+        present and are recomputed cold when evicted; either way the
+        stage keys are rebuilt, so the delta chain stays consistent (the
+        edit's bitstream is rebuilt from the base one).  In the
+        interactive scenario all of it is part of the implemented design,
+        so callers may run this outside the timed edit loop.
         """
         project = self.project
         if project.placement is None:
@@ -920,9 +925,7 @@ class EcoFlow:
         with base.span("eco", ops=len(self.delta.ops)):
             prepared = self.prepare_base(effort=effort,
                                          channel_width=channel_width)
-            base_place = base.placement
-            base_route = base.routing
-            base_bitstream = base.bitstream
+            base_place, base_bitstream = base.placement, base.bitstream
 
             # Apply the edit; the edited design's project re-validates it
             # and checks device capacity, then runs the ECO stages.
@@ -939,7 +942,8 @@ class EcoFlow:
 
             # (a) Warm-start placement, chained off the base placement.
             placement = project.placement = project.run_stage(
-                "place", base.stage_keys.get("place"), PlacementResult,
+                "place", base.stage_keys.get("place"),
+                _Reported(PlacementResult, "moved"),
                 lambda: eco_place(edited, base.device, base_place,
                                   changed, seed=base.seed,
                                   effort=effort, tracer=tracer,
@@ -949,48 +953,38 @@ class EcoFlow:
                 describe=lambda result: {
                     "moved": result.stats.get("moved", 0),
                     "frozen": result.stats.get("frozen", 0)})
-            self.placement = placement
-            moved_cells = {name for name
-                           in _movable_cells(edited, base_place, changed)
-                           if base_place.locations.get(name)
-                           != placement.locations[name]}
+            self.placement, moved_cells = placement, placement.moved
 
-            # (b) Delta routing.  A base route tree stays valid exactly
-            # when its net's connectivity and its pins' tiles are both
-            # unchanged, so rip the delta's touched nets (connectivity)
-            # plus every net of a moved cell (pin positions).  Changed-
-            # but-unmoved cells add nothing: their connectivity edits
-            # are already the touched nets.
-            rip: Set[str] = {name for name in impact.touched_nets
-                             if name in edited.nets}
-            for name in sorted(moved_cells):
-                cell = edited.cells.get(name)
-                if cell is None:
-                    continue
-                rip.update(net for net in cell.inputs
-                           if net in edited.nets)
-                if cell.output is not None and cell.output in edited.nets:
-                    rip.add(cell.output)
-            ripped_existing = sum(1 for name in rip
-                                  if name in base_route.routes)
+            # (b) Delta routing: the route alone decides, and names,
+            # the nets the edit changed.
             routing = project.routing = project.run_stage(
-                "route", project.stage_keys.get("place"), RoutingResult,
+                "route", project.stage_keys.get("place"),
+                _Reported(RoutingResult, "rerouted"),
                 lambda: route(edited, placement.locations, placement.grid,
                               channel_width=channel_width, tracer=tracer,
-                              warm=prepared.routing, reroute_nets=rip),
+                              warm=prepared.routing),
                 options={"channel_width": channel_width}, delta=delta,
-                span="eco.route", attributes={"ripped": ripped_existing},
-                describe=lambda result: {
+                span="eco.route", describe=lambda result: {
                     "wirelength": result.wirelength,
-                    "failed": result.failed_connections})
+                    "failed": result.failed_connections,
+                    "rerouted": len(result.rerouted)})
             self.routing = routing
+            ripped_existing = sum(1 for name in routing.rerouted
+                                  if name in base.routing.routes)
 
-            # (c) Cone-limited STA, merged into the cached base state.
+            # (c) Cone STA over the touched nets (fanouts) and the nets
+            # re-routed to another wire delay, merged into the base state.
             def compute_sta() -> _ConeTiming:
+                old = base.routing
+                retimed = {name for name in routing.rerouted
+                           if (name in routing.routes,
+                               routing.route_length(name))
+                           != (name in old.routes, old.route_length(name))}
                 report, _state, size = analyze_timing_cone(
                     edited, base.device, prepared.state,
                     changed_cells=changed | moved_cells,
-                    changed_nets=rip, target_clock_ns=target,
+                    changed_nets=retimed | impact.touched_nets,
+                    target_clock_ns=target,
                     routing=routing, locations=placement.locations,
                     prepared=prepared.timing, tracer=tracer)
                 return _ConeTiming(report, size)
@@ -1006,11 +1000,10 @@ class EcoFlow:
             self.timing = project.timing = timing
 
             # Bitstream: only the tiles a cell left, entered or was
-            # resized on are rebuilt from the base bitstream.  It keys
-            # as the cold bitstream stage does, off the edited project's
-            # (delta-chained) place key, so it is cached per (base,
-            # delta).
-            tiles = {tile for name in changed | moved_cells | impact.resized
+            # resized on are rebuilt from the base bitstream, keyed off
+            # the edited project's (delta-chained) place key.
+            dirty = changed | moved_cells | impact.resized
+            tiles = {tile for name in dirty
                      for tile in (base_place.locations.get(name),
                                   placement.locations.get(name))
                      if tile is not None}
@@ -1021,8 +1014,7 @@ class EcoFlow:
                 on_tiles = {name for tile in tiles
                             for name in prepared.placement.tiles.get(tile, ())
                             if final.get(name) == tile}
-                on_tiles.update(name for name in changed | moved_cells
-                                | impact.resized
+                on_tiles.update(name for name in dirty
                                 if final.get(name) in tiles)
                 order = prepared.placement.order
                 cells = sorted(on_tiles, key=edited.position(order))
@@ -1054,12 +1046,10 @@ class EcoFlow:
                 "sta_cone_size": cone_size,
             }
             if tracer is not None:
-                tracer.counter("eco.cells.moved", "fabric").add(
-                    len(moved_cells))
-                tracer.counter("eco.nets.ripped", "fabric").add(
-                    ripped_existing)
-                tracer.counter("eco.sta.cone_size", "fabric").add(
-                    cone_size)
+                for name, value in (("cells.moved", len(moved_cells)),
+                                    ("nets.ripped", ripped_existing),
+                                    ("sta.cone_size", cone_size)):
+                    tracer.counter(f"eco.{name}", "fabric").add(value)
 
             return EcoReport(
                 device=base.device.name,

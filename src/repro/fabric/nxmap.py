@@ -32,7 +32,9 @@ from .timing import STA_KERNEL_VERSION, TimingReport, analyze_timing
 #: delta-chained stage key so stale ECO artifacts are never served.
 #: Version 2: the warm start reports its final HPWL (version 1 reported
 #: the warm-start HPWL) and counts ``rescans`` over tracked nets only.
-ECO_KERNEL_VERSION = 2
+#: Version 3: the delta route keeps every warm tree that fits and names
+#: what it re-routed; a cell re-added as another site class is placed anew.
+ECO_KERNEL_VERSION = 3
 
 #: Per-stage kernel versions folded into the stage cache keys.  When a
 #: kernel's algorithm changes (and so its results for identical inputs),

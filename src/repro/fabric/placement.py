@@ -38,8 +38,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, \
+    Optional, Tuple
 
 from ..telemetry import Tracer
 from .device import Device, LUTS_PER_TILE
@@ -104,6 +104,8 @@ class PlacementResult:
     # window-sample fallbacks (see the telemetry counters of the same
     # names).  Serialized so warm cache hits report identical evidence.
     stats: Dict[str, int] = field(default_factory=dict)
+    # The cells a warm start moved; None if cold.  Not in the payload.
+    moved: Optional[FrozenSet[str]] = field(default=None, compare=False)
 
     @property
     def improvement(self) -> float:

@@ -24,7 +24,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import compress, count
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, \
+    Set, Tuple
 
 from ..telemetry import Tracer
 from .netlist import Netlist
@@ -65,8 +66,8 @@ class RoutingResult:
     iterations: int
     channel_width: int
     # net name -> list of per-connection paths (each a list of tiles).
-    # Paths after the first start on the net's existing route tree, so
-    # their union per net is a driver-rooted Steiner tree.
+    # Each path starts on the driver tile or on another path of the net,
+    # so their union per net is a driver-rooted Steiner tree.
     routes: Dict[str, List[List[Tile]]] = field(default_factory=dict)
     # Kernel instrumentation (serialized so cache hits report the same
     # evidence): total A* node expansions and targeted rip-up count.
@@ -77,6 +78,10 @@ class RoutingResult:
     # from the exact channel usage this result left behind instead of
     # recomputing it from the path lists.
     edge_usage: Dict[Edge, int] = field(default_factory=dict)
+    # The nets a delta route re-routed: the trees it built and the warm
+    # nets it stripped (None on a cold route).  Not in the payload: the
+    # ECO route stage caches it beside it.
+    rerouted: Optional[FrozenSet[str]] = field(default=None, compare=False)
 
     @property
     def success(self) -> bool:
@@ -370,9 +375,6 @@ class WarmRoutes:
         self.paths: Dict[str, List[List[int]]] = {}
         self.edges: Dict[str, List[List[int]]] = {}
         self.users: Dict[int, List[str]] = {}
-        # Nets with a segment that does not start on the segments before
-        # it in ordinal order: a rip-up scan tears it up as stranded.
-        self.strays: Set[str] = set()
         for net_name, paths in result.routes.items():
             id_paths = self.paths[net_name] = [
                 [ids[tile] for tile in path] for path in paths]
@@ -381,12 +383,6 @@ class WarmRoutes:
             for edges in edge_lists:
                 for edge in edges:
                     self.users.setdefault(edge, []).append(net_name)
-            reached: Set[int] = {id_paths[0][0]} if id_paths else set()
-            for path in id_paths:
-                if path[0] not in reached:
-                    self.strays.add(net_name)
-                    break
-                reached.update(path)
         self.counts: Dict[str, int] = {}
         # Nets whose warm paths do not fit even the design they were
         # routed on (a failed connection leaves a net short of paths, or
@@ -405,53 +401,61 @@ class WarmRoutes:
         self.connections = sum(self.counts.values())
 
 
+def _grown(paths: List[List[int]], source: Optional[int]
+           ) -> Optional[List[Tuple[int, List[int]]]]:
+    """A net's (ordinal, path) pairs in an order the paths grow in from
+    the driver tile ``source``, each starting on it or on a path before
+    it; None when there is none.  A path re-routed after a rip-up starts
+    on the nearest tree node, maybe on a later sink's path."""
+    grown, reached, pending = [], {source}, list(enumerate(paths))
+    while pending:
+        entry = next((entry for entry in pending
+                      if entry[1][0] in reached), None)
+        if entry is None:
+            return None
+        pending.remove(entry)
+        grown.append(entry)
+        reached.update(entry[1])
+    return grown
+
+
 def _fits(paths: List[List[int]], source: Optional[int],
           sinks: List[int]) -> bool:
     """Whether a net's warm paths (tile ids) still describe its
-    connections: the first segment starts at the driver tile and every
-    segment ends at its sink tile.  Segment-to-tree continuity is an
-    invariant of the stored artifact — the base run grew the segments on
-    the tree — so endpoint checks alone detect every pin move without
-    materializing the node set."""
-    return bool(sinks) and len(paths) == len(sinks) and bool(paths[0]) \
-        and paths[0][0] == source \
-        and all(path and path[-1] == target
-                for path, target in zip(paths, sinks))
+    connections: one path per sink ending on it, all in one tree rooted
+    at the driver tile.  Each path being a chain of neighbouring tiles
+    is an invariant of the stored artifact."""
+    return len(paths) == len(sinks) > 0 and all(
+        path and path[-1] == target for path, target in zip(paths, sinks)
+    ) and _grown(paths, source) is not None
 
 
 def route(netlist: Netlist, locations: Dict[str, Tile],
           grid: Tuple[int, int], channel_width: int = DEFAULT_CHANNEL_WIDTH,
           tracer: Optional[Tracer] = None,
-          warm: Optional[WarmRoutes] = None,
-          reroute_nets: Optional[Iterable[str]] = None) -> RoutingResult:
+          warm: Optional[WarmRoutes] = None) -> RoutingResult:
     """Route all nets; negotiation loop raises congestion cost each pass.
 
-    ``tracer`` (optional) receives per-pass ``route.pass`` spans plus the
-    ``route.astar.expanded`` and ``route.ripup.connections`` counters.
+    ``tracer`` (optional) receives per-pass ``route.pass`` spans, the
+    ``route.astar.expanded`` and ``route.ripup.connections`` counters
+    and, on a delta route, ``eco.route.nets_visited`` (nets checked and
+    scanned).
 
     ``warm`` enables *delta routing* (the ECO flow): the
-    :class:`WarmRoutes` of a base routing, whose route trees are
-    preserved for every net **not** named in ``reroute_nets``.
-    ``netlist`` must then be an edited copy (``Netlist.copy``) of the
-    netlist ``warm`` was routed on, else :class:`RoutingError`; ``warm``
-    must have been routed on this ``grid``.  Preserved nets keep their
-    exact paths and their channel usage (seeded from the persisted
-    ``edge_usage`` map); only the named nets — plus anything the
-    overflow cascade rips later — are torn up and re-routed.  A warm
-    net whose preserved paths no longer match the current connection
-    list (a pin moved, a sink appeared) is detected and re-routed as
-    well, so an over-approximate ``reroute_nets`` is a performance
-    choice, never a correctness one.
+    :class:`WarmRoutes` of a base routing on this ``grid``, whose route
+    trees are kept (paths and channel usage) for every net whose warm
+    paths still fit its connections (:func:`_fits`).  ``netlist`` must
+    then be an edited copy (``Netlist.copy``) of the netlist ``warm`` was
+    routed on, else :class:`RoutingError`.  The stale nets, and whatever
+    the overflow cascade rips, are re-routed; the result's ``rerouted``
+    names them, and every other net keeps its warm paths.
 
-    Only the named nets, the nets the copy edited, the nets whose warm
-    paths did not fit the base and the nets of every cell whose tile
-    differs from the base (one C-level difference of the two location
-    maps) can be stale, so only those are checked; every other net
-    keeps its warm paths unread.  The rip-up between passes reads only
-    the nets on an overflowed edge, and the result is the warm one with
-    the changed nets and edges replaced.  The tracer counter
-    ``eco.route.nets_visited`` counts the nets checked and scanned by a
-    delta route.
+    Only the nets the copy edited, the nets whose warm paths did not fit
+    the base and the nets of every cell whose tile differs from the base
+    (one C-level difference of the two location maps) can be stale, so
+    only those are checked.  The rip-up between passes reads only the
+    nets on an overflowed edge, and the result is the warm one with the
+    changed nets and edges replaced.
 
     Internally tiles are integer ids and channel usage is a flat list
     indexed by edge id (see ``_Grid``); ``(col, row)`` tuples appear
@@ -485,11 +489,10 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                                f"edited copy of the warm routes' netlist")
         usage = list(warm.usage)
         touched = set()
-        reroute = set(reroute_nets) if reroute_nets is not None else set()
         moved = {name for name, _tile
                  in locations.items() - warm.locations.items()}
         moved.update(warm.locations.keys() - locations.keys())
-        names = reroute | netlist.edited_nets | warm.stale
+        names = netlist.edited_nets | warm.stale
         for cell_name in moved:
             cell = netlist.cells.get(cell_name)
             if cell is not None:
@@ -506,8 +509,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         connections += len(sinks)
         if warm is not None:
             paths = warm.paths.get(net_name)
-            if paths is not None and net_name not in reroute \
-                    and _fits(paths, source, sinks):
+            if paths is not None and _fits(paths, source, sinks):
                 continue
             if paths is not None:
                 # Subtract the dropped warm paths so usage stays exactly
@@ -579,26 +581,26 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         return True
 
     def tree_of(net_name: str) -> _NetTree:
-        """The net's tree, made from its preserved warm paths on first
+        """The net's tree, made from its (fitting) warm paths on first
         use."""
         tree = trees.get(net_name)
         if tree is None:
-            paths = warm.paths[net_name]
-            tree = trees[net_name] = _NetTree(paths[0][0], tables)
-            tree.reset(list(enumerate(paths)))
+            source = ids[locations[netlist.nets[net_name].driver]]
+            tree = trees[net_name] = _NetTree(source, tables)
+            tree.reset(_grown(warm.paths[net_name], source))
         return tree
 
     def rip_targeted(over_edges: Set[int]) -> List[Conn]:
         """Tear up only the path segments crossing overflowed edges (and
         segments stranded by such a rip); keep all other usage.  On a
         warm route only the nets on an overflowed edge (found through
-        the warm and the live users of the edge) and the warm strays
-        can lose a segment, so only those are read."""
+        the warm and the live users of the edge) can lose a segment, so
+        only those are read."""
         nonlocal visited
         if warm is None:
             scan = set(trees)
         else:
-            scan = set(warm.strays)
+            scan = set()
             for edge in over_edges:
                 scan.update(warm.users.get(edge, ()))
                 scan.update(live_users.get(edge, ()))
@@ -697,4 +699,5 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         failed_connections=len(failed), iterations=iterations,
         channel_width=channel_width, routes=routes,
         expanded_nodes=expanded_total, ripped_connections=ripped_total,
-        edge_usage=edge_usage)
+        edge_usage=edge_usage,
+        rerouted=None if warm is None else frozenset(stripped.union(trees)))

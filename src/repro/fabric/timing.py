@@ -531,8 +531,8 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
     ``base`` — the cached state of the full analysis of the *pre-edit*
     design.  ``changed_nets`` must name every net whose routed length
     or fanout differs from the base analysis (the ECO flow passes its
-    rip-up set); under that contract the merged report equals a full
-    re-analysis of the edited design exactly.
+    touched nets and its re-routed nets of another routed length); under
+    that contract the merged report equals a full re-analysis.
 
     The analysis pays for the edit only: the levels are the base's,
     repaired over the edited nets' fan-out, the merged maps are
@@ -661,10 +661,10 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
         endpoint_delays=_View(delays, base.endpoint_delays, valid),
         endpoint_sources=_View(sources, base.endpoint_sources, valid),
         levels=_View(level, base.levels, live))
-    # The critical endpoint: the first still-valid base endpoint in
-    # delay order (ties to the canonical order), against the recomputed
-    # ones.  The canonical order puts sequential cells in netlist order
-    # (the copy's added cells after its parent's), then primary outputs.
+    # The critical endpoint: the best recomputed one, or the first
+    # still-valid base endpoint in delay order ranked ahead of it (ties
+    # to the canonical order).  The canonical order puts sequential cells
+    # in netlist order (the copy's added cells after), then outputs.
     position = netlist.position(prepared.order)
 
     def rank(key: str) -> tuple:
@@ -674,16 +674,18 @@ def analyze_timing_cone(netlist: Netlist, device: Device, base: StaState,
         return (1, output_index(name))
 
     best = None
-    for entry in prepared.ranking:
-        visited += 1
-        if entry[2] not in dropped:
-            best = entry
-            break
     for key, delay in delays.items():
         if delay > 0:
             entry = (-delay, rank(key), key)
             if best is None or entry < best:
                 best = entry
+    for entry in prepared.ranking:
+        if best is not None and entry > best:
+            break
+        visited += 1
+        if entry[2] not in dropped:
+            best = entry
+            break
     critical, endpoint = (-best[0], best[2]) if best else (0.0, None)
     report = _path_report(
         netlist, device, target_clock_ns, critical, endpoint,

@@ -6,7 +6,12 @@ plumbing must leave every key byte-identical: a cache directory filled
 by the previous code is then served warm.  The digests below were taken
 from the code before the cold and ECO stages shared one stage helper,
 and re-pinned when ``PLACE_KERNEL_VERSION`` went from 3 to 4: the place
-key folds in that version, and every other stage chains below it.
+key folds in that version, and every other stage chains below it.  The
+``eco-*`` keys were re-pinned when ``ECO_KERNEL_VERSION`` went from 2
+to 3 (the delta route alone decides which nets an edit changed; see
+``tests/fabric/test_route_identity.py``): ``eco-place``, ``eco-route``
+and ``eco-sta`` fold in that version and ``eco-bitstream`` chains below
+``eco-place``, so all four move and the cold keys do not.
 
 When a key change is intended (a kernel version bump, a new option),
 update the digest of that stage and of every stage chained below it.
@@ -35,13 +40,13 @@ PINNED = [
     ("sta-state",
      "45de2e3bcc2337cbd09844a018659e300e1d1dca94cdef4ce4f3dbfc1a02c2d5"),
     ("eco-place",
-     "a82c041760097b7b22ed4a292201609b4e7bc6fe9ef64a130f5fd0c683ec37ab"),
+     "80bb28d0753f13f6fad777d0247014a3939e4c964f0651df7af2ca741598b6ca"),
     ("eco-route",
-     "79905af6d98373bbb7bc6cc2e15565d0f9a3bb807daf07ffd43421b53fdeeeb9"),
+     "344c568d07d7e696bac59fd0222505d543a37167244072d405eba14970991cc9"),
     ("eco-sta",
-     "c27ee33e69f32b8b813a58ad55809604d914984d7a494f181e96674171c6a6c9"),
+     "ec27c5c4ecc29e01887f253dc6218b8afafd0058bf7af86747c861b3c65ebaae"),
     ("eco-bitstream",
-     "6bec593ed21ab130595d6340d7d043b4d965e4449056bde5d4dcf6aafd5b74fc"),
+     "220914d9eea56165035d0a4752830dee9cc46e6dcb0fdfdf7a115e8d90abdda7"),
 ]
 
 

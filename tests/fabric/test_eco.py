@@ -7,8 +7,9 @@ The load-bearing properties:
   stable) and equal (base, delta) pairs give identical edited designs;
 * warm-start placement keeps every unmoved cell's tile bit-identical
   to the base and only moves cells inside the movable set;
-* delta routing with everything ripped reproduces the cold route
-  byte-identically, and a stale warm tree (moved pin) is detected;
+* delta routing over a base with no paths reproduces the cold route
+  byte-identically, a stale warm tree (moved pin) is detected and
+  reported re-routed, and an unedited copy re-routes nothing;
 * the cone-limited STA report equals a full re-analysis of the edited
   design exactly (byte-identical JSON);
 * the whole flow is deterministic and the untouched region of the
@@ -44,11 +45,13 @@ from repro.fabric import (
     route,
     scaled_device,
     synthesize_component,
+    synthesize_random,
 )
 from repro.fabric.bitstream import generate_bitstream
 from repro.fabric.eco import EcoBase, WarmPlacement
 from repro.fabric.netlist import DFF, LUT4
-from repro.fabric.routing import RoutingError, WarmRoutes, _usage_of_paths
+from repro.fabric.routing import RoutingError, RoutingResult, WarmRoutes, \
+    _usage_of_paths
 from repro.fabric.timing import TimingError
 
 
@@ -268,22 +271,26 @@ class TestDeltaRouting:
                           placement.locations)
 
     def test_rip_everything_equals_cold_route(self):
+        # Over a base without a single path every net with connections
+        # is stale, so the delta route re-routes all of them from empty
+        # channels: that is the cold route, byte for byte.
         project, placement, routing = self._placed()
+        empty = RoutingResult(0, 0, 0, 0, 0, 0, 8)
         warm = route(project.netlist.copy(), placement.locations,
                      placement.grid, channel_width=8,
-                     warm=self._warm(project, placement, routing),
-                     reroute_nets=set(project.netlist.nets))
+                     warm=self._warm(project, placement, empty))
         assert json.dumps(warm.to_json(), sort_keys=True) \
             == json.dumps(routing.to_json(), sort_keys=True)
+        assert warm.rerouted == set(routing.routes)
 
     def test_rip_nothing_preserves_every_tree(self):
         project, placement, routing = self._placed()
         warm = route(project.netlist.copy(), placement.locations,
                      placement.grid, channel_width=8,
-                     warm=self._warm(project, placement, routing),
-                     reroute_nets=set())
+                     warm=self._warm(project, placement, routing))
         assert warm.routes == routing.routes
         assert warm.edge_usage == routing.edge_usage
+        assert warm.rerouted == frozenset()
 
     def test_edge_usage_is_persisted_and_consistent(self):
         project, placement, routing = self._placed()
@@ -311,11 +318,11 @@ class TestDeltaRouting:
         locations[driver] = ((col + 5) % cols, (row + 3) % rows)
         warm = route(project.netlist.copy(), locations, placement.grid,
                      channel_width=8,
-                     warm=self._warm(project, placement, routing),
-                     reroute_nets=set())
+                     warm=self._warm(project, placement, routing))
         # The stale tree was detected and re-routed from the new tile.
         assert warm.routes[net_name][0][0] == locations[driver]
         assert warm.failed_connections == 0
+        assert net_name in warm.rerouted
 
 
 class TestConeSta:
@@ -333,21 +340,13 @@ class TestConeSta:
                             warm=prepared.placement)
             moved = {name for name, tile in eco.locations.items()
                      if placement.locations.get(name) != tile}
-            rip = {name for name in impact.touched_nets
-                   if name in edited.nets}
-            for name in moved:
-                cell = edited.cells[name]
-                rip.update(net for net in cell.inputs
-                           if net in edited.nets)
-                if cell.output in edited.nets:
-                    rip.add(cell.output)
             rerouted = route(edited, eco.locations, eco.grid,
-                             channel_width=8, warm=prepared.routing,
-                             reroute_nets=rip)
+                             channel_width=8, warm=prepared.routing)
             cone_report, _state, cone = analyze_timing_cone(
                 edited, project.device, state,
                 changed_cells=set(impact.changed_cells) | moved,
-                changed_nets=rip, target_clock_ns=10.0,
+                changed_nets=rerouted.rerouted | impact.touched_nets,
+                target_clock_ns=10.0,
                 routing=rerouted, locations=eco.locations,
                 prepared=prepared.timing)
             full_report = analyze_timing(
@@ -496,6 +495,24 @@ class TestEcoFlowEndToEnd:
         assert cache.stats["fabric"].misses == misses_after_cold
         assert warm.eco == cold.eco
 
+    def test_place_and_route_hits_still_feed_a_missed_sta(self, tmp_path):
+        # A new target clock, on a restarted disk cache, misses the STA
+        # stage alone.  The persisted place and route values carry the
+        # moved cells and re-routed nets, so the cone still covers the
+        # nets the overflow cascade re-routed on this congested design.
+        netlist = synthesize_random(300, seed=5)
+        delta = random_delta(netlist, 0.05, seed=2)
+        for clock in (10.0, 20.0):
+            cache = FlowCache(tmp_path)
+            flow = EcoFlow(base_project(netlist, cache=cache), delta)
+            flow.run(target_clock_ns=clock, effort=0.3, channel_width=6)
+        assert cache.stats["fabric"].misses == 1
+        full = analyze_timing(flow.netlist, small_device(),
+                              target_clock_ns=20.0, routing=flow.routing,
+                              locations=flow.placement.locations)
+        assert json.dumps(flow.timing.to_json(), sort_keys=True) \
+            == json.dumps(full.to_json(), sort_keys=True)
+
     def test_flows_on_one_uncached_base_run_its_full_sta_once(
             self, monkeypatch):
         # The base's derived state is current while its netlist,
@@ -526,27 +543,48 @@ class TestEcoFlowEndToEnd:
             5: "114070b5b777bbd1314cf71be43461e3"
                "610bebaeeee8b7588167e629d06e3d70"}
 
-    def test_readded_cell_of_another_class_on_a_full_tile_is_refused(self):
-        # A register removed and re-added as a LUT keeps its base tile;
-        # where that tile's LUT sites are full, re-occupying the sites
-        # meets no room and the warm start refuses the edit.
-        from repro.fabric.placement import _CAPACITY, _SiteManager
+    def test_readded_cell_of_another_class_is_placed_as_added(self):
+        # A register removed and re-added as a LUT cannot keep its base
+        # tile, whose LUT sites are full: it is placed as an added cell,
+        # and the edit's results equal the from-scratch ones.  Re-added
+        # as a register, it keeps its base tile.
+        from repro.fabric.placement import _CAPACITY, _SiteManager, \
+            total_hpwl
         project = base_project()
         netlist, locations = project.netlist, project.run_place().locations
-        luts = {}
-        for name, cell in netlist.cells.items():
-            if _SiteManager.site_class(cell.kind) == "lut":
-                luts[locations[name]] = luts.get(locations[name], 0) + 1
-        register = next(cell for name, cell in netlist.cells.items()
-                        if cell.kind == DFF
-                        and luts.get(locations[name]) == _CAPACITY["lut"])
-        delta = NetlistDelta(ops=(
-            RemoveCell(name=register.name),
-            AddCell(name=register.name, kind=LUT4,
-                    inputs=tuple(register.inputs), output=register.output,
-                    init=2)))
-        with pytest.raises(FlowError, match="is over capacity"):
-            EcoFlow(project, delta).run()
+        register = netlist.cells["pc0_ff0_0"]
+        home = locations[register.name]
+        assert register.kind == DFF
+        assert sum(1 for name, cell in netlist.cells.items()
+                   if locations[name] == home
+                   and _SiteManager.site_class(cell.kind) == "lut") \
+            == _CAPACITY["lut"]
+        for kind in (LUT4, DFF):
+            delta = NetlistDelta(ops=(
+                RemoveCell(name=register.name),
+                AddCell(name=register.name, kind=kind,
+                        inputs=tuple(register.inputs),
+                        output=register.output, init=2)))
+            flow = EcoFlow(project, delta)
+            flow.run(target_clock_ns=10.0)
+            final = flow.placement.locations
+            if kind == DFF:
+                assert final[register.name] == home
+            used = {}
+            for name, cell in flow.netlist.cells.items():
+                key = (_SiteManager.site_class(cell.kind), final[name])
+                used[key] = used.get(key, 0) + 1
+            assert all(count <= _CAPACITY[cls]
+                       for (cls, _tile), count in used.items())
+            assert flow.placement.hpwl == total_hpwl(flow.netlist, final)
+            full = analyze_timing(flow.netlist, project.device,
+                                  target_clock_ns=10.0,
+                                  routing=flow.routing, locations=final)
+            assert json.dumps(flow.timing.to_json(), sort_keys=True) \
+                == json.dumps(full.to_json(), sort_keys=True)
+            assert flow.bitstream.to_json() == generate_bitstream(
+                flow.netlist, final, flow.placement.grid,
+                project.device.name).to_json()
 
     def test_constraint_delta_changes_target(self):
         project = base_project()

@@ -123,24 +123,19 @@ def test_cone_merged_state_reads_as_the_full_state():
                         warm=prepared.placement)
         moved = {name for name, tile in eco.locations.items()
                  if placement.locations.get(name) != tile}
-        rip = {name for name in impact.touched_nets if name in edited.nets}
-        for name in moved:
-            cell = edited.cells[name]
-            rip.update(cell.inputs)
-            if cell.output is not None:
-                rip.add(cell.output)
         rerouted = route(edited, eco.locations, eco.grid,
                          channel_width=CHANNEL_WIDTH,
-                         warm=prepared.routing, reroute_nets=rip)
+                         warm=prepared.routing)
         # The cone's contract: every net whose routed length changed,
-        # the overflow cascade's included.
-        rip.update(name for name in edited.nets
-                   if rerouted.route_length(name)
-                   != routing.route_length(name))
+        # the overflow cascade's included, is one the route re-routed.
+        assert {name for name in edited.nets
+                if rerouted.route_length(name)
+                != routing.route_length(name)} <= rerouted.rerouted
         _cone, merged, _size = analyze_timing_cone(
             edited, project.device, state,
             changed_cells=set(impact.changed_cells) | moved,
-            changed_nets=rip, routing=rerouted, locations=eco.locations,
+            changed_nets=rerouted.rerouted | impact.touched_nets,
+            routing=rerouted, locations=eco.locations,
             prepared=prepared.timing)
         _full, full = analyze_timing_state(
             edited, project.device, routing=rerouted,

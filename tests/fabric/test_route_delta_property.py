@@ -3,24 +3,22 @@
 Over generated designs (``synthesize_random``) and generated edits
 (``random_delta``, warm-start placed by ``eco_place``):
 
-* delta routing with every net named in ``reroute_nets`` tears up every
-  warm tree, so it must equal a cold ``route()`` of the edited design
-  byte for byte (``to_json``);
 * the channel usage a result reports (``edge_usage``) is exactly the
-  occupancy of the paths it reports — after a cold route, after that
-  full warm re-route, and after a delta route that re-routes only the
-  edit's touched nets (so warm trees are kept, subtracted and ripped);
+  occupancy of the paths it reports — after a cold route and after a
+  delta route (where warm trees are kept, subtracted and ripped);
 * a delta route fits the edited design computed from scratch: every
   net's paths connect its driver to each of its sinks (``_connections``
   over all of the edited nets) unless a connection failed, no net
   without connections keeps paths, and the routed plus failed
   connections are all of them.
   The delta route checks only the nets the edit could have made stale,
-  so this guards that set: it holds for the touched nets named, and
-  for none named (every stale net must then be found by the route).
-"""
+  so this guards that set: every stale net must be found by the route;
+* every net whose paths differ from the base is one the delta route
+  reports re-routed (``rerouted``), the set the cone STA reads.
 
-import json
+Plus a pinned base whose warm tree is rooted off its first path: it
+still fits, so it is not stale.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,10 +41,6 @@ def small_device():
     return scaled_device(NG_ULTRA, "NG-ULTRA-TEST", luts=4096)
 
 
-def canonical(result):
-    return json.dumps(result.to_json(), sort_keys=True)
-
-
 def usage_of_routes(result):
     return _usage_of_paths(path for paths in result.routes.values()
                            for path in paths)
@@ -57,8 +51,8 @@ def reaches(paths, source, sinks):
     tile ``source`` to each of ``sinks``: every path is a chain of
     neighbouring tiles that ends at its sink and starts on the driver
     or on a path that does.  (``_fits``, the route's own staleness
-    filter, also asks the first path to start on the driver, which a
-    path re-routed after a rip-up need not.)"""
+    filter, checks the same tree rule on tile ids, taking each path's
+    chain of neighbours as given.)"""
     if len(paths) != len(sinks) or any(
             not path or path[-1] != sink
             or any(abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1
@@ -122,20 +116,34 @@ def test_delta_route_matches_cold_route(n_cells, design_seed, fraction,
 
     cold = route(edited, placement.locations, placement.grid,
                  channel_width=channel_width)
-    full = route(edited, placement.locations, placement.grid,
-                 channel_width=channel_width, warm=warm,
-                 reroute_nets=set(edited.nets))
-    assert canonical(full) == canonical(cold)
-
-    deltas = [route(edited, placement.locations, placement.grid,
-                    channel_width=channel_width, warm=warm,
-                    reroute_nets=nets)
-              for nets in (set(impact.touched_nets), set())]
-    for result in [base_route, cold, full] + deltas:
+    delta = route(edited, placement.locations, placement.grid,
+                  channel_width=channel_width, warm=warm)
+    for result in (base_route, cold, delta):
         assert result.edge_usage == usage_of_routes(result)
-    for delta in deltas:
-        unfit, connections = misfits(delta, edited, placement)
-        # A failed connection leaves its net short of one path.
-        assert len(unfit) <= delta.failed_connections, unfit[:5]
-        assert delta.routed_connections + delta.failed_connections \
-            == connections
+    unfit, connections = misfits(delta, edited, placement)
+    # A failed connection leaves its net short of one path.
+    assert len(unfit) <= delta.failed_connections, unfit[:5]
+    assert delta.routed_connections + delta.failed_connections \
+        == connections
+    changed = {name for name in delta.routes.keys() | base_route.routes
+               if delta.routes.get(name) != base_route.routes.get(name)}
+    assert changed <= delta.rerouted
+
+
+def test_warm_tree_rooted_off_its_first_path_is_not_stale():
+    # Net n8's first path was re-routed after a rip-up and starts on the
+    # tree another path grew, not on the driver: its paths still connect
+    # the driver to every sink, so every edit keeps them.
+    netlist = synthesize_random(69, seed=0)
+    placement = place(netlist, small_device(), seed=1, effort=0.05)
+    result = route(netlist, placement.locations, placement.grid,
+                   channel_width=5)
+    tables = _grid(*placement.grid)
+    source, sinks = _connections(netlist, placement.locations, tables.ids,
+                                 "n8")
+    paths = result.routes["n8"]
+    assert paths[0][0] != tables.tiles[source]
+    assert reaches(paths, tables.tiles[source],
+                   [tables.tiles[sink] for sink in sinks])
+    warm = WarmRoutes(result, placement.grid, netlist, placement.locations)
+    assert "n8" not in warm.stale

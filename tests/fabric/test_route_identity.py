@@ -14,9 +14,28 @@ widths 8, 16 and 32 (which covers overflowing and legal results), plus
 the conv2d ECO base and four ``random_delta`` edits routed by delta
 routing through ``EcoFlow.run`` at channel width 16.
 
+The ECO digests were re-pinned when ``ECO_KERNEL_VERSION`` went from
+2 to 3, when the delta route became the only judge of which nets an
+edit changed.  An edit now keeps every warm tree that still connects its
+driver tile to each of its sinks, where version 2 re-routed two kinds of
+them: a touched net whose connections did not change (the sink it
+gained or lost sits on the driver's tile), and a net whose tree is
+rooted off its first path (a path re-routed after a rip-up starts on
+the nearest tree node; the conv2d base has three).  A rip-up pass reads
+a kept tree in an order its paths grow in from the driver, so it tears
+up only paths on an overflowed edge and the ones hanging from them;
+version 2 also tore up every tree whose stored order was not such an
+order.  Nets whose tree no longer fits, and the overflow cascade, are
+re-routed as before.  A kept tree is a valid route of its net
+(``test_eco_timing_property.py`` checks every ECO tree from scratch), so
+only the routes, and the cascade that starts from their channel usage,
+differ: the four edits rip up 0, 1,287, 799 and 1,863 connections, not
+820, 1,599, 1,308 and 1,492.  The cold routes (``COLD_DIGESTS`` and the
+base digest below) do not move.
+
 A digest mismatch means the router's results changed: if that is
-intended, bump ``ROUTE_KERNEL_VERSION`` and re-pin the digests here,
-saying why in the change.
+intended, bump ``ROUTE_KERNEL_VERSION`` (``ECO_KERNEL_VERSION`` for the
+delta route) and re-pin the digests here, saying why in the change.
 """
 
 import hashlib
@@ -76,10 +95,10 @@ COLD_DIGESTS = {
 ECO_EDITS = ((0.002, 1), (0.01, 2), (0.002, 3), (0.01, 4))
 ECO_DIGESTS = [
     "fa1c9e20ad66431f6c168fda1a52e4dc8d95552f8ba83b7ca896e6d0be1c79e2",
-    "eed443dbca6471cbf8743bcb9adb73fbbb981ece2cb4aa7517bd179de80a2cf9",
-    "e9a8396d8a94c2470f93e71fb78eb79b1ced4e9e9f61de42147391a056b3a2e3",
-    "34e392b9a598c0e907c74f728b1e5ca4c1aa532f19032ed16eccda9765512afd",
-    "3f7c537512cec55bee25a783d502e02855aa1bb7c2803d388f9f482f20d8d54e",
+    "869859d629cf4c92f7b905fdbc9ec73953deb32023f93d5985136061a58e0af4",
+    "adc7efa92394584b300a441663990222d0f08b5d4a9f0ac702bc24cfa890f0ff",
+    "fe5e0db000f89ab7d946124a53816257327100361fb517c405de67a0b9cb5b51",
+    "3f8d12081f98eab2c470fa1ff9699690eb76ad3e51c29503322f073b072caf88",
 ]
 
 

@@ -9,6 +9,7 @@ from repro.api import (
     HlsJobReport,
     JobSpec,
     JobSpecError,
+    eco_base_netlist,
     http_status,
     job_kinds,
     submit,
@@ -24,6 +25,7 @@ from repro.core import (
     report_kind,
     registered_kinds,
 )
+from repro.fabric import random_delta
 from repro.service import JobScheduler, JobState
 
 SOURCE = """
@@ -53,9 +55,21 @@ class TestJobSpec:
     def test_stale_campaign_entry_of_an_older_runner_misses(self):
         # A persisted service entry keyed as the campaign runner keyed
         # jobs before its version bump is never served for the spec.
-        spec = JobSpec(kind="seu", params={
+        self.assert_stale_entry_misses(JobSpec(kind="seu", params={
             "scenario": "raw-sram", "runs": 5,
-            "scenario_params": {"words": 16}})
+            "scenario_params": {"words": 16}}))
+
+    def test_stale_eco_entry_of_an_older_runner_misses(self):
+        # The eco runner's first version timed edits on a cone STA that
+        # missed the delta route's overflow cascade.
+        base = {"component": "addsub", "width": 8, "stages": 0,
+                "grid_luts": 1024, "effort": 0.2}
+        delta = random_delta(eco_base_netlist(base), 0.1, seed=3)
+        self.assert_stale_entry_misses(JobSpec(
+            kind="eco", params=dict(base, delta=delta.to_json())))
+
+    @staticmethod
+    def assert_stale_entry_misses(spec):
         stale_key = content_key("job", {"kind": spec.kind,
                                         "params": spec.params,
                                         "seed": spec.seed})
