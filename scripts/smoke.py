@@ -225,10 +225,11 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     # bit-identical state — and a short run of the co-simulation-bound
     # hls_dse benchmark, which checks every output.
     "sim-dbt": {"steps": [
-        ("Lockstep equivalence + bugfix regressions + FSMD and "
-         "synthesis identity",
+        ("Lockstep equivalence + hook streams + work counts + bugfix "
+         "regressions + FSMD and synthesis identity",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/soc/test_dbt.py tests/soc/test_cpu_bugfixes.py "
+         "tests/soc/test_dbt.py tests/soc/test_dbt_hooks.py "
+         "tests/soc/test_dbt_work.py tests/soc/test_cpu_bugfixes.py "
          "tests/hls/test_fsmd_dbt.py tests/hls/test_fsmd_identity.py "
          "tests/hls/test_synthesis_identity.py"),
         ("IR interpreter identity golden",

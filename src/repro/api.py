@@ -140,14 +140,18 @@ class JobSpec:
     def content_key(self) -> str:
         """Content-addressed identity of this computation.
 
-        Covers kind, params, seed and the kind's runner version —
-        everything that determines the result — and nothing about who
-        asked or how urgently.
+        Covers kind, params, seed and the kind's runner version (for a
+        fabric kind, the fabric kernel versions) — everything that
+        determines the result — and nothing about who asked or how
+        urgently.
         """
         material = {"kind": self.kind, "params": self.params,
                     "seed": self.seed}
         if self.kind in _RUNNER_VERSIONS:
             material["runner"] = _RUNNER_VERSIONS[self.kind]
+        elif self.kind in _FABRIC_KINDS:
+            from .fabric import nxmap
+            material["kernels"] = nxmap._KERNEL_VERSIONS
         return content_key("job", material)
 
     def to_json(self) -> Dict[str, Any]:
@@ -246,9 +250,13 @@ _RUNNERS: Dict[str, Runner] = {}
 #: misses.  ``seu``/``mega`` 2: one engine with a plan from ``runs``
 #: alone.  Before it, a ``mega`` job without plan params split into
 #: ``jobs * 4`` shards (its early-stop point followed the job count)
-#: and a ``seu`` job ignored ``shards`` and ``stop_ci``.  ``eco`` 2:
-#: ``ECO_KERNEL_VERSION`` 3, whose cone STA is exact.
-_RUNNER_VERSIONS: Dict[str, int] = {"seu": 2, "mega": 2, "eco": 2}
+#: and a ``seu`` job ignored ``shards`` and ``stop_ci``.
+_RUNNER_VERSIONS: Dict[str, int] = {"seu": 2, "mega": 2}
+#: Kinds whose answer is the fabric flow's: their job keys fold in the
+#: fabric kernel versions (``repro.fabric.nxmap._KERNEL_VERSIONS``, the
+#: table the stage keys read), so a kernel bump retires their persisted
+#: service entries too.
+_FABRIC_KINDS = frozenset({"flow", "eco", "characterize"})
 
 
 def register_kind(kind: str, runner: Optional[Runner] = None):

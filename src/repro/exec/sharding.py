@@ -256,7 +256,6 @@ class ShardResult:
     spec: ShardSpec
     results: List[RunResult]
     wall_s: float = 0.0
-    cached: bool = False
 
 
 def run_shard(fn: RunFn, spec: ShardSpec, seed: int,

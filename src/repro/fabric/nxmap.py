@@ -40,7 +40,9 @@ ECO_KERNEL_VERSION = 3
 #: kernel's algorithm changes (and so its results for identical inputs),
 #: bumping its version constant retires every cached artifact produced by
 #: the older kernel — downstream stages chain off the parent key, so a
-#: place-kernel bump also invalidates cached routes/STA/bitstreams.
+#: place-kernel bump also invalidates cached routes/STA/bitstreams.  The
+#: ``flow``/``eco``/``characterize`` job keys and the Eucalyptus
+#: configuration keys fold in the whole table.
 _KERNEL_VERSIONS: Dict[str, int] = {
     "place": PLACE_KERNEL_VERSION,
     "route": ROUTE_KERNEL_VERSION,

@@ -17,7 +17,7 @@ interfaces (see ``axi.py``).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..ir import (
     Assign,
@@ -76,15 +76,12 @@ class VerilogEmitter:
     """Emits one Verilog module per HLS function."""
 
     def __init__(self, func: Function, schedule: FunctionSchedule,
-                 binding: Binding, fsm: FSM, module: Module,
-                 sub_schedules: Optional[Dict[str, FunctionSchedule]] = None
-                 ) -> None:
+                 binding: Binding, fsm: FSM, module: Module) -> None:
         self.func = func
         self.schedule = schedule
         self.binding = binding
         self.fsm = fsm
         self.module = module
-        self.sub_schedules = sub_schedules or {}
         self.lines: List[str] = []
         self._callee_instances: List[str] = []
 

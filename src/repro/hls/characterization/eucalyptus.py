@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from ...cache import FlowCache, content_key, device_fingerprint
 from ...exec import ExecError, RunResult, ShardResult, plan_shards, \
     run_sharded
+from ...fabric import nxmap
 from ...fabric.device import Device, NG_ULTRA
 from ...fabric.nxmap import NXmapProject
 from ...fabric.synthesis import supported_components, synthesize_component
@@ -119,11 +120,13 @@ class Eucalyptus:
         self.runs: List[CharacterizationRun] = []
 
     def _config_key(self, component: str, width: int, stages: int) -> str:
-        """Content key of one configuration (requested, not effective)."""
+        """Content key of one configuration (requested, not effective),
+        salted with the fabric kernel versions that compute it."""
         return content_key("characterize", {
             "device": device_fingerprint(self.device),
             "seed": self.seed, "effort": self.effort,
-            "component": component, "width": width, "stages": stages})
+            "component": component, "width": width, "stages": stages,
+            "kernels": nxmap._KERNEL_VERSIONS})
 
     def _characterize(self, component: str, width: int,
                       stages: int) -> CharacterizationRun:

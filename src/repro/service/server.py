@@ -83,10 +83,15 @@ class JobServiceHandler(BaseHTTPRequestHandler):
 
         Replaces the stdlib parser, which builds an ``email`` message
         per request and was a third of a warm hit's server time.
-        ``self.headers`` is a dict keyed by lower-case header name.
+        ``self.headers`` is a dict keyed by lower-case header name.  A
+        body this parser cannot frame is refused and the connection
+        closed: ``Transfer-Encoding`` (501) and ``Content-Length``
+        headers that disagree (400).
         """
         self.command = None
-        self.request_version = self.default_request_version
+        # Not the stdlib's HTTP/0.9 default: a reply to a malformed
+        # request line still carries a status line and headers.
+        self.request_version = self.protocol_version
         self.close_connection = True
         self.requestline = str(self.raw_requestline,
                                "iso-8859-1").rstrip("\r\n")
@@ -107,7 +112,15 @@ class JobServiceHandler(BaseHTTPRequestHandler):
                     HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE)
                 return False
             name, _, value = str(line, "iso-8859-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+            name, value = name.strip().lower(), value.strip()
+            if name == "content-length" \
+                    and headers.get(name, value) != value:
+                self._error(400, "conflicting Content-Length headers")
+                return False
+            headers[name] = value
+        if "transfer-encoding" in headers:
+            self._error(501, "Transfer-Encoding is not supported")
+            return False
         self.headers = headers  # type: ignore[assignment]
         connection = headers.get("connection", "").lower()
         self.close_connection = connection == "close" or (
@@ -125,6 +138,8 @@ class JobServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -134,6 +149,14 @@ class JobServiceHandler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """The stdlib's own error replies (bad request line, header or
+        request-line limits, unsupported method) as JSON, like every
+        other error, closing the connection as the stdlib does."""
+        self.close_connection = True
+        self._error(code, message or HTTPStatus(code).phrase)
 
     def _read_body(self) -> Optional[bytes]:
         """The request body, read whole so the next request on a kept-

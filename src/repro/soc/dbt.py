@@ -21,16 +21,15 @@ simulation for qualification campaigns):
 * cached blocks are invalidated on self-modifying stores (a page-indexed
   listener on :class:`SystemBus.write_word`), on SEU memory flips
   (``NgUltraSoc.inject_seu`` / ``notify_code_mutation``) and re-validated
-  when the MPU configuration epoch or the core's privilege level changes;
-* instrumentation (``pc_hook`` / ``branch_hook``) selects a separately
-  compiled *instrumented* variant of each block that reproduces the
-  reference hook call stream exactly, so coverage runs stay bit-identical
-  while uninstrumented runs pay nothing.
+  when the MPU configuration epoch or the core's privilege level changes.
 
-The reference core remains the oracle: ``DbtCore`` inherits from it and
-falls back to the inherited single-step path for bus-trace capture,
-peripheral-resident code and the tail of a block that would cross the
-step budget, so every fallback is bit-identical by construction.
+There is one translated form and one cache per SoC.  The reference core
+remains the oracle: ``DbtCore`` inherits from it and falls back to the
+inherited single-step path for cores with a ``pc_hook`` or
+``branch_hook`` (coverage tooling), peripheral-resident code and the
+tail of a block that would cross the step budget, so every observer
+sees the reference state and every fallback is bit-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -72,14 +71,13 @@ class CompiledBlock:
     next PC (or ``None`` when the core stopped running)."""
 
     __slots__ = ("start", "end", "n_instr", "fn", "pages", "mpu_epoch",
-                 "priv", "source")
+                 "priv")
 
-    def __init__(self, start: int, n_instr: int, fn, source: str) -> None:
+    def __init__(self, start: int, n_instr: int, fn) -> None:
         self.start = start
         self.n_instr = n_instr
         self.end = start + n_instr * WORD
         self.fn = fn
-        self.source = source
         self.mpu_epoch = -1
         self.priv = True
         self.pages = tuple(range(start >> PAGE_SHIFT,
@@ -97,9 +95,8 @@ class _Emitter:
     each faulting access for PC/fault attribution.
     """
 
-    def __init__(self, instrumented: bool) -> None:
+    def __init__(self) -> None:
         self.lines: List[str] = ["def __dbt_block__(core, regs, bus):"]
-        self.instrumented = instrumented
         self._pending_cycles = 0
         self._pending_fetches = 0
 
@@ -158,20 +155,15 @@ _PC_WRITERS = ({_OP_MOV, _OP_MOVI, _OP_ADDI, _OP_LDR, _OP_LSL, _OP_LSR}
                | set(_ALU))
 
 
-def _compile_block(start: int, words: List[int],
-                   instrumented: bool) -> CompiledBlock:
+def _compile_block(start: int, words: List[int]) -> CompiledBlock:
     """Translate ``words`` (a straight-line run at ``start``) to Python."""
-    em = _Emitter(instrumented)
+    em = _Emitter()
     n = len(words)
     for i, word in enumerate(words):
         pc = start + i * WORD
         pc_after = (pc + WORD) & 0xFFFFFFFF
         opcode, rd, ra, rb, simm = _decode(word)
         last = i == n - 1
-        if instrumented:
-            em.emit("if core.pc_hook is not None: "
-                    f"core.pc_hook(core, {hex(pc)}, {hex(word)})")
-            em.emit(f"regs[15] = {hex(pc_after)}")
         a = _reg(ra, pc_after)
         b = _reg(rb, pc_after)
 
@@ -183,23 +175,13 @@ def _compile_block(start: int, words: List[int],
                     "BEQ": "core.flag_z", "BNE": "not core.flag_z",
                     "BLT": "core.flag_n != core.flag_v",
                     "BGE": "core.flag_n == core.flag_v"}[mnemonic]
-            conditional = mnemonic not in ("B", "BL")
             if cond == "True":
-                if instrumented:
-                    em.emit("if core.branch_hook is not None: "
-                            f"core.branch_hook(core, {hex(pc)}, True, "
-                            f"{conditional})")
                 if mnemonic == "BL":
                     em.emit(f"regs[14] = {hex(pc_after)}")
                 em.emit(f"regs[15] = {hex(target)}")
                 em.emit(f"return {hex(target)}")
             else:
-                em.emit(f"_take = {cond}")
-                if instrumented:
-                    em.emit("if core.branch_hook is not None: "
-                            f"core.branch_hook(core, {hex(pc)}, _take, "
-                            f"{conditional})")
-                em.emit("if _take:")
+                em.emit(f"if {cond}:")
                 em.emit(f"    regs[15] = {hex(target)}")
                 em.emit(f"    return {hex(target)}")
                 em.emit(f"regs[15] = {hex(pc_after)}")
@@ -340,40 +322,37 @@ def _compile_block(start: int, words: List[int],
     source = em.source()
     namespace = {"_HALTED": CoreState.HALTED}
     exec(compile(source, f"<dbt:0x{start:08x}>", "exec"), namespace)
-    return CompiledBlock(start, n, namespace["__dbt_block__"], source)
+    return CompiledBlock(start, n, namespace["__dbt_block__"])
 
 
 class BlockCache:
-    """Shared per-SoC translation cache with page-indexed invalidation.
+    """The SoC's one translation cache, with page-indexed invalidation.
 
-    Registers itself as a code listener on the bus: every
-    ``write_word`` notifies :meth:`invalidate_address`.  SEU flips that
-    bypass the bus go through ``NgUltraSoc.notify_code_mutation``.
+    Registers itself as the bus's code cache: every ``write_word``
+    notifies :meth:`invalidate_address`.  SEU flips that bypass the bus
+    go through ``NgUltraSoc.notify_code_mutation``.
     """
 
     def __init__(self, bus) -> None:
         self.bus = bus
-        # One dict per variant, keyed by plain block start address: the
-        # hot dispatch loop avoids tuple-key allocation.
+        # Keyed by plain block start address: the hot dispatch loop
+        # avoids tuple-key allocation.
         self.fast: Dict[int, CompiledBlock] = {}
-        self.instrumented: Dict[int, CompiledBlock] = {}
         self.pages: Dict[int, Set[int]] = {}
         self.compiled = 0
         self.hits = 0
         self.invalidations = 0
-        bus.code_caches.append(self)
+        bus.code_cache = self
 
     # -- lookup / compile ------------------------------------------------
 
-    def lookup(self, pc: int, instrumented: bool,
-               core: R52Core) -> CompiledBlock:
+    def lookup(self, pc: int, core: R52Core) -> CompiledBlock:
         """Return a validated block at ``pc``; compiles on miss.
 
         Raises :class:`MemoryFault` when the first word is unfetchable
         (the caller faults the core, exactly like a reference fetch).
         """
-        variant = self.instrumented if instrumented else self.fast
-        block = variant.get(pc)
+        block = self.fast.get(pc)
         if block is not None:
             mpu = self.bus.mpu
             if block.mpu_epoch != mpu.epoch \
@@ -387,15 +366,14 @@ class BlockCache:
             if block is not None:
                 self.hits += 1
                 return block
-        return self._compile(pc, instrumented, core)
+        return self._compile(pc, core)
 
     def _still_fetchable(self, block: CompiledBlock, core: R52Core) -> bool:
         mpu = self.bus.mpu
         return all(mpu.check(addr, "r", core.privileged)
                    for addr in range(block.start, block.end, WORD))
 
-    def _compile(self, pc: int, instrumented: bool,
-                 core: R52Core) -> CompiledBlock:
+    def _compile(self, pc: int, core: R52Core) -> CompiledBlock:
         words: List[int] = []
         addr = pc
         while len(words) < MAX_BLOCK_WORDS:
@@ -409,11 +387,10 @@ class BlockCache:
             if _is_terminator(word):
                 break
             addr += WORD
-        block = _compile_block(pc, words, instrumented)
+        block = _compile_block(pc, words)
         block.mpu_epoch = self.bus.mpu.epoch
         block.priv = core.privileged
-        variant = self.instrumented if instrumented else self.fast
-        variant[pc] = block
+        self.fast[pc] = block
         for page in block.pages:
             self.pages.setdefault(page, set()).add(pc)
         self.compiled += 1
@@ -430,20 +407,15 @@ class BlockCache:
             self._drop(pc)
 
     def invalidate_all(self) -> None:
-        self.invalidations += len(self.fast) + len(self.instrumented)
+        self.invalidations += len(self.fast)
         self.fast.clear()
-        self.instrumented.clear()
         self.pages.clear()
 
     def _drop(self, pc: int) -> None:
-        dropped = None
-        for variant in (self.fast, self.instrumented):
-            block = variant.pop(pc, None)
-            if block is not None:
-                dropped = block
-                self.invalidations += 1
+        dropped = self.fast.pop(pc, None)
         if dropped is None:
             return
+        self.invalidations += 1
         for page in dropped.pages:
             bucket = self.pages.get(page)
             if bucket is not None:
@@ -463,7 +435,7 @@ class BlockCache:
     def stats(self) -> Dict[str, int]:
         return {"compiled": self.compiled, "hits": self.hits,
                 "invalidations": self.invalidations,
-                "resident": len(self.fast) + len(self.instrumented)}
+                "resident": len(self.fast)}
 
 
 class DbtCore(R52Core):
@@ -471,15 +443,16 @@ class DbtCore(R52Core):
 
     Architecturally bit-identical to :class:`R52Core` (registers, flags,
     memory, cycle counts, fault attribution and hook streams); only the
-    dispatch granularity differs.  ``step()`` is inherited unchanged and
-    remains the single-instruction oracle path, used for bus-trace
-    capture, budget tails and peripheral-resident code.
+    dispatch granularity differs.  ``cache`` is the SoC's one
+    :class:`BlockCache`, shared by its cores.  ``step()`` is inherited
+    unchanged and remains the single-instruction oracle path, used for
+    hooked cores, budget tails and peripheral-resident code.
     """
 
-    def __init__(self, core_id: int, bus, svc_handler=None,
-                 cache: Optional[BlockCache] = None) -> None:
+    def __init__(self, core_id: int, bus, svc_handler=None, *,
+                 cache: BlockCache) -> None:
         super().__init__(core_id, bus, svc_handler)
-        self.cache = cache if cache is not None else BlockCache(bus)
+        self.cache = cache
         self._dbt_pc = 0
         # Instructions executed by the current block dispatch; preset to
         # the block length, overwritten by the SMC early-exit path.
@@ -487,18 +460,21 @@ class DbtCore(R52Core):
 
     def run_block(self, budget: int = 1 << 30) -> int:
         """Execute (at most) one basic block, bounded by ``budget``
-        instructions; returns the number of instructions executed."""
+        instructions; returns the number of instructions executed.
+
+        A core with a ``pc_hook`` or ``branch_hook``, or with its PC in
+        the peripheral window, runs one reference ``step()`` instead, so
+        a hook sees the reference core and bus state at every call.
+        """
         if self.state is not CoreState.RUNNING or budget <= 0:
             return 0
-        bus = self.bus
         pc = self.regs[PC]
-        if bus.trace_enabled or not self._cacheable(pc):
+        if (self.pc_hook is not None or self.branch_hook is not None
+                or not self._cacheable(pc)):
             self.step()
             return 1
-        instrumented = (self.pc_hook is not None
-                        or self.branch_hook is not None)
         try:
-            block = self.cache.lookup(pc, instrumented, self)
+            block = self.cache.lookup(pc, self)
         except MemoryFault:
             # First word unfetchable: take the reference fetch path so
             # fault attribution AND bus counter side effects (an
@@ -514,7 +490,7 @@ class DbtCore(R52Core):
             return steps
         self._dbt_steps = block.n_instr
         try:
-            block.fn(self, self.regs, bus)
+            block.fn(self, self.regs, self.bus)
         except MemoryFault as fault:
             faulting = self._dbt_pc
             self.regs[PC] = faulting
@@ -534,8 +510,8 @@ class DbtCore(R52Core):
 
         Inlines the hot dispatch loop: hoisted locals, a single dict
         probe per block and no per-block Python call overhead beyond
-        the translated function itself.  Misses, revalidation, hooks,
-        trace capture and budget tails delegate to :meth:`run_block`.
+        the translated function itself.  Misses, revalidation, hooked
+        cores and budget tails delegate to :meth:`run_block`.
         """
         limit = max_steps if quantum is None else min(max_steps, quantum)
         steps = 0
@@ -546,8 +522,7 @@ class DbtCore(R52Core):
         mpu = bus.mpu
         running = CoreState.RUNNING
         while steps < limit and self.state is running:
-            if (bus.trace_enabled or self.pc_hook is not None
-                    or self.branch_hook is not None):
+            if self.pc_hook is not None or self.branch_hook is not None:
                 steps += self.run_block(max_steps - steps)
                 continue
             block = fast.get(regs[PC])

@@ -142,52 +142,37 @@ class EccSram:
         return self.memory.size
 
 
-@dataclass
-class Access:
-    address: int
-    kind: str        # 'r' or 'w'
-    core_id: int
-
-
 class SystemBus:
     """Routes core accesses through the MPU to the mapped devices."""
 
     def __init__(self, soc) -> None:
         self.soc = soc
         self.mpu = Mpu()
-        self.trace: List[Access] = []
-        self.trace_enabled = False
         self.reads = 0
         self.writes = 0
-        # Translation caches (repro.soc.dbt) notified on every store so
-        # self-modifying code invalidates its cached basic blocks.
-        self.code_caches: List = []
+        # The SoC's translation cache (repro.soc.dbt), notified on every
+        # store so self-modifying code invalidates its cached basic
+        # blocks; ``None`` on the reference interpreter engine.
+        self.code_cache = None
 
     # -- core-facing API ----------------------------------------------------
 
     def read_word(self, address: int, core=None) -> int:
         self._mpu_check(address, "r", core)
         self.reads += 1
-        if self.trace_enabled:
-            self.trace.append(Access(address, "r",
-                                     core.core_id if core else -1))
         device, index = self._route(address, "read")
         return device.read(index)
 
     def write_word(self, address: int, value: int, core=None) -> None:
         self._mpu_check(address, "w", core)
         self.writes += 1
-        if self.trace_enabled:
-            self.trace.append(Access(address, "w",
-                                     core.core_id if core else -1))
         device, index = self._route(address, "write")
         device.write(index, value)
-        if self.code_caches:
-            for cache in self.code_caches:
-                cache.invalidate_address(address)
+        if self.code_cache is not None:
+            self.code_cache.invalidate_address(address)
 
     def fetch_word(self, address: int, core=None) -> int:
-        """MPU-checked fetch for the DBT decoder: no counters, no trace.
+        """MPU-checked fetch for the DBT decoder: no counters.
 
         The translated block charges ``reads`` in bulk per execution, so
         decode-time fetches must not be double counted.

@@ -137,11 +137,13 @@ class NgUltraSoc:
     def notify_code_mutation(self, address: Optional[int] = None) -> None:
         """Invalidate cached translations after an out-of-band memory
         mutation (SEU flip, debugger poke).  ``None`` flushes all."""
-        for cache in self.bus.code_caches:
-            if address is None:
-                cache.invalidate_all()
-            else:
-                cache.invalidate_address(address)
+        cache = self.dbt_cache
+        if cache is None:
+            return
+        if address is None:
+            cache.invalidate_all()
+        else:
+            cache.invalidate_address(address)
 
     def inject_seu(self, address: int, bit: int) -> None:
         """Flip one bit of the word at ``address`` (SEU model).

@@ -11,6 +11,7 @@ import pytest
 
 from repro.cache import FlowCache
 from repro.exec import ExecError, plan_shards
+from repro.fabric import nxmap
 from repro.fabric.device import NG_MEDIUM, scaled_device
 from repro.fabric.nxmap import NXmapProject
 from repro.fabric.routing import route
@@ -166,6 +167,24 @@ class TestCharacterizeWarmEquality:
                    progress=lambda done, total: updates.append((done, total)))
         assert cache.stats["characterize"].hits == 3
         assert updates[-1] == (3, 3)
+
+    def test_kernel_bump_misses_a_filled_cache(self, tmp_path, monkeypatch):
+        # A record is keyed by the fabric kernels that computed it: a
+        # cache filled before a place-kernel bump serves nothing after.
+        directory = tmp_path / "cache"
+        kwargs = dict(components=["logic"], widths=(8,))
+        tool = Eucalyptus(device=small_device(), effort=0.15,
+                          cache=FlowCache(directory=directory))
+        old_key = tool._config_key("logic", 8, 0)
+        tool.sweep(**kwargs)
+        monkeypatch.setitem(nxmap._KERNEL_VERSIONS, "place",
+                            nxmap._KERNEL_VERSIONS["place"] + 1)
+        cache = FlowCache(directory=directory)
+        tool = Eucalyptus(device=small_device(), effort=0.15, cache=cache)
+        assert tool._config_key("logic", 8, 0) != old_key
+        tool.sweep(**kwargs)
+        layer = cache.stats["characterize"]
+        assert (layer.hits, layer.misses) == (0, 1)
 
 
 def default_plan_keys(campaign, runs, seed):

@@ -115,7 +115,7 @@ class TestRunSharded:
                 executed.append(index)
             return index
 
-        sentinel = ShardResult(spec=plan.specs[1], results=[], cached=True)
+        sentinel = ShardResult(spec=plan.specs[1], results=[])
         results = run_sharded(tracking, plan, seed=1, jobs=4,
                               backend="thread", completed={1: sentinel})
         assert results[1] is sentinel

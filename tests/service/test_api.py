@@ -25,7 +25,7 @@ from repro.core import (
     report_kind,
     registered_kinds,
 )
-from repro.fabric import random_delta
+from repro.fabric import nxmap, random_delta
 from repro.service import JobScheduler, JobState
 
 SOURCE = """
@@ -67,6 +67,19 @@ class TestJobSpec:
         delta = random_delta(eco_base_netlist(base), 0.1, seed=3)
         self.assert_stale_entry_misses(JobSpec(
             kind="eco", params=dict(base, delta=delta.to_json())))
+
+    @pytest.mark.parametrize("kind", ["flow", "eco", "characterize"])
+    def test_fabric_job_keys_follow_the_kernel_versions(self, kind,
+                                                        monkeypatch):
+        # A restarted service must not warm-hit a fabric report that an
+        # older kernel computed; campaign keys do not read the table.
+        spec = JobSpec(kind=kind, params={"component": "addsub"})
+        campaign = JobSpec(kind="seu", params={"runs": 10})
+        before = spec.content_key(), campaign.content_key()
+        monkeypatch.setitem(nxmap._KERNEL_VERSIONS, "route",
+                            nxmap._KERNEL_VERSIONS["route"] + 1)
+        assert spec.content_key() != before[0]
+        assert campaign.content_key() == before[1]
 
     @staticmethod
     def assert_stale_entry_misses(spec):

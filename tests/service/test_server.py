@@ -1,6 +1,7 @@
 """HTTP end-to-end: the /v1 job API over a live ThreadingHTTPServer."""
 
 import json
+import socket
 import threading
 
 import pytest
@@ -275,3 +276,76 @@ class TestCoalescingHTTP:
         finally:
             gated.close()
             shutdown_server(server, thread)
+
+
+def raw_exchange(port, request):
+    """Send raw request bytes; return (status, headers, body) of the
+    reply.  Reads to end of stream, so it returns only once the server
+    has closed the connection (a kept-alive one times out instead)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                break
+            chunks.append(data)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("iso-8859-1").split("\r\n")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, body
+
+
+class TestRequestFraming:
+    """Requests whose body the server cannot frame are refused and the
+    connection closed, and every error reply is JSON."""
+
+    @pytest.fixture
+    def port(self, service):
+        return service[0].port
+
+    def test_transfer_encoding_is_refused(self, service, port):
+        body = json.dumps(JobSpec(kind="flow", params={}).to_json())
+        chunked = f"{len(body):x}\r\n{body}\r\n0\r\n\r\n"
+        status, headers, reply = raw_exchange(port, (
+            "POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n" + chunked).encode())
+        assert status == 501
+        assert headers["connection"] == "close"
+        assert "Transfer-Encoding" in json.loads(reply)["error"]
+        assert service[1].stats()["counts"]["submitted"] == 0
+
+    def test_conflicting_content_length_is_refused(self, service, port):
+        status, headers, reply = raw_exchange(port, (
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 2\r\nContent-Length: 7\r\n\r\n"
+            b"{}12345"))
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert json.loads(reply) == \
+            {"error": "conflicting Content-Length headers"}
+        # A repeated, equal Content-Length frames the body as one does.
+        status, _, reply = raw_exchange(port, (
+            b"GET /v1/kinds HTTP/1.1\r\nHost: x\r\nConnection: close"
+            b"\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n"))
+        assert status == 200
+        assert "kinds" in json.loads(reply)
+
+    @pytest.mark.parametrize("request_bytes, status, fragment", [
+        (b'GET /v1/"quoted" HTTP/1.1 extra\r\n\r\n', 400,
+         'GET /v1/"quoted" HTTP/1.1 extra'),
+        (b"PUT /v1/jobs HTTP/1.1\r\nHost: x\r\n\r\n", 501, "PUT"),
+        (b"GET /v1/kinds HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n",
+         431, "Request Header Fields Too Large"),
+    ], ids=["bad-request-line", "unsupported-method", "too-many-headers"])
+    def test_stdlib_error_replies_are_json(self, port, request_bytes,
+                                           status, fragment):
+        got, headers, reply = raw_exchange(port, request_bytes)
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        assert fragment in json.loads(reply)["error"]

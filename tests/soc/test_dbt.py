@@ -151,7 +151,8 @@ class TestRandomizedLockstep:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_program_with_coverage_hooks(self, seed):
-        """Instrumented blocks must reproduce the oracle hook stream."""
+        """A hooked ``DbtCore`` steps the reference interpreter, so its
+        coverage and final state match the oracle's."""
         rng = random.Random(1000 + seed)
         source = random_program(rng, n_instr=40)
         words = assemble(source, base_address=CODE_BASE)
