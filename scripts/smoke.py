@@ -208,6 +208,11 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
          "PYTHONPATH=src python -m repro.cli seu --runs 200 --shards 4 \\\n"
          "  --stop-ci 0.000001 >/dev/null || code=$?\n"
          "test \"$code\" -eq 4\n"),
+        ("Malformed plan exits with the usage code (2)",
+         "code=0\n"
+         "PYTHONPATH=src python -m repro.cli seu --runs 100 \\\n"
+         "  --shard-size 0 >/dev/null 2>&1 || code=$?\n"
+         "test \"$code\" -eq 2\n"),
         ("Cold vs resumed vs early-stopped economics bench",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "benchmarks/bench_mega_campaign.py"),
@@ -340,7 +345,8 @@ SMOKES: Dict[str, Dict[str, List[Step]]] = {
     "perf-kernel": {"steps": [
         ("Kernel property tests",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
-         "tests/fabric/test_kernels_property.py"),
+         "tests/fabric/test_kernels_property.py "
+         "tests/fabric/test_route_delta_property.py"),
         ("Placement identity golden",
          "PYTHONPATH=src python -m pytest -q -p no:cacheprovider "
          "tests/fabric/test_place_identity.py"),

@@ -566,28 +566,38 @@ def _campaign_from(spec: JobSpec):
 
 def _run_campaign(spec: JobSpec, ctx: JobContext) -> JobOutcome:
     """The ``seu`` and ``mega`` kinds.  params: the scenario (see
-    :func:`_campaign_from`) + runs + [shards, shard_size, stop_ci,
-    stop_outcomes, min_stop_shards].
+    :func:`_campaign_from`) + runs + [shards, shard_size, stop_ci].
 
     Both run :meth:`MegaCampaign.run` (the artifact is its
     :class:`~repro.radhard.MegaReport`); ``seu`` reports the merged
-    campaign report, ``mega`` the mega report.
+    campaign report, ``mega`` the mega report.  A malformed plan (runs
+    below 0, a shard count or size below 1, or both) is a usage error,
+    and so is a spec that names the early stop's fixed outcome set or
+    shard minimum.
     """
-    from .radhard.mega import FAILURE_OUTCOMES, MegaCampaign
+    from .radhard.mega import MegaCampaign
     params = spec.params
     _require(params, "runs")
+    for name, least in (("runs", 0), ("shards", 1), ("shard_size", 1)):
+        value = params.get(name)
+        if (name == "runs" or value is not None) \
+                and (type(value) is not int or value < least):
+            raise JobSpecError(f"{name} must be an int >= {least}, "
+                               f"not {value!r}")
+    if params.get("shards") is not None \
+            and params.get("shard_size") is not None:
+        raise JobSpecError("give shards or shard_size, not both")
+    if "stop_outcomes" in params or "min_stop_shards" in params:
+        raise JobSpecError("the early stop's outcome set and shard "
+                           "minimum are fixed, not job params")
     mega = MegaCampaign(_campaign_from(spec), cache=ctx.cache,
                         tracer=ctx.tracer)
     result = mega.run(
-        int(params["runs"]), seed=spec.seed, jobs=ctx.jobs,
+        params["runs"], seed=spec.seed, jobs=ctx.jobs,
         backend=ctx.backend, shards=params.get("shards"),
         shard_size=params.get("shard_size"),
         timeout_s=ctx.timeout_s, retries=ctx.retries,
-        stop_ci=params.get("stop_ci"),
-        stop_outcomes=tuple(params.get("stop_outcomes")
-                            or FAILURE_OUTCOMES),
-        min_stop_shards=params.get("min_stop_shards", 2),
-        progress=ctx.progress)
+        stop_ci=params.get("stop_ci"), progress=ctx.progress)
     # A crash outranks a missed CI target.
     if result.report.counts.get("crash", 0):
         code = ExitCode.FAILURE

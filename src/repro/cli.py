@@ -69,7 +69,7 @@ import dataclasses
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .api import ExitCode, JobContext, JobSpecError, job_kinds
 from .telemetry import TRACE_FORMATS, Tracer, write_trace
@@ -142,11 +142,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+def _int_at_least(least: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}, got {text}")
+        return value
+    return integer
 
 
 def _parent(*specs) -> argparse.ArgumentParser:
@@ -158,7 +161,7 @@ def _parent(*specs) -> argparse.ArgumentParser:
 
 def _jobs_parent() -> argparse.ArgumentParser:
     return _parent((("--jobs",), dict(
-        type=_non_negative_int, default=1,
+        type=_int_at_least(0), default=1,
         help="parallel jobs (0 = all cores)")))
 
 
@@ -722,19 +725,19 @@ def build_parser() -> argparse.ArgumentParser:
                          parents=[jobs_p, backend_p, seed_p, trace_p,
                                   cache_p],
                          help="run the SEU mitigation campaigns")
-    seu.add_argument("--runs", type=int, default=400)
+    seu.add_argument("--runs", type=_int_at_least(0), default=400)
     seu.add_argument("--words", type=int, default=64,
                      help="memory size per campaign target")
     seu.add_argument("--timeout", type=_positive_float, default=None,
                      help="per-run timeout (seconds)")
-    seu.add_argument("--retries", type=_non_negative_int, default=0,
+    seu.add_argument("--retries", type=_int_at_least(0), default=0,
                      help="retry budget before classifying crash")
     seu.add_argument("--json", metavar="PATH",
                      help="also export the reports as canonical JSON")
-    seu.add_argument("--shards", type=int, default=0,
+    seu.add_argument("--shards", type=_int_at_least(0), default=0,
                      help="split each campaign into this many shards "
                           "(0 = shards of 100 runs)")
-    seu.add_argument("--shard-size", type=int, default=None,
+    seu.add_argument("--shard-size", type=_int_at_least(1), default=None,
                      metavar="RUNS",
                      help="runs per shard (keep fixed across "
                           "invocations to resume/extend from a cache)")

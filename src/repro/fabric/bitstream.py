@@ -22,8 +22,10 @@ from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Cell, Netlist
 _LUT_INIT_BITS = 16
 _FF_CFG_BITS = 2
 _ROUTING_BITS = 64
-TILE_CONFIG_BITS = (LUTS_PER_TILE * (_LUT_INIT_BITS + _FF_CFG_BITS)
-                    + _ROUTING_BITS)
+#: Where a tile's routing bits start, after its LUT inits and FF
+#: configs; a DSP or BRAM configuration word starts there too.
+_ROUTING_OFFSET = LUTS_PER_TILE * (_LUT_INIT_BITS + _FF_CFG_BITS)
+TILE_CONFIG_BITS = _ROUTING_OFFSET + _ROUTING_BITS
 
 
 class BitstreamError(Exception):
@@ -235,17 +237,10 @@ def _configure(bitstream: Bitstream, placed: Iterable[Tuple[str, Cell]],
             bitstream.essential.add(global_base
                                     + LUTS_PER_TILE * _LUT_INIT_BITS)
         elif cell.kind in (DSP, BRAM):
-            base = tile_base + LUTS_PER_TILE * (_LUT_INIT_BITS + _FF_CFG_BITS)
             for bit in range(16):
-                bitstream.essential.add(global_base + LUTS_PER_TILE
-                                        * (_LUT_INIT_BITS + _FF_CFG_BITS)
-                                        + bit)
-            byte, sub = divmod(base, 8)
+                bitstream.essential.add(global_base + _ROUTING_OFFSET + bit)
+            byte, sub = divmod(tile_base + _ROUTING_OFFSET, 8)
             frame.data[byte] |= (1 << sub)
         # Routing share: mark a slice of the tile routing bits essential.
-        routing_base = (tile_base + LUTS_PER_TILE
-                        * (_LUT_INIT_BITS + _FF_CFG_BITS))
         for bit in range(8):
-            bitstream.essential.add(global_base + LUTS_PER_TILE
-                                    * (_LUT_INIT_BITS + _FF_CFG_BITS) + bit)
-        del routing_base
+            bitstream.essential.add(global_base + _ROUTING_OFFSET + bit)

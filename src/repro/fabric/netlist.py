@@ -17,8 +17,13 @@ CARRY = "CARRY"
 
 CELL_KINDS = {LUT4, DFF, DSP, BRAM, IOB, CARRY}
 
-# How many fabric placement sites each cell kind consumes.
+# Cell kinds that register their output (timing start and end points).
 _SEQUENTIAL = {DFF, DSP, BRAM}
+
+#: The resource count (``Netlist.stats`` key) each cell kind adds to;
+#: an IOB adds to none.
+STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
+                BRAM: "brams"}
 
 
 class NetlistError(Exception):
@@ -195,34 +200,28 @@ class Netlist:
 
     # -- queries -----------------------------------------------------------
 
-    def count(self, kind: str) -> int:
-        return sum(1 for c in self.cells.values() if c.kind == kind)
-
     @property
     def lut_count(self) -> int:
-        return self.count(LUT4) + self.count(CARRY)
+        return self.stats()["luts"]
 
     @property
     def ff_count(self) -> int:
-        return self.count(DFF)
+        return self.stats()["ffs"]
 
     @property
     def dsp_count(self) -> int:
-        return self.count(DSP)
-
-    @property
-    def bram_count(self) -> int:
-        return self.count(BRAM)
+        return self.stats()["dsps"]
 
     def stats(self) -> Dict[str, int]:
-        return {
-            "luts": self.lut_count,
-            "ffs": self.ff_count,
-            "dsps": self.dsp_count,
-            "brams": self.bram_count,
-            "nets": len(self.nets),
-            "cells": len(self.cells),
-        }
+        """Resource counts by :data:`STAT_OF_KIND`, plus the net and
+        cell counts."""
+        stats = dict.fromkeys(STAT_OF_KIND.values(), 0)
+        for cell in self.cells.values():
+            key = STAT_OF_KIND.get(cell.kind)
+            if key is not None:
+                stats[key] += 1
+        stats.update(nets=len(self.nets), cells=len(self.cells))
+        return stats
 
     def combinational_cells(self) -> List[Cell]:
         return [c for c in self.cells.values() if not c.is_sequential]

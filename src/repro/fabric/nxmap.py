@@ -21,7 +21,7 @@ from ..exec.cancel import check_cancelled
 from ..telemetry import Tracer
 from .bitstream import Bitstream, generate_bitstream
 from .device import Device, get_device
-from .netlist import BRAM, CARRY, DFF, DSP, LUT4, Netlist
+from .netlist import STAT_OF_KIND, Netlist
 from .placement import PLACE_KERNEL_VERSION, PlacementResult, place
 from .routing import DEFAULT_CHANNEL_WIDTH, ROUTE_KERNEL_VERSION, \
     RoutingResult, route
@@ -56,10 +56,6 @@ _KERNEL_VERSIONS: Dict[str, int] = {
     "eco-sta": ECO_KERNEL_VERSION,
 }
 
-
-#: The resource count (``Netlist.stats`` key) each cell kind adds to.
-_STAT_OF_KIND = {LUT4: "luts", CARRY: "luts", DFF: "ffs", DSP: "dsps",
-                 BRAM: "brams"}
 
 #: Share of cells that toggle per clock in the power estimate.
 _TOGGLE_RATE = 0.125
@@ -231,7 +227,7 @@ class NXmapProject:
         for name in netlist.edited_cells:
             for cell, step in ((base.netlist.cells.get(name), -1),
                                (netlist.cells.get(name), 1)):
-                key = cell and _STAT_OF_KIND.get(cell.kind)
+                key = cell and STAT_OF_KIND.get(cell.kind)
                 if key:
                     stats[key] += step
         stats.update(nets=len(netlist.nets), cells=len(netlist.cells))

@@ -11,7 +11,9 @@ unbounded retry as the safety net).  Between negotiation passes the
 rip-up is *targeted*: only connections whose paths cross overflowed
 edges (plus tree segments stranded by such a rip) are torn up and
 re-routed under a higher congestion penalty — everything else keeps its
-usage intact.  Reports wirelength, congestion and overflow — the numbers
+usage intact; the one rip-up scan reads the nets on the overflowed
+edges.  A cold route is a delta route (see :class:`WarmRoutes`) from an
+empty base.  Reports wirelength, congestion and overflow — the numbers
 the NXmap flow report exposes after routing.  The whole kernel is
 deterministic (no RNG); ``ROUTE_KERNEL_VERSION`` salts the flow-cache
 stage key so artifacts of older kernels are never served.
@@ -453,9 +455,11 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     Only the nets the copy edited, the nets whose warm paths did not fit
     the base and the nets of every cell whose tile differs from the base
     (one C-level difference of the two location maps) can be stale, so
-    only those are checked.  The rip-up between passes reads only the
-    nets on an overflowed edge, and the result is the warm one with the
-    changed nets and edges replaced.
+    only those are checked.  A cold route (no ``warm``) is a delta
+    route from an empty base (no paths, zero usage, no edge users) over
+    all the nets.  Both run one rip-up scan, over the nets on an
+    overflowed edge, and return the base with the changed nets and
+    edges replaced.
 
     Internally tiles are integer ids and channel usage is a flat list
     indexed by edge id (see ``_Grid``); ``(col, row)`` tuples appear
@@ -467,28 +471,16 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
     # Deterministic connection order: nets sorted by name, then sinks in
     # sorted order — independent of netlist dict insertion order.
     Conn = Tuple[str, int, int]  # (net name, sink ordinal, sink tile id)
-    # The nets routed (or ripped) here; a preserved warm net gets a tree
-    # only when a rip-up reads it.
-    trees: Dict[str, _NetTree] = {}
-    targets: Dict[str, List[int]] = {}
-    pending: List[Conn] = []
-    # Warm nets whose paths were dropped here, and edges whose usage
-    # may differ from the warm result's (None on a cold route).
-    stripped: Set[str] = set()
-    touched: Optional[Set[int]] = None
-    # On a warm route: the nets each edge may carry a path of here.
-    live_users: Dict[int, Set[str]] = {}
-    visited = 0
     if warm is None:
-        usage = [0] * (2 * cols * rows)
+        # The empty base: every net is a candidate.
+        base = WarmRoutes(RoutingResult(0, 0, 0, 0, 0, 0, channel_width),
+                          grid, Netlist(netlist.name), {})
         candidates = sorted(netlist.nets)
-        connections = 0
     else:
         if netlist.parent is not warm.netlist:
             raise RoutingError(f"delta route: {netlist.name} is not an "
                                f"edited copy of the warm routes' netlist")
-        usage = list(warm.usage)
-        touched = set()
+        base = warm
         moved = {name for name, _tile
                  in locations.items() - warm.locations.items()}
         moved.update(warm.locations.keys() - locations.keys())
@@ -501,25 +493,36 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                     names.add(cell.output)
         candidates = sorted(name for name in names
                             if name in netlist.nets or name in warm.paths)
-        connections = warm.connections - sum(
-            warm.counts.get(name, 0) for name in candidates)
-        visited = len(candidates)
+    usage = list(base.usage)
+    connections = base.connections - sum(
+        base.counts.get(name, 0) for name in candidates)
+    visited = len(candidates)
+    # The nets routed (or ripped) here; a preserved base net gets a tree
+    # only when a rip-up reads it.
+    trees: Dict[str, _NetTree] = {}
+    targets: Dict[str, List[int]] = {}
+    pending: List[Conn] = []
+    # Base nets whose paths were dropped here, the edges whose usage may
+    # differ from the base's, and the nets each edge may carry a path of
+    # here (beside its base users).
+    stripped: Set[str] = set()
+    touched: Set[int] = set()
+    live_users: Dict[int, Set[str]] = {}
     for net_name in candidates:
         source, sinks = _connections(netlist, locations, ids, net_name)
         connections += len(sinks)
-        if warm is not None:
-            paths = warm.paths.get(net_name)
-            if paths is not None and _fits(paths, source, sinks):
+        paths = base.paths.get(net_name)
+        if paths is not None:
+            if _fits(paths, source, sinks):
                 continue
-            if paths is not None:
-                # Subtract the dropped warm paths so usage stays exactly
-                # the sum of the live trees.
-                stripped.add(net_name)
-                for edges in warm.edges[net_name]:
-                    touched.update(edges)
-                    for edge in edges:
-                        if usage[edge] > 0:
-                            usage[edge] -= 1
+            # Subtract the dropped base paths so usage stays exactly the
+            # sum of the live trees.
+            stripped.add(net_name)
+            for edges in base.edges[net_name]:
+                touched.update(edges)
+                for edge in edges:
+                    if usage[edge] > 0:
+                        usage[edge] -= 1
         if sinks:
             trees[net_name] = _NetTree(source, tables)
             targets[net_name] = sinks
@@ -530,7 +533,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         sinks = targets.get(net_name)
         if sinks is not None:
             return sinks[ordinal]
-        return warm.paths[net_name][ordinal][-1]
+        return base.paths[net_name][ordinal][-1]
 
     failed: Set[Tuple[str, int]] = set()
     iterations = 0
@@ -573,38 +576,33 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         edges = _path_edges(path, rows)
         for edge in edges:
             usage[edge] += 1
-        if touched is not None:
-            touched.update(edges)
-            for edge in edges:
-                live_users.setdefault(edge, set()).add(net_name)
+            live_users.setdefault(edge, set()).add(net_name)
+        touched.update(edges)
         tree.add(ordinal, path)
         return True
 
     def tree_of(net_name: str) -> _NetTree:
-        """The net's tree, made from its (fitting) warm paths on first
+        """The net's tree, made from its (fitting) base paths on first
         use."""
         tree = trees.get(net_name)
         if tree is None:
             source = ids[locations[netlist.nets[net_name].driver]]
             tree = trees[net_name] = _NetTree(source, tables)
-            tree.reset(_grown(warm.paths[net_name], source))
+            tree.reset(_grown(base.paths[net_name], source))
         return tree
 
     def rip_targeted(over_edges: Set[int]) -> List[Conn]:
         """Tear up only the path segments crossing overflowed edges (and
-        segments stranded by such a rip); keep all other usage.  On a
-        warm route only the nets on an overflowed edge (found through
-        the warm and the live users of the edge) can lose a segment, so
-        only those are read."""
+        segments stranded by such a rip); keep all other usage.  Only
+        the nets on an overflowed edge (found through the base and the
+        live users of the edge) can lose a segment, so only those are
+        read."""
         nonlocal visited
-        if warm is None:
-            scan = set(trees)
-        else:
-            scan = set()
-            for edge in over_edges:
-                scan.update(warm.users.get(edge, ()))
-                scan.update(live_users.get(edge, ()))
-            scan -= stripped - trees.keys()
+        scan = set()
+        for edge in over_edges:
+            scan.update(base.users.get(edge, ()))
+            scan.update(live_users.get(edge, ()))
+        scan -= stripped - trees.keys()
         visited += len(scan)
         ripped: List[Conn] = []
         for net_name in sorted(scan):
@@ -619,8 +617,7 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
                         or not over_edges.isdisjoint(edges):
                     for edge in edges:
                         usage[edge] -= 1
-                    if touched is not None:
-                        touched.update(edges)
+                    touched.update(edges)
                     ripped.append((net_name, ordinal,
                                    sink_tile(net_name, ordinal)))
                 else:
@@ -667,20 +664,16 @@ def route(netlist: Netlist, locations: Dict[str, Tile],
         lo = edge >> 1
         return tiles[lo], tiles[lo + (1 if edge & 1 else rows)]
 
-    if warm is None:
-        routes: Dict[str, List[List[Tile]]] = {}
-        edge_usage: Dict[Edge, int] = {
-            edge_key(edge): used for edge, used in enumerate(usage) if used}
-    else:
-        routes = dict(warm.result.routes)
-        edge_usage = dict(warm.result.edge_usage)
-        for edge in touched:
-            if usage[edge]:
-                edge_usage[edge_key(edge)] = usage[edge]
-            else:
-                edge_usage.pop(edge_key(edge), None)
-        for net_name in stripped - trees.keys():
-            del routes[net_name]
+    # The base's routes and usage, patched with what this route changed.
+    routes = dict(base.result.routes)
+    edge_usage = dict(base.result.edge_usage)
+    for edge in sorted(touched):
+        if usage[edge]:
+            edge_usage[edge_key(edge)] = usage[edge]
+        else:
+            edge_usage.pop(edge_key(edge), None)
+    for net_name in stripped - trees.keys():
+        del routes[net_name]
     for net_name in sorted(trees):
         paths = trees[net_name].tile_paths()
         if paths:

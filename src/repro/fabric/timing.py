@@ -13,8 +13,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Set, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, \
+    Optional, Set, Tuple
 
 from .device import Device
 from .netlist import BRAM, CARRY, DFF, DSP, IOB, LUT4, Cell, Netlist
@@ -133,9 +134,9 @@ def _cell_tile(cell: Cell,
 
 
 class _RouteLengths(dict):
-    """Each routed net's ``RoutingResult.route_length``, computed on its
-    first lookup: a cone-limited analysis measures only the nets it
-    reads.  (The full analysis measures every routed net up front.)"""
+    """Each net's ``RoutingResult.route_length`` (None for a net the
+    routing has no paths for), computed on its first lookup: an analysis
+    measures only the nets it reads."""
 
     __slots__ = ("routing",)
 
@@ -143,24 +144,24 @@ class _RouteLengths(dict):
         super().__init__()
         self.routing = routing
 
-    def __contains__(self, net_name: object) -> bool:
-        return net_name in self.routing.routes
-
-    def __missing__(self, net_name: str) -> int:
-        length = self[net_name] = self.routing.route_length(net_name)
+    def __missing__(self, net_name: str) -> Optional[int]:
+        length = self[net_name] = (
+            self.routing.route_length(net_name)
+            if net_name in self.routing.routes else None)
         return length
 
 
 def _wire_delay(netlist: Netlist, driver: Cell, sink: Cell, device: Device,
-                net_lengths: Optional[Mapping[str, int]],
+                net_lengths: Optional[_RouteLengths],
                 locations: Optional[Dict[str, Tuple[int, int]]] = None
                 ) -> float:
     driver_tile = _cell_tile(driver, locations)
     sink_tile = _cell_tile(sink, locations)
     if driver_tile is None or sink_tile is None:
         return device.wire_delay_per_tile_ns  # unplaced: nominal hop
-    if net_lengths is not None and driver.output in net_lengths:
-        length = net_lengths[driver.output]
+    length = (net_lengths[driver.output]
+              if net_lengths is not None else None)
+    if length is not None:
         fanout = max(1, netlist.nets[driver.output].fanout)
         return device.wire_delay_per_tile_ns * max(1, length / fanout)
     dx = abs(driver_tile[0] - sink_tile[0])
@@ -243,14 +244,14 @@ def _combinational_indegree(netlist: Netlist) -> Dict[str, int]:
     return indegree
 
 
-def _input_arrival(netlist: Netlist, device: Device,
-                   net_lengths: Optional[Mapping[str, int]],
-                   locations: Optional[Dict[str, Tuple[int, int]]],
-                   arrival: Dict[str, float], cell: Cell
-                   ) -> Tuple[float, Optional[str]]:
-    """(worst input arrival, its driver) of one combinational cell."""
-    worst = 0.0
-    source: Optional[str] = None
+def _input_arrivals(netlist: Netlist, device: Device,
+                    net_lengths: Optional[_RouteLengths],
+                    locations: Optional[Dict[str, Tuple[int, int]]],
+                    arrival: Mapping[str, float], cell: Cell
+                    ) -> Iterator[Tuple[float, str]]:
+    """(arrival at ``cell``, driver) through each of its driven inputs,
+    in input order: a sequential driver launches at its clock-to-out, a
+    combinational one at its ``arrival``."""
     for net_name in cell.inputs:
         net = netlist.nets.get(net_name)
         if not net or not net.driver:
@@ -259,17 +260,29 @@ def _input_arrival(netlist: Netlist, device: Device,
         wire = _wire_delay(netlist, driver, cell, device, net_lengths,
                            locations)
         if driver.is_sequential:
-            candidate = _cell_delay(driver, device) + wire
+            yield _cell_delay(driver, device) + wire, driver.name
         else:
-            candidate = arrival.get(driver.name, 0.0) + wire
+            yield arrival.get(driver.name, 0.0) + wire, driver.name
+
+
+def _input_arrival(netlist: Netlist, device: Device,
+                   net_lengths: Optional[_RouteLengths],
+                   locations: Optional[Dict[str, Tuple[int, int]]],
+                   arrival: Mapping[str, float], cell: Cell
+                   ) -> Tuple[float, Optional[str]]:
+    """(worst input arrival, its driver) of one combinational cell:
+    (0.0, None) unless an input arrives later, ties to the first."""
+    worst = 0.0
+    source: Optional[str] = None
+    for candidate, driver in _input_arrivals(
+            netlist, device, net_lengths, locations, arrival, cell):
         if candidate > worst:
-            worst = candidate
-            source = driver.name
+            worst, source = candidate, driver
     return worst, source
 
 
 def _propagate(netlist: Netlist, device: Device,
-               net_lengths: Optional[Mapping[str, int]],
+               net_lengths: Optional[_RouteLengths],
                locations: Optional[Dict[str, Tuple[int, int]]]
                ) -> Tuple[Dict[str, float], Dict[str, Optional[str]],
                           Dict[str, int]]:
@@ -306,34 +319,21 @@ def _propagate(netlist: Netlist, device: Device,
 
 
 def _endpoint_delay(netlist: Netlist, device: Device,
-                    net_lengths: Optional[Mapping[str, int]],
+                    net_lengths: Optional[_RouteLengths],
                     locations: Optional[Dict[str, Tuple[int, int]]],
                     arrival: Dict[str, float], key: str
                     ) -> Optional[Tuple[float, str]]:
     """(delay, source cell) of one endpoint, or None if undriven."""
     kind, _, name = key.partition(":")
     if kind == "cell":
-        cell = netlist.cells[name]
-        worst: Optional[float] = None
-        source: Optional[str] = None
-        for net_name in cell.inputs:
-            net = netlist.nets.get(net_name)
-            if not net or not net.driver:
-                continue
-            driver = netlist.cells[net.driver]
-            wire = _wire_delay(netlist, driver, cell, device, net_lengths,
-                               locations)
-            if driver.is_sequential:
-                path = _cell_delay(driver, device) + wire
-            else:
-                path = arrival.get(driver.name, 0.0) + wire
-            path += device.ff_setup_ns
-            if worst is None or path > worst:
-                worst = path
-                source = net.driver
-        if worst is None or source is None:
-            return None
-        return worst, source
+        # Setup is added to each input's arrival before the comparison;
+        # ties go to the first input.
+        setup = device.ff_setup_ns
+        return max(((candidate + setup, driver)
+                    for candidate, driver in _input_arrivals(
+                        netlist, device, net_lengths, locations, arrival,
+                        netlist.cells[name])),
+                   key=itemgetter(0), default=None)
     net = netlist.nets.get(name)
     if not net or not net.driver:
         return None
@@ -381,10 +381,9 @@ def analyze_timing_state(netlist: Netlist, device: Device,
                          = None) -> Tuple[TimingReport, StaState]:
     """Full analysis returning the report *and* the reusable state.
 
-    Each routed net's length is measured once, before the propagation
-    reads it per edge."""
-    net_lengths = ({name: routing.route_length(name)
-                    for name in routing.routes}
+    Each routed net's length is measured once, on the propagation's
+    first read of it."""
+    net_lengths = (_RouteLengths(routing)
                    if routing is not None else None)
     arrival, parent, levels = _propagate(netlist, device, net_lengths,
                                          locations)

@@ -6,6 +6,7 @@ from .campaign import (
     CampaignError,
     CampaignReport,
     CrossSection,
+    FAILURE_OUTCOMES,
     InjectionResult,
     OUTCOMES,
     classify_result,
@@ -16,7 +17,6 @@ from .mitigation import (
     mitigates_seu,
 )
 from .mega import (
-    FAILURE_OUTCOMES,
     MegaCampaign,
     MegaReport,
     ShardRecord,
@@ -67,8 +67,8 @@ from .tmr import (
 
 __all__ = [
     "Campaign", "CampaignError", "CampaignReport", "CrossSection",
-    "InjectionResult", "OUTCOMES", "classify_result",
-    "FAILURE_OUTCOMES", "MegaCampaign", "MegaReport", "ShardRecord",
+    "FAILURE_OUTCOMES", "InjectionResult", "OUTCOMES", "classify_result",
+    "MegaCampaign", "MegaReport", "ShardRecord",
     "merge_shard_records",
     "KNOWN_SCHEMES", "MITIGATING_SCHEMES", "mitigates_seu",
     "DecodeResult", "EccError", "EccMemory", "EccStats", "codeword_bits",

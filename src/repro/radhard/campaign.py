@@ -18,11 +18,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..exec.metrics import LatencyStats
 
 OUTCOMES = ("masked", "corrected", "detected", "sdc", "crash")
+
+#: The unhandled effects (silent corruption or crash): the "failure
+#: rate" of the paper's mitigation matrix, and the outcome set a
+#: mega-campaign's early stop monitors.
+FAILURE_OUTCOMES: Tuple[str, ...] = ("sdc", "crash")
 
 
 class CampaignError(Exception):
@@ -72,8 +77,9 @@ class CampaignReport:
 
     @property
     def failure_rate(self) -> float:
-        """Fraction of runs ending in an unhandled effect (sdc or crash)."""
-        return self.rate("sdc") + self.rate("crash")
+        """Fraction of runs ending in an unhandled effect
+        (:data:`FAILURE_OUTCOMES`)."""
+        return sum(self.rate(outcome) for outcome in FAILURE_OUTCOMES)
 
     @property
     def mitigation_effectiveness(self) -> float:

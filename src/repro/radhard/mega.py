@@ -50,12 +50,7 @@ from ..exec.sharding import ShardPlan, ShardResult, ShardSpec, \
     plan_shards, run_sharded
 from ..telemetry import Tracer
 from .campaign import Campaign, CampaignError, CampaignReport, \
-    InjectionResult, OUTCOMES, classify_result
-
-#: The outcome set early stopping monitors by default: unhandled
-#: effects (silent corruption or crash) — the "failure rate" of the
-#: paper's mitigation matrix.
-FAILURE_OUTCOMES: Tuple[str, ...] = ("sdc", "crash")
+    FAILURE_OUTCOMES, InjectionResult, OUTCOMES, classify_result
 
 #: Runs per shard when a caller gives neither ``shards`` nor
 #: ``shard_size``: a five-run service job is one shard (one checkpoint
@@ -279,8 +274,6 @@ class MegaCampaign:
             shard_size: Optional[int] = None,
             timeout_s: Optional[float] = None, retries: int = 0,
             stop_ci: Optional[float] = None,
-            stop_outcomes: Tuple[str, ...] = FAILURE_OUTCOMES,
-            min_stop_shards: int = 2,
             progress=None) -> MegaReport:
         """Execute up to ``runs`` injection runs in shards.
 
@@ -288,8 +281,8 @@ class MegaCampaign:
         extension-friendly keys); with neither, shards of
         ``DEFAULT_SHARD_SIZE`` runs are planned.  ``stop_ci`` arms early
         stopping at the given Wilson-CI half-width on the
-        ``stop_outcomes`` rate (never before ``min_stop_shards`` shards
-        have folded).  ``progress`` is called as ``(folded_shards,
+        :data:`FAILURE_OUTCOMES` rate (never before two shards have
+        folded).  ``progress`` is called as ``(folded_shards,
         planned_shards)``.
         """
         if shards is None and shard_size is None:
@@ -329,7 +322,7 @@ class MegaCampaign:
             if progress is not None:
                 progress(len(folded), len(plan))
             if stop_ci is not None and stats.should_stop(
-                    stop_ci, stop_outcomes, min_folds=min_stop_shards):
+                    stop_ci, FAILURE_OUTCOMES, min_folds=2):
                 early_stopped = len(folded) < len(plan)
                 return True
             return False
@@ -345,7 +338,6 @@ class MegaCampaign:
         mega = MegaReport(report=report, runs_requested=runs, plan=plan,
                           shards=folded, stats=stats,
                           early_stopped=early_stopped, stop_ci=stop_ci,
-                          stop_outcomes=tuple(stop_outcomes),
                           wall_s=time.perf_counter() - start)
         if self.tracer is not None:
             self._emit_telemetry(self.tracer, mega)

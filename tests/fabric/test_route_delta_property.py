@@ -4,15 +4,19 @@ Over generated designs (``synthesize_random``) and generated edits
 (``random_delta``, warm-start placed by ``eco_place``):
 
 * the channel usage a result reports (``edge_usage``) is exactly the
-  occupancy of the paths it reports — after a cold route and after a
-  delta route (where warm trees are kept, subtracted and ripped);
-* a delta route fits the edited design computed from scratch: every
-  net's paths connect its driver to each of its sinks (``_connections``
-  over all of the edited nets) unless a connection failed, no net
-  without connections keeps paths, and the routed plus failed
-  connections are all of them.
-  The delta route checks only the nets the edit could have made stale,
-  so this guards that set: every stale net must be found by the route;
+  occupancy of the paths it reports, and its ``wirelength``,
+  ``max_congestion`` and ``overflow_edges`` are those of that usage —
+  after a cold route and after a delta route (where warm trees are
+  kept, subtracted and ripped);
+* a cold route and a delta route each fit the edited design computed
+  from scratch: every net's paths connect its driver to each of its
+  sinks (``_connections`` over all of the edited nets) unless a
+  connection failed, no net without connections keeps paths, and the
+  routed plus failed connections are all of them.
+  A cold route is a delta route from an empty base, so both run the
+  same rip-up loop.  The delta route checks only the nets the edit
+  could have made stale, so this guards that set: every stale net must
+  be found by the route;
 * every net whose paths differ from the base is one the delta route
   reports re-routed (``rerouted``), the set the cone STA reads.
 
@@ -120,11 +124,17 @@ def test_delta_route_matches_cold_route(n_cells, design_seed, fraction,
                   channel_width=channel_width, warm=warm)
     for result in (base_route, cold, delta):
         assert result.edge_usage == usage_of_routes(result)
-    unfit, connections = misfits(delta, edited, placement)
-    # A failed connection leaves its net short of one path.
-    assert len(unfit) <= delta.failed_connections, unfit[:5]
-    assert delta.routed_connections + delta.failed_connections \
-        == connections
+        used = result.edge_usage.values()
+        assert result.wirelength == sum(used)
+        assert result.max_congestion == max(used, default=0)
+        assert result.overflow_edges == sum(
+            1 for count in used if count > channel_width)
+    for result in (cold, delta):
+        unfit, connections = misfits(result, edited, placement)
+        # A failed connection leaves its net short of one path.
+        assert len(unfit) <= result.failed_connections, unfit[:5]
+        assert result.routed_connections + result.failed_connections \
+            == connections
     changed = {name for name in delta.routes.keys() | base_route.routes
                if delta.routes.get(name) != base_route.routes.get(name)}
     assert changed <= delta.rerouted

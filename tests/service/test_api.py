@@ -250,8 +250,23 @@ class TestExitCodeTables:
          ExitCode.INSUFFICIENT_EVIDENCE),
         # A crash outranks a missed CI target.
         ("mega", dict(SCENARIO, **MISSED_CI), True, ExitCode.FAILURE),
+        # A malformed plan is a usage error, not a failed run.
+        ("seu", dict(SCENARIO, shard_size=0), False, ExitCode.USAGE),
+        ("seu", dict(SCENARIO, runs=-1), False, ExitCode.USAGE),
+        ("seu", dict(SCENARIO, shards=-2), False, ExitCode.USAGE),
+        ("seu", dict(SCENARIO, runs="x"), False, ExitCode.USAGE),
+        ("seu", dict(SCENARIO, shards=2, shard_size=10), False,
+         ExitCode.USAGE),
+        ("mega", dict(SCENARIO, runs=0, shard_size=1), False, ExitCode.OK),
+        # The early stop's outcome set and shard minimum are fixed.
+        ("mega", dict(SCENARIO, stop_outcomes=["sdc"]), False,
+         ExitCode.USAGE),
+        ("mega", dict(SCENARIO, min_stop_shards=3), False, ExitCode.USAGE),
     ], ids=["seu-ok", "seu-crash", "seu-usage", "mega-ok", "mega-crash",
-            "mega-usage", "mega-missed-ci", "mega-crash-and-missed-ci"])
+            "mega-usage", "mega-missed-ci", "mega-crash-and-missed-ci",
+            "seu-shard-size-0", "seu-runs-negative", "seu-shards-negative",
+            "seu-runs-not-int", "seu-shards-and-shard-size", "mega-no-runs", "mega-stop-outcomes",
+            "mega-min-stop-shards"])
     def test_campaign_kinds(self, request, kind, params, crash, expected):
         if crash:
             request.getfixturevalue("crashing_sram")

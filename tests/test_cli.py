@@ -362,7 +362,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("flag, value", [
         ("--timeout", "0"), ("--timeout", "-1"), ("--retries", "-1"),
-        ("--jobs", "-1")])
+        ("--jobs", "-1"), ("--shard-size", "0"), ("--runs", "-1"),
+        ("--shards", "-2"), ("--runs", "x")])
     def test_seu_invalid_run_envelope_is_usage(self, flag, value, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(self.SEU + [flag, value])
